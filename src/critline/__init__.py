@@ -60,14 +60,7 @@ from .mollifier import (
 )
 from .moment import MomentReport, SmoothWeight, mollified_moment_numeric, smooth_weight, w_hat_zero
 from .optimizer import OptimizationReport, SearchSpace, grid_scan_r, optimize_kappa
-from .special import (
-    additive_character,
-    complex_gamma,
-    log_gamma,
-    lower_incomplete_gamma,
-    reciprocal_gamma,
-    upper_incomplete_gamma,
-)
+from .special import complex_gamma, upper_incomplete_gamma
 from .zeta import (
     AfeParams,
     ZeroScanReport,
@@ -77,6 +70,7 @@ from .zeta import (
     count_critical_zeros,
     hardy_z,
     hardy_z_line,
+    hurwitz_zeta,
     xi_completed,
     zero_count_estimate,
     zeta,

@@ -35,7 +35,6 @@ class RunConfig:
     parameters: dict
     output_format: str = "json"
     output_path: str | None = None
-    threads: int = 0
 
 
 def _parse_poly(text: str, name: str) -> mollifier.Polynomial:
@@ -110,7 +109,6 @@ def parse_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--config", default=None)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--output", default=None)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     known, rest = parser.parse_known_args(argv)
     schema = _SCHEMAS[known.command]
 
@@ -146,7 +144,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         else:
             params[name] = default
     _validate(known.command, params)
-    return RunConfig(known.command, params, known.format, known.output, known.threads)
+    return RunConfig(known.command, params, known.format, known.output)
 
 
 def _validate(command: str, params: dict):
@@ -159,18 +157,12 @@ def _validate(command: str, params: dict):
     if command == "psi" and not 0 <= params["x"] <= arithmetic.default_sieve_limit():
         raise ConfigError("x outside sieve range")
     if command in ("constant", "moment"):
-        p = _parse_poly(params["P"], "P")
-        q = _parse_poly(params["Q"], "Q")
-        if abs(p(0.0)) > 1e-12:
-            raise ConstraintError("P(0)=0 violated")
-        if abs(p(1.0) - 1.0) > 1e-12:
-            raise ConstraintError("P(1)=1 violated")
-        if abs(q(0.0) - 1.0) > 1e-12:
-            raise ConstraintError("Q(0)=1 violated")
         if params["R"] <= 0:
             raise ConfigError("R must be positive")
-        if not 0 < params["theta"] <= 0.5:
-            raise ConfigError("theta must lie in (0, 1/2]")
+        # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1 and 0 < theta <= 1/2
+        params["levinson"] = levinson.LevinsonParams(
+            _parse_poly(params["P"], "P"), _parse_poly(params["Q"], "Q"), params["R"], params["theta"]
+        )
     if command == "optimize":
         params["theta"] = min(params["theta"], THETA_CAP)
 
@@ -202,10 +194,11 @@ def _to_jsonable(obj):
 
 
 def _dump_json(obj) -> str:
-    """JSON text with every float at 17 significant digits."""
+    """JSON text with every float at 17 significant digits; JSON has no
+    nan or inf, so non-finite floats are written as null."""
 
     def emit(o) -> str:
-        if o is None:
+        if o is None or (isinstance(o, float) and not math.isfinite(o)):
             return "null"
         if isinstance(o, bool):
             return "true" if o else "false"
@@ -265,11 +258,8 @@ def _run_command(config: RunConfig):
         value = arithmetic.chebyshev_psi(p["x"])
         return {"x": p["x"], "psi": value, "ratio": value / p["x"] if p["x"] else 0.0}, None
     if config.command == "constant":
-        params = levinson.LevinsonParams(
-            _parse_poly(p["P"], "P"), _parse_poly(p["Q"], "Q"), p["R"], p["theta"]
-        )
-        c_exact = levinson.c_constant_exact(params)
-        c_quad = levinson.c_constant_quadrature(params, 1e-10)
+        c_exact = levinson.c_constant_exact(p["levinson"])
+        c_quad = levinson.c_constant_quadrature(p["levinson"], 1e-10)
         report = {
             "c_exact": c_exact,
             "c_quadrature": c_quad,
@@ -303,11 +293,7 @@ def _run_command(config: RunConfig):
             "restart_trace": [list(pair) for pair in rep.restart_trace],
         }, None
     if config.command == "moment":
-        params = levinson.LevinsonParams(
-            _parse_poly(p["P"], "P"), _parse_poly(p["Q"], "Q"), p["R"], p["theta"]
-        )
-        rep = moment.mollified_moment_numeric(params, p["T"], p["step"])
-        return rep, None
+        return moment.mollified_moment_numeric(p["levinson"], p["T"], p["step"]), None
     if config.command == "registry":
         entries = []
         for t in levinson.published_tuples():
@@ -386,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     if not argv:
         sys.stderr.write(
             "usage: critline {" + ",".join(COMMANDS) + "} [--config FILE] "
-            "[--format json|csv|text] [--output PATH] [--threads N] [--key value ...]\n"
+            "[--format json|csv|text] [--output PATH] [--key value ...]\n"
         )
         return 2
     try:

@@ -2,9 +2,10 @@
 
 Characters are represented by exact phase exponents over the lcm of the
 cyclic component orders, so conductor and parity computations are exact
-integer tests rather than floating comparisons.  L-values use Hurwitz
-zeta summation to the right of the critical strip and the completed
-incomplete-gamma continuation elsewhere.
+integer tests rather than floating comparisons.  To the right of the
+critical strip an L-value is one call of zeta.hurwitz_zeta over all
+residues a/q; elsewhere it comes from the completed incomplete-gamma
+continuation.
 """
 
 from __future__ import annotations
@@ -17,11 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sps
 
-from .errors import DomainError, PoleError
-from .zeta import _EM_COEFF, _EM_TERMS, zeta
+from .errors import DomainError
+from .zeta import hurwitz_zeta, zeta
 
 
 def _factor(q: int) -> list[tuple[int, int]]:
+    """Prime factorization of q by trial division.
+
+    Kept apart from arithmetic.FactorSieve on purpose: character and
+    L-value queries never need more than sqrt(q) divisions, and must not
+    build the default 1e7 sieve.
+    """
     out = []
     d = 2
     while d * d <= q:
@@ -140,10 +147,9 @@ class DirichletCharacter:
     @property
     def conductor(self) -> int:
         # least divisor d of q with chi trivial on units congruent to 1 mod d
-        for d in _small_divisors(self.modulus):
-            if _is_quasiperiod(self, d):
-                return d
-        return self.modulus
+        q = self.modulus
+        low = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
+        return next(d for d in sorted(set(low + [q // d for d in low])) if _is_quasiperiod(self, d))
 
     @property
     def is_primitive(self) -> bool:
@@ -154,13 +160,6 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         conj = np.where(self.phases > 0, self.order_lcm - self.phases, self.phases)
         return DirichletCharacter(self.modulus, self.order_lcm, conj, self.index)
-
-
-def _small_divisors(q: int) -> list[int]:
-    divs = [1]
-    for p, e in _factor(q):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def _is_quasiperiod(chi: DirichletCharacter, d: int) -> bool:
@@ -250,26 +249,6 @@ def theta_nu(z: complex, chi: DirichletCharacter, include_character: bool = True
     return total
 
 
-def _hurwitz_zeta(s: complex, a: float) -> complex:
-    """Euler-Maclaurin Hurwitz zeta, accurate across the strip for |s| <= 25."""
-    if s == 1.0:
-        raise PoleError("hurwitz zeta pole at s=1")
-    n_cut = max(20, int(math.ceil(3.0 * abs(s.imag))))
-    n = np.arange(n_cut, dtype=float) + a
-    total = complex(np.sum(np.exp(-s * np.log(n))))
-    top = n_cut + a
-    log_top = math.log(top)
-    top_pow = cmath.exp(-s * log_top)
-    total += top * top_pow / (s - 1.0) + 0.5 * top_pow
-    poch = s
-    scale = top_pow / top
-    for k in range(1, _EM_TERMS + 1):
-        total += _EM_COEFF[k - 1] * poch * scale
-        poch *= (s + 2.0 * k - 1.0) * (s + 2.0 * k)
-        scale /= top * top
-    return total
-
-
 def xi_completed_l(s: complex, chi: DirichletCharacter, path: str = "continued") -> complex:
     """Completed L: (q/pi)^{(s+kappa)/2} Gamma((s+kappa)/2) L(s, chi).
 
@@ -324,10 +303,8 @@ def l_function(s: complex, chi: DirichletCharacter) -> complex:
             val *= 1.0 - cmath.exp(-s * math.log(p))
         return val
     if s.real > 1.0:
-        total = 0.0 + 0.0j
-        for a in range(1, q):
-            if chi.phases[a] >= 0:
-                total += chi(a) * _hurwitz_zeta(s, a / q)
+        residues = np.nonzero(chi.phases >= 0)[0]
+        total = complex(np.sum(chi(residues) * hurwitz_zeta(s, residues / q)))
         return cmath.exp(-s * math.log(q)) * total
     prim = induced_primitive(chi)
     f = prim.modulus

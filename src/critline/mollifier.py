@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import FactorSieve, get_sieve
-from .errors import ConstraintError, DomainError, SieveRangeError
-from .zeta import zeta_derivative
+from .errors import ConditioningError, ConstraintError, DomainError, SieveRangeError
+from .zeta import _zeta_jet
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class Polynomial:
     def integral_01(self) -> float:
         """Integral over [0, 1]."""
         return math.fsum(c / (k + 1) for k, c in enumerate(self.coefficients))
-
-    def antiderivative_at(self, x: float) -> float:
-        return math.fsum(c / (k + 1) * x ** (k + 1) for k, c in enumerate(self.coefficients))
 
 
 def _require(cond: bool, message: str):
@@ -93,11 +90,7 @@ class MollifierSpec:
 
 
 def mollifier_coefficients(spec: MollifierSpec, sieve: FactorSieve | None = None):
-    """Cached (h, mu(h) P(log(M/h)/log M)) table over squarefree h <= M."""
-    key = (spec.t_scale, spec.theta, spec.p_poly.coefficients)
-    cached = _coeff_cache.get(key)
-    if cached is not None:
-        return cached
+    """(h, mu(h) P(log(M/h)/log M)) table over squarefree h <= M."""
     m_len = spec.m_length
     if m_len > (sieve or get_sieve()).limit:
         raise SieveRangeError(f"mollifier length {m_len:.3g} beyond sieve range")
@@ -114,12 +107,7 @@ def mollifier_coefficients(spec: MollifierSpec, sieve: FactorSieve | None = None
         # h=1 always sits at the full-strength end P(1)=1, even when M -> 1
         x_h = (log_m - math.log(h)) / log_m if log_m > 0.0 else 1.0
         c_vals.append(mu * spec.p_poly(x_h))
-    table = (np.array(h_vals, dtype=float), np.array(c_vals))
-    _coeff_cache[key] = table
-    return table
-
-
-_coeff_cache: dict = {}
+    return np.array(h_vals, dtype=float), np.array(c_vals)
 
 
 def psi_mollifier(s: complex, spec: MollifierSpec, sieve: FactorSieve | None = None) -> complex:
@@ -142,17 +130,27 @@ def mollifier_line(sigma: float, t: np.ndarray, spec: MollifierSpec) -> np.ndarr
     return out
 
 
+def _q_operator(jets: np.ndarray, q_poly: Polynomial, log_scale: float) -> np.ndarray:
+    """Q(-(1/L) d/ds) applied to zeta jets: sum_j q_j (-1/L)^j j! jets[j]."""
+    out = np.zeros(jets.shape[1:], dtype=complex)
+    fact = 1.0
+    for j, q_j in enumerate(q_poly.coefficients):
+        if j > 0:
+            fact *= j
+        out += q_j * (-1.0 / log_scale) ** j * fact * jets[j]
+    return out
+
+
 def v_smoothed_zeta(s: complex, q_poly: Polynomial, log_scale: float) -> complex:
     """V(s): the polynomial Q applied to the operator -(1/L) d/ds, acting on zeta."""
+    s = complex(s)
     if q_poly.degree > 8:
         raise DomainError("smoothing polynomial degree capped at 8")
     if log_scale <= 0:
         raise DomainError("log scale must be positive")
-    total = 0.0 + 0.0j
-    for j, q_j in enumerate(q_poly.coefficients):
-        if q_j != 0.0 or j == 0:
-            total += q_j * (-1.0 / log_scale) ** j * zeta_derivative(s, j)
-    return total
+    if abs(s - 1.0) < 1e-3:
+        raise ConditioningError("zeta derivative too close to the pole at s=1")
+    return complex(_q_operator(_zeta_jet(s, q_poly.degree), q_poly, log_scale))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from scipy import integrate
 
 from .errors import DomainError
 from .levinson import LevinsonParams, c_constant_exact
-from .mollifier import MollifierSpec, mollifier_line
+from .mollifier import MollifierSpec, _q_operator, mollifier_line
 from .zeta import zeta_line
 
 
@@ -104,14 +104,8 @@ def _v_psi_squared(
     derivatives and a blocked mollifier sum."""
     log_t = math.log(t_scale)
     sigma0 = 0.5 - params.r_shift / log_t
-    q = params.q_poly.coefficients
-    jets = zeta_line(sigma0, t, order=len(q) - 1, factor=1.0, chunk=512)
-    v = np.zeros(t.size, dtype=complex)
-    fact = 1.0
-    for j, q_j in enumerate(q):
-        if j > 0:
-            fact *= j
-        v += q_j * (-1.0 / log_t) ** j * fact * jets[j]
+    jets = zeta_line(sigma0, t, order=params.q_poly.degree, factor=1.0, chunk=512)
+    v = _q_operator(jets, params.q_poly, log_t)
     spec = MollifierSpec(t_scale, params.theta, params.r_shift, params.p_poly)
     psi = mollifier_line(sigma0, t, spec)
     return np.abs(v * psi) ** 2

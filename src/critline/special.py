@@ -1,8 +1,8 @@
-"""Complex gamma, incomplete gamma, and the additive character e(x).
+"""Complex gamma and the upper incomplete gamma for complex order.
 
-Gamma and log-gamma delegate to scipy's complex implementations (reflection
-plus Lanczos/Stirling internally); the upper incomplete gamma is computed
-here with the classic series/continued-fraction split at x = |s| + 1.
+Gamma delegates to scipy's complex implementation (reflection plus
+Lanczos/Stirling internally); the upper incomplete gamma is computed here
+with the classic series/continued-fraction split at x = |s| + 1.
 """
 
 from __future__ import annotations
@@ -10,12 +10,9 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
 from scipy import special as sps
 
 from .errors import AccuracyError, DomainError, PoleError
-
-TWO_PI = 2.0 * math.pi
 
 
 def _is_nonpositive_integer(s: complex, tol: float = 0.0) -> bool:
@@ -31,21 +28,6 @@ def complex_gamma(s: complex) -> complex:
         # large arguments: go through log-gamma to dodge overflow
         return cmath.exp(complex(sps.loggamma(s)))
     return complex(sps.gamma(s))
-
-
-def log_gamma(s):
-    """Principal branch of log Gamma; accepts scalars or arrays."""
-    return sps.loggamma(s)
-
-
-def reciprocal_gamma(s):
-    """1/Gamma(s); entire, zero at the poles of Gamma."""
-    return sps.rgamma(s)
-
-
-def additive_character(x):
-    """e(x) = exp(2 pi i x); unit modulus for real x. Vectorized."""
-    return np.exp(2j * np.pi * np.asarray(x)) if np.ndim(x) else cmath.exp(2j * math.pi * x)
 
 
 def _lower_gamma_series(s: complex, x: float, max_terms: int = 800) -> complex:
@@ -112,8 +94,3 @@ def upper_incomplete_gamma(s: complex, x: float) -> complex:
             top = (top - cmath.exp(sj * math.log(x) - x)) / sj
         return top
     return complex_gamma(s) - _lower_gamma_series(s, x)
-
-
-def lower_incomplete_gamma(s: complex, x: float) -> complex:
-    """gamma(s, x) = Gamma(s) - Gamma(s, x)."""
-    return complex_gamma(s) - upper_incomplete_gamma(s, x)

@@ -3,9 +3,10 @@ Hardy's Z, critical-line zero scanning, and the shifted approximate
 functional equation for the product of two zeta values.
 
 The single zeta engine is Euler-Maclaurin summation with Bernoulli
-corrections; reflection handles Re(s) < 0.  Derivatives come from Cauchy
-circles for point queries and from truncated-Taylor (jet) propagation for
-bulk line evaluation.
+corrections.  Values and derivatives are truncated-Taylor jets in a
+shift x: every zeta, zeta^(k) and Hurwitz zeta value adds the same
+remainder jet (_em_tail) to a head sum, and Re(s) < 0 is reached by
+applying the functional equation to the jets.
 """
 
 from __future__ import annotations
@@ -48,14 +49,51 @@ def _jet_mul_linear(a: np.ndarray, s: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def _power_jet(base_pow: np.ndarray, log_base: float, order: int) -> np.ndarray:
-    """Jet of base^{-s-x} given base^{-s}: coefficients (-log base)^j / j!."""
-    out = np.empty((order + 1,) + base_pow.shape, dtype=complex)
-    coeff = 1.0
-    for j in range(order + 1):
-        out[j] = base_pow * coeff
-        coeff *= -log_base / (j + 1)
+def _jet_exp(a: np.ndarray) -> np.ndarray:
+    """Jet of exp(f) from the jet of f, by k e_k = sum_i i f_i e_{k-i}."""
+    out = np.zeros_like(a)
+    out[0] = np.exp(a[0])
+    for k in range(1, a.shape[0]):
+        out[k] = sum(i * a[i] * out[k - i] for i in range(1, k + 1)) / k
     return out
+
+
+def _em_tail(s, base, order: int) -> np.ndarray:
+    """Euler-Maclaurin remainder of sum (m+a)^{-s-x} cut at base b = N + a.
+
+    Jets in x of b^{1-s-x}/(s+x-1) + b^{-s-x}/2 plus the _EM_TERMS
+    Bernoulli corrections B_2k/(2k)! (s+x)_{2k-1} b^{-s-x-2k+1}, with
+    shape (order+1,) + the broadcast shape of s and b.
+    """
+    s, base = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(base))
+    log_b = np.log(base)
+    b_pow = np.exp(-s * log_b)
+    pow_jet = np.empty((order + 1,) + s.shape, dtype=complex)  # b^{-s-x}
+    coeff = np.ones_like(log_b)
+    for j in range(order + 1):
+        pow_jet[j] = b_pow * coeff
+        coeff = coeff * (-log_b / (j + 1))
+    tail = 0.5 * pow_jet
+    # pole term b^{1-s-x}/(s+x-1)
+    inv = np.empty_like(pow_jet)
+    recip = 1.0 / (s - 1.0)
+    acc = recip
+    for j in range(order + 1):
+        inv[j] = acc if j % 2 == 0 else -acc
+        acc = acc * recip
+    tail += base * _jet_mul(pow_jet, inv)
+    # Bernoulli corrections
+    poch = np.zeros_like(pow_jet)
+    poch[0] = s
+    if order >= 1:
+        poch[1] = 1.0
+    scale = 1.0 / base
+    for k in range(1, _EM_TERMS + 1):
+        tail += _EM_COEFF[k - 1] * scale * _jet_mul(poch, pow_jet)
+        poch = _jet_mul_linear(poch, s, 2.0 * k - 1.0)
+        poch = _jet_mul_linear(poch, s, 2.0 * k)
+        scale = scale / (base * base)
+    return tail
 
 
 def zeta_line(
@@ -80,7 +118,6 @@ def zeta_line(
     for c0 in range(0, t.size, chunk):
         sel = idx[c0 : c0 + chunk]
         tc = t[sel]
-        s = sigma + 1j * tc
         n_cut = max(20, int(math.ceil(factor * np.abs(tc).max())))
         jets = np.zeros((order + 1, tc.size), dtype=complex)
         # main sum over n < N in blocks, all derivative orders share the
@@ -94,86 +131,89 @@ def zeta_line(
             for j in range(1, order + 1):
                 w[:, j] = w[:, j - 1] * (-ln) / j
             jets += (e_mat @ w).T
-        big_n = float(n_cut)
-        log_n = math.log(big_n)
-        n_pow = big_n**-sigma * np.exp(-1j * tc * log_n)
-        pow_jet = _power_jet(n_pow, log_n, order)  # N^{-s-x} jet
-        # half term
-        jets += 0.5 * pow_jet
-        # pole term N^{1-s-x}/(s+x-1)
-        inv = np.empty_like(pow_jet)
-        base = 1.0 / (s - 1.0)
-        acc = base.copy()
-        for j in range(order + 1):
-            inv[j] = acc if j % 2 == 0 else -acc
-            acc = acc * base
-        jets += big_n * _jet_mul(pow_jet, inv)
-        # Bernoulli corrections
-        poch = np.zeros_like(pow_jet)
-        poch[0] = s
-        if order >= 1:
-            poch[1] = 1.0
-        scale = 1.0 / big_n
-        for k in range(1, _EM_TERMS + 1):
-            jets += _EM_COEFF[k - 1] * scale * _jet_mul(poch, pow_jet)
-            poch = _jet_mul_linear(poch, s, 2.0 * k - 1.0)
-            poch = _jet_mul_linear(poch, s, 2.0 * k)
-            scale /= big_n * big_n
-        out[:, sel] = jets
+        out[:, sel] = jets + _em_tail(sigma + 1j * tc, float(n_cut), order)
     return out
 
 
-def _log_sin(z: complex) -> complex:
-    if z.imag > 20.0:
-        return -1j * z - cmath.log(-2j) + complex(np.log1p(-cmath.exp(2j * z)))
-    if z.imag < -20.0:
-        return 1j * z - cmath.log(2j) + complex(np.log1p(-cmath.exp(-2j * z)))
-    return cmath.log(cmath.sin(z))
+def hurwitz_zeta(s: complex, a) -> np.ndarray:
+    """Hurwitz zeta(s, a) = sum over m >= 0 of (m + a)^{-s}, s != 1.
+
+    Vectorized over an array of real or complex offsets a with Re(a) > 0:
+    the terms m < N with N ~ max(20, 3|Im s|) plus the Euler-Maclaurin
+    remainder at N + a.
+    """
+    s = complex(s)
+    if s == 1.0:
+        raise PoleError("hurwitz zeta pole at s=1")
+    a = np.asarray(a)
+    if np.any(np.real(a) <= 0.0):
+        raise DomainError("hurwitz zeta needs Re(a) > 0")
+    n_cut = max(20, int(math.ceil(3.0 * abs(s.imag))))
+    m = np.arange(n_cut, dtype=float)
+    head = np.sum(np.exp(-s * np.log(m + a[..., None])), axis=-1)
+    return head + _em_tail(s, n_cut + a, 0)[0]
+
+
+def _zeta_jet(s: complex, order: int) -> np.ndarray:
+    """[zeta^{(j)}(s) / j! for j = 0..order] for any s != 1.
+
+    Re(s) < 0 applies zeta(s+x) = chi(s+x) zeta(1-s-x) to the jets, with
+    chi(w) = 2^w pi^{w-1} sin(pi w/2) Gamma(1-w).  The sine stays a plain
+    jet scaled by e^{-h}, h = pi |Im s| / 2, and h moves into the
+    exponential of the other factors: nothing overflows at large |Im s|,
+    and the sine's zeros at the trivial zeros are kept.
+    """
+    if s.real >= 0.0:
+        return zeta_line(s.real, np.array([s.imag]), order, factor=3.0)[:, 0]
+    sign = (-1.0) ** np.arange(order + 1)
+    reflected = sign * zeta_line(1.0 - s.real, np.array([-s.imag]), order, factor=3.0)[:, 0]
+    # log of 2^w pi^{w-1} Gamma(1-w), w = s + x; the x^k coefficient of
+    # log Gamma(1-s-x) is zeta(k, 1-s)/k for k >= 2
+    log_jet = np.zeros(order + 1, dtype=complex)
+    log_jet[0] = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + sps.loggamma(1.0 - s)
+    if order >= 1:
+        log_jet[1] = math.log(2.0 * math.pi) - sps.psi(1.0 - s)
+    for k in range(2, order + 1):
+        log_jet[k] = hurwitz_zeta(k, 1.0 - s) / k
+    z = 0.5 * math.pi * s
+    h = abs(z.imag)
+    log_jet[0] += h
+    up, down = cmath.exp(1j * z - h), cmath.exp(-1j * z - h)
+    sin_z, cos_z = (up - down) / 2j, (up + down) / 2.0
+    cycle = (sin_z, cos_z, -sin_z, -cos_z)  # d^j/dz^j sin z
+    sine = np.array(
+        [cycle[j % 4] * (0.5 * math.pi) ** j / math.factorial(j) for j in range(order + 1)]
+    )
+    jet = _jet_mul(_jet_mul(_jet_exp(log_jet), sine), reflected)
+    if s.imag == 0.0 and s.real == round(s.real) and int(s.real) % 2 == 0:
+        jet[0] = 0.0  # trivial zeros
+    return jet
 
 
 def zeta(s: complex) -> complex:
     """zeta(s) for any complex s != 1.
 
     Re(s) >= 0: Euler-Maclaurin with N ~ max(20, 3|Im s|); Re(s) < 0:
-    reflection through the completed-xi functional equation.
+    the functional equation zeta(s) = chi(s) zeta(1-s).
     """
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta pole at s=1")
-    if s.real >= 0.0:
-        return complex(zeta_line(s.real, np.array([s.imag]), 0, factor=3.0)[0, 0])
-    if s.imag == 0.0 and s.real < 0 and s.real == round(s.real) and int(s.real) % 2 == 0:
-        return 0.0  # trivial zeros
-    # zeta(s) = chi(s) zeta(1-s) with chi from xi(s) = xi(1-s)
-    log_chi = (
-        s * math.log(2.0)
-        + (s - 1.0) * math.log(math.pi)
-        + _log_sin(math.pi * s / 2.0)
-        + sps.loggamma(1.0 - s)
-    )
-    return cmath.exp(complex(log_chi)) * zeta(1.0 - s)
+    return complex(_zeta_jet(s, 0)[0])
 
 
 def zeta_derivative(s: complex, order: int) -> complex:
-    """zeta^{(order)}(s) by Cauchy-integral quadrature on a circle.
+    """zeta^{(order)}(s), read from the Euler-Maclaurin jet at s.
 
-    The circle radius shrinks near the pole; evaluation closer than 1e-3
-    to s=1 is refused as too ill-conditioned.
+    Evaluation closer than 1e-3 to the pole at s=1 is refused as too
+    ill-conditioned.
     """
     s = complex(s)
     if order < 0 or order > 8:
         raise DomainError("derivative order must be in 0..8")
     if abs(s - 1.0) < 1e-3:
         raise ConditioningError("zeta derivative too close to the pole at s=1")
-    if order == 0:
-        return zeta(s)
-    radius = min(0.25, abs(s - 1.0) / 2.0)
-    nodes = 64 * (order + 1)
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = s + radius * np.exp(1j * theta)
-    vals = np.array([zeta(w) for w in ring])
-    coeff = np.exp(-1j * order * theta)
-    return math.factorial(order) / (nodes * radius**order) * complex(np.sum(vals * coeff))
+    return math.factorial(order) * complex(_zeta_jet(s, order)[order])
 
 
 def xi_completed(s: complex, path: str = "direct") -> complex:
@@ -243,13 +283,6 @@ def zero_count_estimate(t_max: float) -> float:
         return 0.0
     u = t_max / (2.0 * math.pi)
     return u * math.log(u) - u
-
-
-def zero_count_leading(t_max: float) -> float:
-    """Leading-order estimate (T/2pi) log T."""
-    if t_max <= 0:
-        return 0.0
-    return t_max / (2.0 * math.pi) * math.log(t_max)
 
 
 @dataclass(frozen=True)
@@ -362,9 +395,9 @@ def _afe_v_table(a: complex, b: complex, t: float, n_max: int, cap: float) -> np
     kernel = np.exp(s * s) / s * _gamma_ratio_weight(s, a, b, t) * weights / (2.0 * math.pi)
     x = np.arange(1, n_max + 1, dtype=float)
     out = np.empty(n_max, dtype=complex)
-    for b0 in range(0, n_max, 4096):
-        blk = x[b0 : b0 + 4096]
-        out[b0 : b0 + 4096] = np.exp(-np.outer(np.log(blk), s)) @ kernel
+    for b0 in range(0, n_max, 256):
+        blk = x[b0 : b0 + 256]
+        out[b0 : b0 + 256] = np.exp(-np.outer(np.log(blk), s)) @ kernel
     return out
 
 

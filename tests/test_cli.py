@@ -104,6 +104,15 @@ class TestOutput:
         _, out, _ = run_cli(capsys, "zeros", "--tmax", "15")
         assert "0.050000000000000003" in out  # 0.05 at 17 significant digits
 
+    def test_non_finite_floats_are_null(self, capsys):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        code, out, _ = run_cli(capsys, "optimize", "--p-degree", "1", "--q-degree", "1")
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        assert len(payload["restart_trace"]) == 8
+
     def test_csv_header_and_rows(self, capsys):
         code, out, _ = run_cli(capsys, "chars", "--q", "5", "--format", "csv")
         assert code == 0

@@ -2,6 +2,9 @@
 functional equation, checked against mpmath and internal identities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +19,7 @@ from critline.zeta import (
     count_critical_zeros,
     hardy_z,
     hardy_z_line,
+    hurwitz_zeta,
     xi_completed,
     zero_count_estimate,
     zeta,
@@ -69,11 +73,35 @@ class TestZetaLine:
         assert complex(zeta_line(sigma, t, 0)[0, 0]) == pytest.approx(ref, rel=1e-11)
 
 
+class TestHurwitzZeta:
+    def test_against_mpmath(self):
+        offsets = [np.array([0.2, 0.5, 1.0, 3.75]), np.array([0.3 + 2.0j, 1.5 - 40.0j, 6.0 + 0.5j])]
+        for s in (2.2 + 1.5j, 0.5 + 3.0j, -0.7 + 1.0j, 3.0, 1.2 - 25.0j):
+            for a in offsets:
+                got = hurwitz_zeta(s, a)
+                for k, a_k in enumerate(a):
+                    ref = complex(mp.zeta(mp.mpc(s), mp.mpc(a_k)))
+                    assert got[k] == pytest.approx(ref, rel=1e-10)
+
+    def test_pole_and_domain(self):
+        with pytest.raises(PoleError):
+            hurwitz_zeta(1.0, [0.5])
+        with pytest.raises(DomainError):
+            hurwitz_zeta(2.0, [0.0])
+
+
 class TestZetaDerivative:
     def test_against_mpmath(self):
         for order in (1, 2, 4):
             ref = complex(mp.zeta(mp.mpc(2, 3), derivative=order))
             assert zeta_derivative(2 + 3j, order) == pytest.approx(ref, rel=1e-9)
+        # both sides of the reflection, high on the line, and the derivatives
+        # at the trivial zeros, where zeta itself vanishes
+        points = [complex(sigma, 3.0) for sigma in (-20.0, -10.0, -3.5, -0.5, 0.3, 2.0)]
+        for s in points + [-0.7 + 1000.0j, -2.0, -4.0]:
+            for order in range(9):
+                ref = complex(mp.zeta(mp.mpc(s), derivative=order))
+                assert zeta_derivative(s, order) == pytest.approx(ref, rel=1e-10)
 
     def test_order_zero_identity(self):
         s = 0.4 + 7.0j
@@ -195,3 +223,13 @@ class TestAfe:
         coarse = afe_pair(AfeParams(a, b, t, truncation_length=500))
         fine = afe_pair(AfeParams(a, b, t, truncation_length=2000))
         assert abs(fine - direct) < abs(coarse - direct)
+
+
+def test_import_leaves_mpmath_out():
+    """mpmath is a test oracle only; the package must not import it."""
+    import critline
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
+    code = "import sys, critline; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
