@@ -17,6 +17,7 @@ from .arithmetic import (
 )
 from .dirichlet import (
     DirichletCharacter,
+    character,
     enumerate_characters,
     epsilon_factor,
     gauss_sum,

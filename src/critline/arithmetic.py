@@ -81,6 +81,20 @@ class FactorSieve:
             result = -result
         return result
 
+    def mobius_table(self, n: int) -> np.ndarray:
+        """mu(h) for h = 1..n as an integer array, one factor-table pass per
+        prime factor instead of one call per h."""
+        n = self._check(n)
+        rest = np.arange(1, n + 1)
+        mu = np.ones(n, dtype=np.int64)
+        live = rest > 1
+        while np.any(live):
+            p = self._spf[rest[live]]
+            rest[live] //= p
+            mu[live] *= np.where(rest[live] % p == 0, 0, -1)
+            live = rest > 1
+        return mu
+
     def von_mangoldt(self, n: int) -> float:
         n = self._check(n)
         if n == 1:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import arithmetic, dirichlet, levinson, moment, mollifier, optimizer
 from .zeta import count_critical_zeros, zeta as zeta_eval
-from .errors import ConfigError, ConstraintError, CritlineError
+from .errors import ConfigError, ConstraintError, CritlineError, DomainError
 
 COMMANDS = ("zeta", "zeros", "chars", "lfun", "psi", "constant", "optimize", "moment", "registry")
 
@@ -103,13 +103,15 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+_PARSER = argparse.ArgumentParser(prog="critline", add_help=True)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", default=None)
+_PARSER.add_argument("--format", choices=("json", "csv", "text"), default="json")
+_PARSER.add_argument("--output", default=None)
+
+
 def parse_config(argv: list[str]) -> RunConfig:
-    parser = argparse.ArgumentParser(prog="critline", add_help=True)
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--output", default=None)
-    known, rest = parser.parse_known_args(argv)
+    known, rest = _PARSER.parse_known_args(argv)
     schema = _SCHEMAS[known.command]
 
     raw: dict[str, str] = {}
@@ -249,10 +251,11 @@ def _run_command(config: RunConfig):
         ]
         return {"modulus": p["q"], "count": len(chars), "characters": rows}, rows
     if config.command == "lfun":
-        chars = dirichlet.enumerate_characters(p["q"])
-        if not 0 <= p["index"] < len(chars):
-            raise ConfigError(f"character index outside 0..{len(chars) - 1}")
-        value = dirichlet.l_function(p["s"], chars[p["index"]])
+        try:
+            chi = dirichlet.character(p["q"], p["index"])
+        except DomainError as exc:  # q >= 1 is checked already: the index is out of range
+            raise ConfigError(str(exc))
+        value = dirichlet.l_function(p["s"], chi)
         return {"q": p["q"], "index": p["index"], "s": p["s"], "l": value}, None
     if config.command == "psi":
         value = arithmetic.chebyshev_psi(p["x"])

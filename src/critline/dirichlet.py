@@ -11,7 +11,6 @@ continuation.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -173,26 +172,42 @@ def _is_quasiperiod(chi: DirichletCharacter, d: int) -> bool:
     return True
 
 
-def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, principal first."""
+def _unit_group(q: int):
+    """(orders, dlog tables on the units, lcm of the orders, unit mask) of (Z/q)^*."""
     if q < 1:
         raise DomainError("modulus must be positive")
-    if q == 1:
-        return [DirichletCharacter(1, 1, np.zeros(1, dtype=np.int64), 0)]
     orders, tables = _component_dlogs(q)
-    lcm = 1
-    for o in orders:
-        lcm = math.lcm(lcm, o)
     coprime = np.array([math.gcd(n, q) == 1 for n in range(q)])
-    out = []
-    for index, exps in enumerate(itertools.product(*(range(o) for o in orders))):
-        phases = np.full(q, -1, dtype=np.int64)
-        acc = np.zeros(q, dtype=np.int64)
-        for c, order, tab in zip(exps, orders, tables):
-            acc[coprime] += c * tab[coprime] * (lcm // order)
-        phases[coprime] = acc[coprime] % lcm
-        out.append(DirichletCharacter(q, lcm, phases, index))
-    return out
+    return orders, [tab[coprime] for tab in tables], math.lcm(*orders), coprime
+
+
+def _character(q: int, group, index: int) -> DirichletCharacter:
+    """The character whose component exponents are the mixed-radix digits
+    of index, the last component varying fastest."""
+    orders, tables, lcm, coprime = group
+    acc = np.zeros(int(coprime.sum()), dtype=np.int64)
+    rest = index
+    for order, tab in zip(reversed(orders), reversed(tables)):
+        rest, digit = divmod(rest, order)
+        acc += digit * tab * (lcm // order)
+    phases = np.full(q, -1, dtype=np.int64)
+    phases[coprime] = acc % lcm
+    return DirichletCharacter(q, lcm, phases, index)
+
+
+def character(q: int, index: int) -> DirichletCharacter:
+    """The character enumerate_characters(q)[index], built on its own."""
+    group = _unit_group(q)
+    count = math.prod(group[0])
+    if not 0 <= index < count:
+        raise DomainError(f"character index outside 0..{count - 1}")
+    return _character(q, group, index)
+
+
+def enumerate_characters(q: int) -> list[DirichletCharacter]:
+    """All phi(q) characters mod q, principal first."""
+    group = _unit_group(q)
+    return [_character(q, group, index) for index in range(math.prod(group[0]))]
 
 
 def induced_primitive(chi: DirichletCharacter) -> DirichletCharacter:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import FactorSieve, get_sieve
+from .arithmetic import FactorSieve, default_sieve_limit, get_sieve
 from .errors import ConditioningError, ConstraintError, DomainError, SieveRangeError
 from .zeta import _zeta_jet
 
@@ -90,24 +90,21 @@ class MollifierSpec:
 
 
 def mollifier_coefficients(spec: MollifierSpec, sieve: FactorSieve | None = None):
-    """(h, mu(h) P(log(M/h)/log M)) table over squarefree h <= M."""
+    """(h, mu(h) P(log(M/h)/log M)) table over squarefree h <= M.
+
+    Without an explicit sieve, mu comes from a factor table sized to M,
+    so a short mollifier never builds the shared default sieve.
+    """
     m_len = spec.m_length
-    if m_len > (sieve or get_sieve()).limit:
+    if m_len > (sieve.limit if sieve else default_sieve_limit()):
         raise SieveRangeError(f"mollifier length {m_len:.3g} beyond sieve range")
-    s = sieve or get_sieve()
     h_max = int(math.floor(m_len))
+    mu = (sieve or FactorSieve(max(2, h_max))).mobius_table(h_max)
+    h = np.flatnonzero(mu) + 1.0
     log_m = math.log(m_len)
-    h_vals = []
-    c_vals = []
-    for h in range(1, h_max + 1):
-        mu = s.mobius(h)
-        if mu == 0:
-            continue
-        h_vals.append(h)
-        # h=1 always sits at the full-strength end P(1)=1, even when M -> 1
-        x_h = (log_m - math.log(h)) / log_m if log_m > 0.0 else 1.0
-        c_vals.append(mu * spec.p_poly(x_h))
-    return np.array(h_vals, dtype=float), np.array(c_vals)
+    # h=1 always sits at the full-strength end P(1)=1, even when M -> 1
+    x_h = (log_m - np.log(h)) / log_m if log_m > 0.0 else np.ones_like(h)
+    return h, mu[mu != 0] * spec.p_poly(x_h)
 
 
 def psi_mollifier(s: complex, spec: MollifierSpec, sieve: FactorSieve | None = None) -> complex:

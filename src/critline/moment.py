@@ -104,7 +104,7 @@ def _v_psi_squared(
     derivatives and a blocked mollifier sum."""
     log_t = math.log(t_scale)
     sigma0 = 0.5 - params.r_shift / log_t
-    jets = zeta_line(sigma0, t, order=params.q_poly.degree, factor=1.0, chunk=512)
+    jets = zeta_line(sigma0, t, order=params.q_poly.degree)
     v = _q_operator(jets, params.q_poly, log_t)
     spec = MollifierSpec(t_scale, params.theta, params.r_shift, params.p_poly)
     psi = mollifier_line(sigma0, t, spec)

@@ -55,8 +55,9 @@ class TestFactorSieve:
             small_sieve.mobius(0)
 
     def test_mobius(self, small_sieve):
+        table = small_sieve.mobius_table(1499)
         for n in range(1, 1500):
-            assert small_sieve.mobius(n) == brute_mobius(n)
+            assert small_sieve.mobius(n) == table[n - 1] == brute_mobius(n)
 
     def test_von_mangoldt(self, small_sieve):
         assert small_sieve.von_mangoldt(1) == 0.0

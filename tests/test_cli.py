@@ -156,9 +156,12 @@ class TestCommands:
         assert abs(payload["c_exact"] - payload["c_quadrature"]) < 1e-9
 
     def test_lfun_index_bounds(self, capsys):
-        code, out, _ = run_cli(capsys, "lfun", "--q", "5", "--index", "9", "--s", "2+0j")
-        assert code == 1
-        assert json.loads(out)["error"] == "config"
+        for index in ("9", "4", "-1"):
+            code, out, _ = run_cli(capsys, "lfun", "--q", "5", "--index", index, "--s", "2+0j")
+            assert code == 1
+            assert json.loads(out)["error"] == "config"
+        code, _, _ = run_cli(capsys, "lfun", "--q", "5", "--index", "3", "--s", "2+0j")
+        assert code == 0
 
     def test_chars_json(self, capsys):
         code, out, _ = run_cli(capsys, "chars", "--q", "12")

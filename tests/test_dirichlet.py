@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from critline.dirichlet import (
+    character,
     enumerate_characters,
     epsilon_factor,
     gauss_sum,
@@ -47,6 +48,17 @@ class TestEnumeration:
         assert len(chars) == brute_phi(q)
         assert chars[0].is_principal
         assert [c.index for c in chars] == list(range(len(chars)))
+
+    def test_single_character_matches_enumeration(self):
+        for q in range(1, 61):
+            chars = enumerate_characters(q)
+            for c in chars:
+                one = character(q, c.index)
+                assert one.index == c.index and one.order_lcm == c.order_lcm
+                assert np.array_equal(one.phases, c.phases)
+            for index in (-1, len(chars)):
+                with pytest.raises(DomainError):
+                    character(q, index)
 
     @pytest.mark.parametrize("q", [5, 8, 12, 21])
     def test_multiplicative_and_orthogonal(self, q):

@@ -1,6 +1,10 @@
 """Smooth plateau weight and the desk-scale mollified moment."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +125,29 @@ class TestMoment:
         a = mollified_moment_numeric(BASELINE, 600.0, grid_step=0.05)
         b = mollified_moment_numeric(BASELINE, 600.0, grid_step=0.049)
         assert a.numeric_moment == pytest.approx(b.numeric_moment, rel=2e-3)
+
+    def test_short_mollifier_builds_no_shared_sieve(self):
+        """At T=1000 (M ~ 32) the Moebius table is sized to M: the shared
+        default sieve stays unbuilt, and the table equals a sieve-backed one."""
+        import critline
+
+        code = (
+            "import json, numpy as np\n"
+            "from critline import arithmetic\n"
+            "from critline.levinson import LevinsonParams\n"
+            "from critline.moment import mollified_moment_numeric\n"
+            "from critline.mollifier import MollifierSpec, Polynomial, mollifier_coefficients\n"
+            "params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 1.3, 0.5)\n"
+            "mollified_moment_numeric(params, 1000.0)\n"
+            "spec = MollifierSpec(1000.0, 0.5, 1.3, params.p_poly)\n"
+            "h, c = mollifier_coefficients(spec)\n"
+            "h2, c2 = mollifier_coefficients(spec, arithmetic.FactorSieve(20000))\n"
+            "print(json.dumps([len(arithmetic._sieve_cache), h.size,\n"
+            "                  bool(np.array_equal(h, h2) and np.array_equal(c, c2))]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert json.loads(out.stdout) == [0, 20, True]
 
     def test_degenerate_mollifier(self):
         # theta tiny: M < 2, psi collapses to 1 and the moment is the

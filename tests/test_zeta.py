@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from critline.errors import ConditioningError, DomainError, PoleError
+from critline.moment import SmoothWeight
 from critline.zeta import (
     AfeParams,
     afe_pair,
@@ -71,6 +72,73 @@ class TestZetaLine:
         t = np.array([60.0])
         ref = complex(mp.zeta(mp.mpc(sigma, 60.0)))
         assert complex(zeta_line(sigma, t, 0)[0, 0]) == pytest.approx(ref, rel=1e-11)
+
+
+def _rows_close(a, b, tol):
+    """Per jet order, against the row's largest value: a small jet element
+    carries the same ~3e-13 absolute rounding as its large neighbours."""
+    return np.all(np.abs(a - b).max(axis=1) <= tol * np.abs(b).max(axis=1))
+
+
+@pytest.fixture(scope="module")
+def moment_grid():
+    """The T=2000 moment grid: sigma0 = 1/2 - 1.3/log T, step 0.05 over the
+    weight's support."""
+    lo, hi = SmoothWeight(2000.0).support
+    t = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.05)) + 1)
+    return 0.5 - 1.3 / math.log(2000.0), t
+
+
+class TestZetaLineGrid:
+    """Uniform grids reuse one phase table; a one-point call only meets its
+    own (a row of ones), so it is an independent oracle."""
+
+    def test_matches_one_point_calls(self, moment_grid):
+        sigma, t = moment_grid
+        picks = np.random.default_rng(4).choice(t.size, 40, replace=False)
+        for order in range(4):
+            jets = zeta_line(sigma, t, order)
+            for i in picks:
+                one = zeta_line(sigma, t[[i]], order)[:, 0]
+                assert np.all(np.abs(jets[:, i] - one) <= 1e-10 * np.abs(one))
+
+    def test_matches_mpmath(self, moment_grid):
+        sigma, t = moment_grid
+        jets = zeta_line(sigma, t, 3)
+        for i in np.random.default_rng(5).choice(t.size, 5, replace=False):
+            for j in range(4):
+                ref = complex(mp.zeta(mp.mpc(sigma, t[i]), 1, j)) / math.factorial(j)
+                assert abs(jets[j, i] - ref) <= 1e-10 * abs(ref)
+
+    def test_reused_table_matches_own_table(self, moment_grid):
+        """A chunk evaluated alone builds its own table, with the same N and
+        base row as inside the grid: only the reused table and its rounding
+        correction differ (3e-12 without the correction)."""
+        sigma, t = moment_grid
+        jets = zeta_line(sigma, t, 3)
+        chunk = 256  # zeta_line's default; t is sorted, so chunks are slices
+        for c0 in range(chunk, t.size, 17 * chunk):
+            own = zeta_line(sigma, t[c0 : c0 + chunk], 3)
+            assert _rows_close(jets[:, c0 : c0 + chunk], own, 2e-13)
+
+    def test_reordered_and_perturbed_grids(self, moment_grid):
+        sigma, t = moment_grid
+        jets = zeta_line(sigma, t, 3)
+        perm = np.random.default_rng(6).permutation(t.size)
+        shuffled = zeta_line(sigma, t[perm], 3)
+        assert np.all(np.abs(shuffled - jets[:, perm]) <= 1e-12 * np.abs(jets[:, perm]))
+        bumped = t.copy()
+        bumped[t.size // 3] += 0.0123
+        keep = np.arange(t.size) != t.size // 3
+        moved = zeta_line(sigma, bumped, 3)[:, keep]
+        assert np.all(np.abs(moved - jets[:, keep]) <= 1e-12 * np.abs(jets[:, keep]))
+        # -40 .. 60 through t = 0, where chunks mix both signs and each builds
+        # its own table; zeta of the conjugate is the conjugate
+        half = np.linspace(0.0, 60.0, 1201)
+        ref = zeta_line(sigma, half, 3)
+        both = zeta_line(sigma, np.concatenate((-half[800:0:-1], half)), 3)
+        assert _rows_close(both[:, 800:], ref, 1e-12)
+        assert _rows_close(both[:, :800], np.conj(ref[:, 800:0:-1]), 1e-12)
 
 
 class TestHurwitzZeta:
@@ -145,6 +213,12 @@ class TestHardyZ:
         line = hardy_z_line(t)
         for i, tv in enumerate(t):
             assert line[i] == pytest.approx(hardy_z(float(tv)), rel=1e-10)
+        # a uniform grid high up, which shares one phase table; phases near
+        # 5e4 rad round to ~1e-11 absolute, so Z near a zero needs abs
+        t = np.arange(5000.0, 5030.0, 0.05)
+        line = hardy_z_line(t)
+        for i in range(0, t.size, 37):
+            assert line[i] == pytest.approx(hardy_z(float(t[i])), rel=1e-10, abs=1e-10)
 
     def test_height_cap(self):
         with pytest.raises(DomainError):
