@@ -26,8 +26,6 @@ from .errors import ConfigError, ConstraintError, CritlineError, DomainError
 
 COMMANDS = ("zeta", "zeros", "chars", "lfun", "psi", "constant", "optimize", "moment", "registry")
 
-THETA_CAP = 0.5 - 1e-9
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -166,7 +164,15 @@ def _validate(command: str, params: dict):
             _parse_poly(params["P"], "P"), _parse_poly(params["Q"], "Q"), params["R"], params["theta"]
         )
     if command == "optimize":
-        params["theta"] = min(params["theta"], THETA_CAP)
+        # SearchSpace checks the degrees, the R range, theta and the restarts
+        params["space"] = optimizer.SearchSpace(
+            params["p-degree"],
+            params["q-degree"],
+            (params["r-min"], params["r-max"]),
+            params["theta"],
+            params["restarts"],
+            params["seed"],
+        )
 
 
 def _fmt_number(x) -> str:
@@ -275,15 +281,7 @@ def _run_command(config: RunConfig):
             report["discrepancy_note"] = note
         return report, None
     if config.command == "optimize":
-        space = optimizer.SearchSpace(
-            p["p-degree"],
-            p["q-degree"],
-            (p["r-min"], p["r-max"]),
-            p["theta"],
-            p["restarts"],
-            p["seed"],
-        )
-        rep = optimizer.optimize_kappa(space)
+        rep = optimizer.optimize_kappa(p["space"])
         return {
             "best_kappa": rep.best_kappa,
             "best_params": {

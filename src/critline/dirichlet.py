@@ -2,10 +2,12 @@
 
 Characters are represented by exact phase exponents over the lcm of the
 cyclic component orders, so conductor and parity computations are exact
-integer tests rather than floating comparisons.  To the right of the
-critical strip an L-value is one call of zeta.hurwitz_zeta over all
-residues a/q; elsewhere it comes from the completed incomplete-gamma
-continuation.
+integer tests rather than floating comparisons.  For Re(s) >= 0 an
+L-value is one call of the Euler-Maclaurin zeta.hurwitz_zeta over all
+residues a/q; for Re(s) < 0 the functional equation of the inducing
+primitive character reflects it there.  The incomplete-gamma
+continuation of the completed L stays as an independent path of
+xi_completed_l, a reference for the functional equation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import DomainError
-from .zeta import hurwitz_zeta, zeta
+from .zeta import hurwitz_zeta
 
 
 def _factor(q: int) -> list[tuple[int, int]]:
@@ -305,30 +307,34 @@ def xi_completed_l(s: complex, chi: DirichletCharacter, path: str = "continued")
 def l_function(s: complex, chi: DirichletCharacter) -> complex:
     """L(s, chi) anywhere in the plane (pole only at s=1 for principal chi).
 
-    Principal characters reduce to zeta times local Euler factors; to the
-    right of the strip each residue class contributes a Hurwitz zeta; in
-    and left of the strip the value is recovered from the completed form
-    of the inducing primitive character.
+    Re(s) >= 0: q^{-s} sum over residues a in 1..q of chi(a) zeta(s, a/q),
+    one hurwitz_zeta call; at s = 1 the Hurwitz poles cancel for
+    non-principal chi and their constant terms give -(1/q) sum chi(a)
+    psi(a/q).  Re(s) < 0: the functional equation of the inducing
+    primitive chi* mod f maps onto L(1-s, conj chi*), times the Euler
+    factors 1 - chi*(p) p^{-s} of the primes dividing q but not f.
+
+    Near s = 1 the Hurwitz poles still cancel, in floating point: the
+    relative error grows like 4e-16/|s-1|, to about 4e-12 at
+    |s-1| = 1e-4, 2e-10 at 1e-6 and 4e-8 at 1e-8 (q <= 97).
     """
     s = complex(s)
     q = chi.modulus
-    if chi.is_principal:
-        val = zeta(s)
+    if s.real < 0.0:
+        prim = induced_primitive(chi)
+        f, kappa = prim.modulus, prim.parity
+        if s.imag == 0.0 and s.real == round(s.real) and int(s.real + kappa) % 2 == 0:
+            return 0j  # trivial zero: a pole of Gamma((s+kappa)/2)
+        gamma_ratio = sps.loggamma((1.0 - s + kappa) / 2.0) - sps.loggamma((s + kappa) / 2.0)
+        val = epsilon_factor(prim) * l_function(1.0 - s, prim.conjugate())
+        val *= cmath.exp((0.5 - s) * math.log(f / math.pi) + gamma_ratio)
         for p, _ in _factor(q):
-            val *= 1.0 - cmath.exp(-s * math.log(p))
+            if f % p != 0:
+                val *= 1.0 - prim(p) * cmath.exp(-s * math.log(p))
         return val
-    if s.real > 1.0:
-        residues = np.nonzero(chi.phases >= 0)[0]
-        total = complex(np.sum(chi(residues) * hurwitz_zeta(s, residues / q)))
-        return cmath.exp(-s * math.log(q)) * total
-    prim = induced_primitive(chi)
-    f = prim.modulus
-    kappa = prim.parity
-    lam = xi_completed_l(s, prim, "continued")
-    l_prim = lam * cmath.exp(-(s + kappa) / 2.0 * math.log(f / math.pi)) * complex(
-        sps.rgamma((s + kappa) / 2.0)
-    )
-    for p, _ in _factor(q):
-        if f % p != 0:
-            l_prim *= 1.0 - prim(p) * cmath.exp(-s * math.log(p))
-    return l_prim
+    residues = np.arange(1, q + 1)
+    residues = residues[chi.phases[residues % q] >= 0]
+    weights = chi(residues)
+    if s == 1.0 and not chi.is_principal:
+        return complex(-np.sum(weights * sps.psi(residues / q)) / q)
+    return cmath.exp(-s * math.log(q)) * complex(np.sum(weights * hurwitz_zeta(s, residues / q)))

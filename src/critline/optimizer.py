@@ -56,7 +56,9 @@ class OptimizationReport:
 
 
 def _decode(vec: np.ndarray, space: SearchSpace) -> LevinsonParams | None:
-    p_free = vec[: space.p_degree - 1]
+    # free P coefficients on a 2^-40 grid: below 2^12 in size, their sum and
+    # p_1 = 1 - sum are then exact, so P(1) = 1 holds in floating point too
+    p_free = np.round(vec[: space.p_degree - 1] * 2.0**40) / 2.0**40
     q_free = vec[space.p_degree - 1 : -1]
     r = float(vec[-1])
     r_lo, r_hi = space.r_range

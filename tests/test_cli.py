@@ -44,9 +44,18 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(["zeros", "--tmax", "10", "--step", "-1"])
 
-    def test_theta_capped_for_optimizer(self):
+    def test_optimizer_theta_passes_through(self):
         config = parse_config(["optimize", "--theta", "0.5"])
-        assert config.parameters["theta"] < 0.5
+        assert config.parameters["theta"] == 0.5
+        assert config.parameters["space"].theta == 0.5
+
+    def test_optimizer_space_rejected_by_its_validator(self, capsys):
+        code, _, err = run_cli(capsys, "optimize", "--theta", "0.7")
+        assert code == 2
+        assert "theta must lie in (0, 1/2]" in err
+        code, _, err = run_cli(capsys, "optimize", "--p-degree", "0")
+        assert code == 2
+        assert "degrees must be at least 1" in err
 
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

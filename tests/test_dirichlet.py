@@ -41,6 +41,16 @@ def mpmath_l(s, chi):
     return complex(total * mp.power(q, -mp.mpc(s)))
 
 
+def mpmath_l_all(q, s):
+    """mpmath_l(s, chi) for every chi mod q, from one Hurwitz table."""
+    hurwitz = [mp.zeta(mp.mpc(s), mp.mpf(a) / q) for a in range(1, q + 1)]
+    scale = mp.power(q, -mp.mpc(s))
+    return [
+        complex(scale * mp.fsum(mp.mpc(c(a)) * h for a, h in zip(range(1, q + 1), hurwitz)))
+        for c in enumerate_characters(q)
+    ]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 9, 12, 16, 24, 40, 45])
     def test_count_and_principal_first(self, q):
@@ -208,6 +218,28 @@ class TestLFunction:
         assert chars
         for s in (0.3 + 2.0j, 0.9):
             assert l_function(s, chars[0]) == pytest.approx(mpmath_l(s, chars[0]), abs=1e-10)
+
+    @pytest.mark.parametrize("q", [5, 12, 37])
+    def test_high_on_the_line_and_left_of_it(self, q):
+        for s in (0.5 + 30j, 0.5 + 100j, 0.5 + 1000j, -0.5 + 100j):
+            for c, ref in zip(enumerate_characters(q), mpmath_l_all(q, s)):
+                assert abs(l_function(s, c) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    def test_principal_and_imprimitive_left_of_the_strip(self):
+        chars = enumerate_characters(12)
+        imprimitive = [c for c in chars if c.conductor == 3][0]
+        for c in (chars[0], imprimitive, enumerate_characters(1)[0], enumerate_characters(10)[0]):
+            for s in (-8.0 + 0.5j, -3.5 + 2.0j, -2.0, -0.5 - 7.0j):
+                ref = mpmath_l(s, c)
+                assert abs(l_function(s, c) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    def test_near_one(self):
+        # the Hurwitz poles cancel in floating point: up to about 4e-12
+        # relative at |s-1| = 1e-4, growing like 1/|s-1| closer in
+        for q in (5, 12, 37):
+            for s in (1.0 + 1e-4, 1.0 - 1e-4, 1.0 + 1e-4j):
+                for c, ref in list(zip(enumerate_characters(q), mpmath_l_all(q, s)))[1:]:
+                    assert abs(l_function(s, c) - ref) <= 1e-10 * abs(ref)
 
 
 class TestCompletedL:

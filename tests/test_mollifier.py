@@ -16,6 +16,7 @@ from critline.mollifier import (
     Polynomial,
     WuCoefficientSpec,
     b_polynomial,
+    mollifier_line,
     psi_mollifier,
     v_smoothed_zeta,
     wu_coefficient_table,
@@ -102,6 +103,13 @@ class TestPsiMollifier:
         spec = MollifierSpec(10.0**12, 0.5, 1.3, Polynomial((0.0, 1.0)))
         with pytest.raises(SieveRangeError):
             psi_mollifier(0.5, spec, small_sieve)
+
+    def test_line_matches_pointwise(self, rng, small_sieve):
+        spec = MollifierSpec(1e6, 0.5, 1.3, Polynomial((0.0, 1.2, -0.2)))
+        t = rng.uniform(-3000, 3000, 20)
+        line = mollifier_line(0.43, t, spec)
+        for k, tk in enumerate(t):
+            assert line[k] == pytest.approx(psi_mollifier(0.43 + 1j * tk, spec, small_sieve), rel=1e-12)
 
 
 class TestVSmoothedZeta:

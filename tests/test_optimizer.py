@@ -73,14 +73,19 @@ class TestOptimizer:
         assert a.best_params == b.best_params
 
     def test_feasibility_of_report(self):
-        space = SearchSpace(3, 2, (0.5, 2.5), 0.5, restarts=4, seed=3)
-        report = optimize_kappa(space)
-        p, q = report.best_params.p_poly, report.best_params.q_poly
-        assert abs(p(0.0)) <= 1e-12
-        assert abs(p(1.0) - 1.0) <= 1e-12
-        assert abs(q(0.0) - 1.0) <= 1e-12
-        r_lo, r_hi = space.r_range
-        assert r_lo <= report.best_params.r_shift <= r_hi
+        # (4,4) at theta=0.45 once reported P(1) = 1 - 2.2e-16
+        for space in (
+            SearchSpace(3, 2, (0.5, 2.5), 0.5, restarts=4, seed=3),
+            SearchSpace(4, 4, (0.5, 2.5), 0.45),
+        ):
+            report = optimize_kappa(space)
+            p, q = report.best_params.p_poly, report.best_params.q_poly
+            assert abs(p(0.0)) <= 1e-12
+            assert abs(p(1.0) - 1.0) <= 1e-12
+            assert math.fsum(p.coefficients) == 1.0
+            assert abs(q(0.0) - 1.0) <= 1e-12
+            r_lo, r_hi = space.r_range
+            assert r_lo <= report.best_params.r_shift <= r_hi
 
     def test_recomputed_kappa_consistent(self):
         space = SearchSpace(1, 1, (0.5, 2.5), 0.5, restarts=2, seed=1)

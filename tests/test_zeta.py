@@ -220,6 +220,13 @@ class TestHardyZ:
         for i in range(0, t.size, 37):
             assert line[i] == pytest.approx(hardy_z(float(t[i])), rel=1e-10, abs=1e-10)
 
+    def test_sign_and_value_against_siegelz(self):
+        # Z(0) = zeta(1/2) < 0; the phase is that of pi^{-s/2} Gamma(s/2) alone
+        for t in (0.0, 10.0, 20.0, 5000.3):
+            ref = float(mp.siegelz(t))
+            assert hardy_z(t) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        assert hardy_z(0.0) == pytest.approx(zeta(0.5).real, rel=1e-12)
+
     def test_height_cap(self):
         with pytest.raises(DomainError):
             hardy_z(2e5)
@@ -233,6 +240,12 @@ class TestZeroScan:
         assert report.zeros[0] == pytest.approx(known_first, abs=1e-4)
         for z in report.zeros:
             assert abs(hardy_z(z)) < 1e-4
+
+    def test_first_29_zeros_against_mpmath(self):
+        report = count_critical_zeros(0.0, 100.0, 0.05)
+        assert report.zero_count == 29
+        for k, rho in enumerate(report.zeros, 1):
+            assert rho == pytest.approx(float(mp.zetazero(k).imag), abs=1e-6)
 
     def test_empty_range(self):
         report = count_critical_zeros(5.0, 5.0, 0.1)
