@@ -16,8 +16,10 @@ from .arithmetic import (
     von_mangoldt,
 )
 from .dirichlet import (
+    CharacterTable,
     DirichletCharacter,
     character,
+    character_table,
     enumerate_characters,
     epsilon_factor,
     gauss_sum,

@@ -184,6 +184,8 @@ def _fmt_number(x) -> str:
 
 
 def _to_jsonable(obj):
+    if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, complex):
@@ -245,17 +247,14 @@ def _run_command(config: RunConfig):
         rows = [{"zero": z} for z in rep.zeros]
         return rep, rows
     if config.command == "chars":
-        chars = dirichlet.enumerate_characters(p["q"])
+        table = dirichlet.character_table(p["q"])
         rows = [
-            {
-                "index": c.index,
-                "conductor": c.conductor,
-                "parity": c.parity,
-                "primitive": c.is_primitive,
-            }
-            for c in chars
+            {"index": index, "conductor": f, "parity": parity, "primitive": f == p["q"]}
+            for index, (f, parity) in enumerate(
+                zip(table.conductors.tolist(), table.parities.tolist())
+            )
         ]
-        return {"modulus": p["q"], "count": len(chars), "characters": rows}, rows
+        return {"modulus": p["q"], "count": len(rows), "characters": rows}, rows
     if config.command == "lfun":
         try:
             chi = dirichlet.character(p["q"], p["index"])

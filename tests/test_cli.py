@@ -176,3 +176,31 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "chars", "--q", "12")
         payload = json.loads(out)
         assert payload["count"] == 4
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["chars", "--q", "12"],
+                '{"modulus": 12, "count": 4, "characters": ['
+                '{"index": 0, "conductor": 1, "parity": 0, "primitive": false}, '
+                '{"index": 1, "conductor": 3, "parity": 1, "primitive": false}, '
+                '{"index": 2, "conductor": 4, "parity": 1, "primitive": false}, '
+                '{"index": 3, "conductor": 12, "parity": 0, "primitive": true}]}\n',
+            ),
+            (
+                ["chars", "--q", "12", "--format", "csv"],
+                "index,conductor,parity,primitive\r\n0,1,0,false\r\n1,3,1,false\r\n"
+                "2,4,1,false\r\n3,12,0,true\r\n",
+            ),
+            (
+                ["lfun", "--q", "12", "--index", "3", "--s", "0.5+10j"],
+                '{"q": 12, "index": 3, "s": {"re": 0.5, "im": 10}, '
+                '"l": {"re": 2.2303028871398376, "im": 0.1503692207238877}}\n',
+            ),
+        ],
+    )
+    def test_pinned_output(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected

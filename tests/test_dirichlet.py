@@ -7,8 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from critline import dirichlet
 from critline.dirichlet import (
     character,
+    character_table,
     enumerate_characters,
     epsilon_factor,
     gauss_sum,
@@ -24,6 +26,23 @@ mp.mp.dps = 25
 
 def brute_phi(q):
     return sum(1 for n in range(1, q + 1) if math.gcd(n, q) == 1)
+
+
+def is_quasiperiod(chi, d):
+    """chi = 1 on the units = 1 mod d, tested residue by residue."""
+    q = chi.modulus
+    if q == 1:
+        return True
+    for a in range(1, q + 1, d):
+        n = a % q
+        if n != 1 and chi.phases[n] >= 0 and chi.phases[n] != 0:
+            return False
+    return True
+
+
+def brute_conductor(chi):
+    q = chi.modulus
+    return next(d for d in range(1, q + 1) if q % d == 0 and is_quasiperiod(chi, d))
 
 
 def mpmath_l(s, chi):
@@ -60,11 +79,12 @@ class TestEnumeration:
         assert [c.index for c in chars] == list(range(len(chars)))
 
     def test_single_character_matches_enumeration(self):
-        for q in range(1, 61):
+        for q in range(1, 201):
             chars = enumerate_characters(q)
             for c in chars:
                 one = character(q, c.index)
                 assert one.index == c.index and one.order_lcm == c.order_lcm
+                assert one.conductor == c.conductor
                 assert np.array_equal(one.phases, c.phases)
             for index in (-1, len(chars)):
                 with pytest.raises(DomainError):
@@ -105,6 +125,16 @@ class TestEnumeration:
             cc = c.conjugate()
             for n in range(7):
                 assert cc(n) == pytest.approx(np.conj(c(n)), abs=1e-14)
+        assert enumerate_characters(7)[1].conjugate().index == 5
+
+    def test_conjugate_index(self):
+        for q in range(1, 61):
+            chars = enumerate_characters(q)
+            for c in chars:
+                cc = c.conjugate()
+                assert np.array_equal(chars[cc.index].phases, cc.phases)
+                assert cc.conductor == c.conductor
+                assert cc.conjugate().index == c.index
 
     def test_induced_primitive(self):
         for c in enumerate_characters(12):
@@ -113,6 +143,38 @@ class TestEnumeration:
             for n in range(1, 12):
                 if math.gcd(n, 12) == 1:
                     assert prim(n) == pytest.approx(c(n), abs=1e-12)
+
+
+class TestCharacterTable:
+    def test_against_brute_force(self):
+        for q in range(1, 201):
+            table = character_table(q)
+            for c in enumerate_characters(q):
+                f = brute_conductor(c)
+                parity = 0 if c(q - 1) == 1 else 1
+                assert c(q - 1) == pytest.approx(1 - 2 * parity, abs=1e-12)
+                assert c.conductor == table.conductors[c.index] == f
+                assert c.parity == table.parities[c.index] == parity
+                assert c.is_primitive == (q == 1 or (not c.is_principal and f == q))
+
+    def test_cached_arrays_are_read_only(self):
+        table = character_table(12)
+        for arr in (table.phases, table.conductors, enumerate_characters(12)[1].phases,
+                    *dirichlet._hurwitz_row(12, 0.5 + 10j)):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_l_function_warm_and_cold(self):
+        points = (0.5 + 10j, 2.0 + 10j, 0.3)
+        warm = [[l_function(s, c) for s in points] for c in enumerate_characters(37)]
+        again = [[l_function(s, c) for s in points] for c in enumerate_characters(37)]
+        character_table.cache_clear()
+        dirichlet._hurwitz_row.cache_clear()
+        cold = []
+        for c in enumerate_characters(37):
+            dirichlet._hurwitz_row.cache_clear()
+            cold.append([l_function(s, c) for s in points])
+        assert warm == again == cold
 
 
 class TestGaussSums:
@@ -261,6 +323,16 @@ class TestCompletedL:
                     assert xi_completed_l(s, c, "continued") == pytest.approx(
                         xi_completed_l(s, c, "direct"), rel=1e-10
                     )
+
+    def test_continued_path_height(self):
+        for q in (5, 12, 37):
+            for c in enumerate_characters(q):
+                if c.is_primitive and not c.is_principal:
+                    direct = xi_completed_l(0.5 + 10j, c, "direct")
+                    continued = xi_completed_l(0.5 + 10j, c, "continued")
+                    assert abs(continued - direct) <= 1e-10 * abs(direct)
+                    with pytest.raises(DomainError):
+                        xi_completed_l(0.5 + 20j, c)
 
     def test_requires_primitive(self):
         imprimitive = [c for c in enumerate_characters(12) if c.conductor == 3][0]

@@ -9,11 +9,13 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from critline.errors import ConditioningError, DomainError, PoleError
 from critline.moment import SmoothWeight
 from critline.zeta import (
     AfeParams,
+    _afe_v_table,
     afe_pair,
     afe_v_weight,
     afe_x_factor,
@@ -29,6 +31,27 @@ from critline.zeta import (
 )
 
 mp.mp.dps = 30
+
+
+def dense_v_table(a, b, t, x):
+    """V_{a,b}(x, t) by the trapezoid rule on Re s = 1, |Im s| <= 14, with
+    5601 nodes (step 0.005)."""
+    y = np.linspace(-14.0, 14.0, 5601)
+    s = 1.0 + 1j * y
+    weights = np.full(y.size, y[1] - y[0])
+    weights[[0, -1]] *= 0.5
+    ratio = np.exp(
+        -s * math.log(math.pi)
+        + loggamma((0.5 + a + s + 1j * t) / 2.0)
+        + loggamma((0.5 + b + s - 1j * t) / 2.0)
+        - loggamma((0.5 + a + 1j * t) / 2.0)
+        - loggamma((0.5 + b - 1j * t) / 2.0)
+    )
+    kernel = np.exp(s * s) / s * ratio * weights / (2.0 * math.pi)
+    log_x = np.log(x)
+    return np.concatenate(
+        [np.exp(-np.outer(log_x[k : k + 256], s)) @ kernel for k in range(0, x.size, 256)]
+    )
 
 
 class TestZeta:
@@ -296,6 +319,17 @@ class TestAfe:
         assert abs(near_one - 1.0) < 0.1
         far = abs(afe_v_weight(4000.0, p))
         assert far < 1e-4
+
+    @pytest.mark.parametrize(
+        "a, b, t", [(1e-3, 1e-3, 50.0), (0.05, -0.02, 30.0), (0.2, 0.1, 100.0)]
+    )
+    def test_v_table_against_dense_contour(self, a, b, t):
+        # 20 nodes per unit height against the 200 per unit height they replaced
+        x = np.arange(1.0, 10 * t + 1)
+        shifts = [(a, b), (-b, -a)]
+        got = _afe_v_table(shifts, t, x)
+        want = np.stack([dense_v_table(sa, sb, t, x) for sa, sb in shifts], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_assembly_matches_direct_product(self):
         a, b, t = 0.1, 0.2, 30.0
