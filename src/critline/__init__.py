@@ -42,7 +42,6 @@ from .levinson import (
     LevinsonParams,
     PublishedTuple,
     ShiftedParams,
-    apply_q_operators,
     c_constant_exact,
     c_constant_quadrature,
     discrepancy_note,

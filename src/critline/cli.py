@@ -101,7 +101,9 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_PARSER = argparse.ArgumentParser(prog="critline", add_help=True)
+_PARSER = argparse.ArgumentParser(prog="critline", add_help=True, epilog=(
+    "optimize: --p-degree bounds the degree of P; --q-degree d bounds the degree of Q, "
+    "which is searched over ceil(d/2) odd-symmetric terms (1-2x)^(2j-1) - 1."))
 _PARSER.add_argument("command", choices=COMMANDS)
 _PARSER.add_argument("--config", default=None)
 _PARSER.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -159,7 +161,7 @@ def _validate(command: str, params: dict):
     if command in ("constant", "moment"):
         if params["R"] <= 0:
             raise ConfigError("R must be positive")
-        # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1 and 0 < theta <= 1/2
+        # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1 and 0 < theta <= 4/7
         params["levinson"] = levinson.LevinsonParams(
             _parse_poly(params["P"], "P"), _parse_poly(params["Q"], "Q"), params["R"], params["theta"]
         )
@@ -206,6 +208,7 @@ def _to_jsonable(obj):
 def _dump_json(obj) -> str:
     """JSON text with every float at 17 significant digits; JSON has no
     nan or inf, so non-finite floats are written as null."""
+    quote = json.encoder.encode_basestring_ascii  # the C encoder behind json.dumps(str)
 
     def emit(o) -> str:
         if o is None or (isinstance(o, float) and not math.isfinite(o)):
@@ -215,11 +218,11 @@ def _dump_json(obj) -> str:
         if isinstance(o, (int, float)):
             return _fmt_number(o)
         if isinstance(o, str):
-            return json.dumps(o)
+            return quote(o)
         if isinstance(o, list):
             return "[" + ", ".join(emit(v) for v in o) + "]"
         if isinstance(o, dict):
-            return "{" + ", ".join(f"{json.dumps(k)}: {emit(v)}" for k, v in o.items()) + "}"
+            return "{" + ", ".join(f"{quote(k)}: {emit(v)}" for k, v in o.items()) + "}"
         raise TypeError(f"unserializable {type(o)}")
 
     return emit(_to_jsonable(obj))
@@ -273,11 +276,14 @@ def _run_command(config: RunConfig):
             "c_quadrature": c_quad,
             "kappa_bound": levinson.kappa_lower_bound(c_exact, p["R"]),
             "params": {"P": p["P"], "Q": p["Q"], "R": p["R"], "theta": p["theta"]},
-            "published_claim": {"c": 2.35, "kappa": 0.35},
         }
-        note = levinson.discrepancy_note(c_exact, 2.35)
-        if note:
-            report["discrepancy_note"] = note
+        # the published claim belongs to the baseline tuple (at theta = 1/2) only
+        base = levinson.published_tuples()[0]
+        if p["levinson"] == levinson.LevinsonParams(base.p_poly, base.q_poly, base.r_shift, 0.5):
+            report["published_claim"] = {"c": base.claimed_c, "kappa": base.claimed_bound}
+            note = levinson.discrepancy_note(c_exact, base.claimed_c)
+            if note:
+                report["discrepancy_note"] = note
         return report, None
     if config.command == "optimize":
         rep = optimizer.optimize_kappa(p["space"])

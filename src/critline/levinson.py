@@ -2,8 +2,9 @@
 its shifted two-variable generalization, and the registry of published
 polynomial tuples.
 
-The closed-form path expands the differentiated integrand into products
-of one-dimensional integrals; exponential-monomial integrals use a
+c is Conrey's functional, with the inner x-derivative squared.  For fixed
+(Q, R, theta) it is a quadratic form in P whose three weights come from one
+vector of exponential-monomial integrals; that vector comes from a
 recurrence that runs upward for well-separated arguments and downward
 (self-correcting) for small ones.
 """
@@ -19,6 +20,9 @@ from scipy import integrate
 
 from .errors import AccuracyError, ConstraintError, DomainError
 from .mollifier import Polynomial
+
+# the range of Conrey's mean-value theorem (Conrey 1989)
+THETA_MAX = 4.0 / 7.0
 
 
 @dataclass(frozen=True)
@@ -37,35 +41,41 @@ class LevinsonParams:
             raise ConstraintError("Q(0)=1 violated")
         if not self.r_shift >= 0.0:
             raise ConstraintError("R must be nonnegative")
-        if not 0.0 < self.theta <= 0.5:
-            raise ConstraintError("theta must lie in (0, 1/2]")
+        if not 0.0 < self.theta <= THETA_MAX:
+            raise ConstraintError("theta must lie in (0, 4/7]")
 
 
-def exp_monomial_integral(a: complex, m: int) -> complex:
-    """I_m(a) = integral over [0,1] of e^{a v} v^m dv.
+def exp_monomial_integral(a: complex, m: int) -> np.ndarray:
+    """I_k(a) = integral over [0,1] of e^{a v} v^k dv for k = 0..m, as one
+    vector: real for real a, complex otherwise.
 
-    Upward recurrence I_m = (e^a - m I_{m-1}) / a is stable for |a| not
-    small; below |a| = 1/2 the downward form I_{m-1} = (e^a - a I_m) / m
-    from a crude seed contracts the seed error by m!/(M! a^{m-M}).
+    Upward recurrence I_k = (e^a - k I_{k-1}) / a is stable for |a| not
+    small; below |a| = 1/2 the downward form I_{k-1} = (e^a - a I_k) / k
+    from a crude seed contracts the seed error by k!/(K! a^{k-K}).
     """
     if m < 0:
         raise DomainError("monomial degree must be nonnegative")
-    a = complex(a)
     if a == 0:
-        return 1.0 / (m + 1)
-    ea = cmath.exp(a)
+        return 1.0 / np.arange(1.0, m + 2.0)
+    is_complex = isinstance(a, complex)
+    ea = cmath.exp(a) if is_complex else math.exp(a)
+    out = np.empty(m + 1, dtype=complex if is_complex else float)
     # upward amplifies rounding by about m!/|a|^m, so it is reserved for
     # |a| comfortably above the degree
     if abs(a) >= max(0.5, float(m)):
         val = (ea - 1.0) / a
+        out[0] = val
         for k in range(1, m + 1):
             val = (ea - k * val) / a
-        return val
+            out[k] = val
+        return out
     top = m + 40 + int(2.0 * abs(a))
     val = ea / (top + 1.0)  # any O(1/top) seed works; errors die downward
-    for k in range(top, m, -1):
+    for k in range(top, 0, -1):
         val = (ea - a * val) / k
-    return val
+        if k <= m + 1:
+            out[k - 1] = val
+    return out
 
 
 def _poly_product_integral(p: Polynomial, q: Polynomial) -> float:
@@ -74,29 +84,42 @@ def _poly_product_integral(p: Polynomial, q: Polynomial) -> float:
     return math.fsum(c / (k + 1) for k, c in enumerate(conv))
 
 
-def c_constant_exact(params: LevinsonParams) -> float:
-    """Closed-form c(P,Q,R,theta).
+def q_weights(q_poly: Polynomial, r_shift: float, theta: float) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) = integrals over [0,1] of e^{2Rv} times F^2, F Q
+    and Q^2, with F = R theta Q + theta Q', all from one moment vector
+    I_0..I_{2 deg Q} of e^{2Rv}."""
+    q = np.asarray(q_poly.coefficients, dtype=float)
+    f = r_shift * theta * q
+    f[:-1] += theta * q[1:] * np.arange(1.0, q.size)
+    moments = exp_monomial_integral(2.0 * float(r_shift), 2 * q.size - 2)
+    return (
+        float(np.convolve(f, f) @ moments),
+        float(np.convolve(f, q) @ moments),
+        float(np.convolve(q, q) @ moments),
+    )
 
-    The inner x-derivative at x=0 is R theta P(u)Q(v) + P'(u)Q(v)
-    + theta P(u)Q'(v); each term splits into a u-integral of a polynomial
-    and a v-integral against e^{2Rv}.
+
+def c_constant_exact(params: LevinsonParams) -> float:
+    """Closed-form c(P,Q,R,theta), Conrey's functional.
+
+    The inner x-derivative at x=0, R theta P(u)Q(v) + P'(u)Q(v)
+    + theta P(u)Q'(v), is P(u)F(v) + P'(u)Q(v); its square against e^{2Rv}
+    is alpha int P^2 + 2 beta int P P' + gamma int P'^2 (see q_weights).
     """
-    p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
-    a = 2.0 * r
-    int_p = p.integral_01()
-    int_p_prime = p(1.0) - p(0.0)
-    int_q = sum(c * exp_monomial_integral(a, m).real for m, c in enumerate(q.coefficients))
-    q_prime = q.derivative()
-    int_q_prime = sum(
-        c * exp_monomial_integral(a, m).real for m, c in enumerate(q_prime.coefficients)
+    p = params.p_poly
+    p_prime = p.derivative()
+    alpha, beta, gamma = q_weights(params.q_poly, params.r_shift, params.theta)
+    quad_form = (
+        alpha * _poly_product_integral(p, p)
+        + 2.0 * beta * _poly_product_integral(p, p_prime)
+        + gamma * _poly_product_integral(p_prime, p_prime)
     )
-    return 1.0 + (1.0 / theta) * (
-        r * theta * int_p * int_q + int_p_prime * int_q + theta * int_p * int_q_prime
-    )
+    return 1.0 + quad_form / params.theta
 
 
 def c_constant_quadrature(params: LevinsonParams, tol: float = 1e-10) -> float:
-    """Adaptive-quadrature oracle for the same double integral.
+    """Adaptive-quadrature oracle for the same double integral of the
+    squared inner derivative.
 
     The inner x-derivative is taken by a fourth-order five-point central
     difference; the second-order h=1e-6 stencil loses too much to
@@ -113,7 +136,7 @@ def c_constant_quadrature(params: LevinsonParams, tol: float = 1e-10) -> float:
         acc = 0.0
         for w, x in zip(stencil, offsets):
             acc += w * math.exp(r * theta * x) * p(x + u) * q(v + theta * x)
-        return math.exp(2.0 * r * v) * acc / (12.0 * h)
+        return math.exp(2.0 * r * v) * (acc / (12.0 * h)) ** 2
 
     value, err = integrate.dblquad(integrand, 0.0, 1.0, 0.0, 1.0, epsabs=tol, epsrel=tol)
     if err > max(tol, 1e-9) * 10.0:
@@ -153,73 +176,18 @@ def shifted_c(shift: ShiftedParams, p_poly: Polynomial, theta: float) -> complex
     (alpha + beta) log M times the P P' integral, plus the P'-square
     integral, all weighted by the v-integral of T^{-v(alpha+beta)}.
     """
+    # Young's range; LevinsonParams allows Conrey's wider one
     if not 0.0 < theta <= 0.5:
         raise DomainError("theta must lie in (0, 1/2]")
     a, b = complex(shift.alpha), complex(shift.beta)
     log_m = math.log(shift.m_length)
     log_t = math.log(shift.t_scale)
-    iv = exp_monomial_integral(-(a + b) * log_t, 0)
+    iv = exp_monomial_integral(-(a + b) * log_t, 0)[0]
     p_prime = p_poly.derivative()
     pp = _poly_product_integral(p_poly, p_poly)
     ppd = _poly_product_integral(p_poly, p_prime)
     pdpd = _poly_product_integral(p_prime, p_prime)
     return 1.0 + (iv / theta) * (a * b * log_m**2 * pp - (a + b) * log_m * ppd + pdpd)
-
-
-def _fornberg_weights(grid: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for the order-th derivative at 0."""
-    n = grid.size
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = grid[0]
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = grid[i]
-        for j in range(i):
-            c3 = grid[i] - grid[j]
-            c2 *= c3
-            if j == i - 1:
-                # row i must read row i-1 before that row is rescaled
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
-def apply_q_operators(
-    params: LevinsonParams, t_scale: float, step_scale: float = 0.2
-) -> complex:
-    """Q(-(1/L) d/d alpha) Q(-(1/L) d/d beta) applied to the shifted
-    constant at alpha = beta = -R/L, by central finite-difference stencils.
-
-    Step is step_scale / log T; the stencil is widened past five points
-    when deg Q needs it.
-    """
-    q = params.q_poly
-    log_t = math.log(t_scale)
-    h = step_scale / log_t
-    deg = q.degree
-    half = max(2, (deg + 2) // 2 + 1)
-    grid = h * np.arange(-half, half + 1, dtype=float)
-    # operator coefficients: sum_j q_j (-1/L)^j d^j
-    weights = np.zeros(grid.size)
-    for j, q_j in enumerate(q.coefficients):
-        weights += q_j * (-1.0 / log_t) ** j * _fornberg_weights(grid, j)
-    base = -params.r_shift / log_t
-    m_length = t_scale**params.theta
-    total = 0.0 + 0.0j
-    for i, da in enumerate(grid):
-        for j, db in enumerate(grid):
-            shift = ShiftedParams(base + da, base + db, m_length, t_scale)
-            total += weights[i] * weights[j] * shifted_c(shift, params.p_poly, params.theta)
-    return total
 
 
 @dataclass(frozen=True)
@@ -301,8 +269,10 @@ def published_tuples() -> list[PublishedTuple]:
     return [baseline, kappa_tuple, star_tuple]
 
 
-def discrepancy_note(computed_c: float, claimed_c: float, window: float = 0.12) -> str | None:
-    """Flag a computed constant that drifts past the window around a claim."""
+def discrepancy_note(computed_c: float, claimed_c: float, window: float = 0.005) -> str | None:
+    """Flag a computed constant that drifts past the window around a claim;
+    the default window is half a unit in the last digit of a claim quoted to
+    two decimals."""
     gap = abs(computed_c - claimed_c)
     if gap <= window:
         return None

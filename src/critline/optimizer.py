@@ -1,22 +1,23 @@
-"""Derivative-free maximization of the kappa lower bound over polynomial
-coefficients and the shift R, at fixed theta.
+"""Maximization of the kappa lower bound over the shaping polynomials and
+the shift R, at fixed theta.
 
-Constraints are enforced by parametrization: the free vector is
-(p_2..p_d, q_1..q_d, R) with p_1 = 1 - sum of the higher p's, so P(0)=0,
-P(1)=1 and Q(0)=1 hold exactly for every candidate.  The simplex descent
-is deterministic given the seed; restart 0 always embeds the baseline
-point so enlarging the space can never lose ground.
+The simplex searches only (b_1..b_k, R), with k = ceil(q_degree/2) and
+Q = 1 + sum b_j ((1-2x)^{2j-1} - 1): Q(0) = 1 exactly and Q(x) + Q(1-x) is
+constant.  For each (Q, R), c is a quadratic form in P, so the best P of
+degree <= p_degree with P(0) = 0 and P(1) = 1 comes from one small linear
+solve.  The descent is deterministic given the seed; restart 0 always
+embeds the baseline point so enlarging the space can never lose ground.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .levinson import LevinsonParams, c_constant_exact, kappa_lower_bound
+from .levinson import THETA_MAX, LevinsonParams, c_constant_exact, kappa_lower_bound, q_weights
 from .mollifier import Polynomial
 
 
@@ -37,14 +38,14 @@ class SearchSpace:
         r_lo, r_hi = self.r_range
         if not (0.0 < r_lo <= r_hi):
             raise ConfigError("r_range must satisfy 0 < r_min <= r_max")
-        if not 0.0 < self.theta <= 0.5:
-            raise ConfigError("theta must lie in (0, 1/2]")
+        if not 0.0 < self.theta <= THETA_MAX:
+            raise ConfigError("theta must lie in (0, 4/7]")
         if not 1 <= self.restarts <= 64:
             raise ConfigError("restarts must lie in 1..64")
 
     @property
-    def dimension(self) -> int:
-        return (self.p_degree - 1) + self.q_degree + 1
+    def q_terms(self) -> int:
+        return (self.q_degree + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -55,18 +56,39 @@ class OptimizationReport:
     restart_trace: tuple[tuple[int, float], ...]
 
 
-def _decode(vec: np.ndarray, space: SearchSpace) -> LevinsonParams | None:
-    # free P coefficients on a 2^-40 grid: below 2^12 in size, their sum and
-    # p_1 = 1 - sum are then exact, so P(1) = 1 holds in floating point too
-    p_free = np.round(vec[: space.p_degree - 1] * 2.0**40) / 2.0**40
-    q_free = vec[space.p_degree - 1 : -1]
+def _decode(vec: np.ndarray, space: SearchSpace) -> tuple[Polynomial, float] | None:
     r = float(vec[-1])
     r_lo, r_hi = space.r_range
     if not (r_lo <= r <= r_hi):
         return None
-    p_coeffs = (0.0, 1.0 - float(np.sum(p_free)), *p_free)
-    q_coeffs = (1.0, *q_free)
-    return LevinsonParams(Polynomial(p_coeffs), Polynomial(q_coeffs), r, space.theta)
+    q = np.zeros(2 * space.q_terms)
+    q[0] = 1.0
+    for j, b in enumerate(vec[:-1]):
+        n = 2 * j + 1  # b ((1-2x)^n - 1): the constant terms cancel, so Q(0) = 1 exactly
+        q[1 : n + 1] += [b * math.comb(n, k) * (-2.0) ** k for k in range(1, n + 1)]
+    return Polynomial(q), r
+
+
+def _solve_p(q_poly: Polynomial, r: float, theta: float, degree: int) -> tuple[Polynomial, float]:
+    """The P of the given degree bound that minimizes c(P, Q, R, theta)
+    under P(0) = 0 and P(1) = 1, and that minimal c.
+
+    With P = sum p_i x^i and P(1) = 1, int P P' = 1/2, so c - 1 is
+    (p'(alpha A + gamma B)p + beta) / theta on the Gram matrices
+    A_ij = int x^{i+j} and B_ij = int ij x^{i+j-2}; the constrained
+    minimizer is proportional to (alpha A + gamma B)^{-1} 1.
+    """
+    alpha, beta, gamma = q_weights(q_poly, r, theta)
+    i = np.arange(1.0, degree + 1.0)
+    gram = alpha / (i[:, None] + i + 1.0) + gamma * np.outer(i, i) / (i[:, None] + i - 1.0)
+    y = np.linalg.solve(gram, np.ones(degree))
+    p = y / y.sum()
+    # higher coefficients on a 2^-40 grid: below 2^12 in size, their sum and
+    # p_1 = 1 - sum are then exact, so P(1) = 1 holds in floating point too
+    p[1:] = np.round(p[1:] * 2.0**40) / 2.0**40
+    p[0] = 1.0 - float(np.sum(p[1:]))
+    c = 1.0 + (float(p @ gram @ p) + beta) / theta
+    return Polynomial((0.0, *p)), c
 
 
 class _Objective:
@@ -76,15 +98,12 @@ class _Objective:
 
     def __call__(self, vec: np.ndarray) -> float:
         self.evaluations += 1
-        params = _decode(vec, self.space)
-        if params is None:
+        decoded = _decode(vec, self.space)
+        if decoded is None:
             return math.inf
-        c = c_constant_exact(params)
-        if c <= 1.0:
-            # the linear functional can be driven through c=1, where the
-            # bound formula stops meaning anything; treat as infeasible
-            return math.inf
-        return -kappa_lower_bound(c, params.r_shift)
+        q_poly, r = decoded
+        _, c = _solve_p(q_poly, r, self.space.theta, self.space.p_degree)
+        return -kappa_lower_bound(c, r)
 
 
 def _nelder_mead(f, start: np.ndarray, scale: float, max_iter: int = 4000) -> tuple[np.ndarray, float]:
@@ -130,10 +149,10 @@ def _nelder_mead(f, start: np.ndarray, scale: float, max_iter: int = 4000) -> tu
 
 
 def baseline_embedding(space: SearchSpace) -> np.ndarray:
-    """P=x, Q=1-x, R=1.3 written in the free-coefficient parametrization,
-    with R clamped into the search interval."""
-    vec = np.zeros(space.dimension)
-    vec[space.p_degree - 1] = -1.0  # q_1
+    """Q=1-x (b_1 = 1/2) and R=1.3, with R clamped into the search
+    interval; the solved P is at least as good as P=x."""
+    vec = np.zeros(space.q_terms + 1)
+    vec[0] = 0.5
     r_lo, r_hi = space.r_range
     vec[-1] = min(max(1.3, r_lo), r_hi)
     return vec
@@ -151,20 +170,16 @@ def optimize_kappa(space: SearchSpace) -> OptimizationReport:
         if restart == 0:
             start = baseline_embedding(space)
         else:
-            start = np.concatenate(
-                [
-                    rng.uniform(-1.5, 1.5, space.p_degree - 1),
-                    rng.uniform(-2.0, 1.0, space.q_degree),
-                    [rng.uniform(r_lo, r_hi)],
-                ]
-            )
+            start = np.append(rng.uniform(-0.5, 1.5, space.q_terms), rng.uniform(r_lo, r_hi))
         vec, val = _nelder_mead(objective, start, scale=0.5)
         trace.append((restart, -val if math.isfinite(val) else math.nan))
         if val < best_val:
             best_vec, best_val = vec, val
-    params = _decode(best_vec, space)
+    q_poly, r = _decode(best_vec, space)
+    p_poly, _ = _solve_p(q_poly, r, space.theta, space.p_degree)
+    params = LevinsonParams(p_poly, q_poly, r, space.theta)
     # report kappa recomputed from the exact pipeline, not the cached value
-    kappa = kappa_lower_bound(c_constant_exact(params), params.r_shift)
+    kappa = kappa_lower_bound(c_constant_exact(params), r)
     return OptimizationReport(params, kappa, objective.evaluations, tuple(trace))
 
 
@@ -177,8 +192,6 @@ def grid_scan_r(
         raise ConfigError("R grid must be nonempty and positive")
     out = []
     for r in r_grid:
-        params = LevinsonParams(p_poly, q_poly, r, theta)
-        c = c_constant_exact(params)
-        kappa = kappa_lower_bound(c, r) if c >= 1.0 else math.nan
-        out.append((r, kappa))
+        c = c_constant_exact(LevinsonParams(p_poly, q_poly, r, theta))
+        out.append((r, kappa_lower_bound(c, r)))
     return out

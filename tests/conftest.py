@@ -1,4 +1,5 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, the finite-difference weights several oracles use,
+and the acceptance-criteria summary hook."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,33 @@ import pytest
 from critline.arithmetic import FactorSieve
 
 _CRITERIA: dict[int, tuple[bool, str]] = {}
+
+
+def fornberg_weights(grid: np.ndarray, order: int) -> np.ndarray:
+    """Finite-difference weights for the order-th derivative at 0."""
+    n = grid.size
+    c = np.zeros((n, order + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = grid[0]
+    for i in range(1, n):
+        mn = min(i, order)
+        c2 = 1.0
+        c5 = c4
+        c4 = grid[i]
+        for j in range(i):
+            c3 = grid[i] - grid[j]
+            c2 *= c3
+            if j == i - 1:
+                # row i must read row i-1 before that row is rescaled
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, order]
 
 
 def record_criterion(number: int, passed: bool, detail: str):

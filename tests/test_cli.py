@@ -52,7 +52,7 @@ class TestParsing:
     def test_optimizer_space_rejected_by_its_validator(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--theta", "0.7")
         assert code == 2
-        assert "theta must lie in (0, 1/2]" in err
+        assert "theta must lie in (0, 4/7]" in err
         code, _, err = run_cli(capsys, "optimize", "--p-degree", "0")
         assert code == 2
         assert "degrees must be at least 1" in err
@@ -163,6 +163,16 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["published_claim"]["c"] == 2.35
         assert abs(payload["c_exact"] - payload["c_quadrature"]) < 1e-9
+        assert "discrepancy_note" not in payload
+
+    def test_constant_claim_only_for_baseline(self, capsys):
+        # 2.35 is the baseline's claim: other inputs are not compared with it
+        for flags in (("--R", "1.2"), ("--theta", "0.45"), ("--Q", "1,-1.032"), ("--P", "0,0.5,0.5")):
+            code, out, _ = run_cli(capsys, "constant", *flags)
+            assert code == 0
+            payload = json.loads(out)
+            assert "published_claim" not in payload
+            assert "discrepancy_note" not in payload
 
     def test_lfun_index_bounds(self, capsys):
         for index in ("9", "4", "-1"):

@@ -10,20 +10,55 @@ from scipy import integrate
 
 from critline.errors import ConstraintError, DomainError
 from critline.levinson import (
+    THETA_MAX,
     LevinsonParams,
     ShiftedParams,
-    apply_q_operators,
     c_constant_exact,
     c_constant_quadrature,
     discrepancy_note,
     exp_monomial_integral,
     kappa_lower_bound,
     published_tuples,
+    q_weights,
     shifted_c,
 )
 from critline.mollifier import Polynomial
 
+from conftest import fornberg_weights
+
 BASELINE = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 1.3, 0.5)
+
+
+# Young's route to c, the reference the closed form is checked against:
+# the shifted constant with Q(-(1/L) d/d alpha) Q(-(1/L) d/d beta) applied
+# by finite differences, exact as the step goes to 0 with O(h^2) error
+def apply_q_operators(
+    params: LevinsonParams, t_scale: float, step_scale: float = 0.2
+) -> complex:
+    """Q(-(1/L) d/d alpha) Q(-(1/L) d/d beta) applied to the shifted
+    constant at alpha = beta = -R/L, by central finite-difference stencils.
+
+    Step is step_scale / log T; the stencil is widened past five points
+    when deg Q needs it.
+    """
+    q = params.q_poly
+    log_t = math.log(t_scale)
+    h = step_scale / log_t
+    deg = q.degree
+    half = max(2, (deg + 2) // 2 + 1)
+    grid = h * np.arange(-half, half + 1, dtype=float)
+    # operator coefficients: sum_j q_j (-1/L)^j d^j
+    weights = np.zeros(grid.size)
+    for j, q_j in enumerate(q.coefficients):
+        weights += q_j * (-1.0 / log_t) ** j * fornberg_weights(grid, j)
+    base = -params.r_shift / log_t
+    m_length = t_scale**params.theta
+    total = 0.0 + 0.0j
+    for i, da in enumerate(grid):
+        for j, db in enumerate(grid):
+            shift = ShiftedParams(base + da, base + db, m_length, t_scale)
+            total += weights[i] * weights[j] * shifted_c(shift, params.p_poly, params.theta)
+    return total
 
 
 def random_params(rng):
@@ -41,28 +76,33 @@ class TestExpMonomialIntegral:
     def test_against_quadrature(self):
         for a in (0.0, 1e-9, 0.3, -0.45, 0.49, 2.6, -5.0, 0.002 + 0.001j):
             for m in (0, 1, 4, 9):
-                ref, _ = integrate.quad(
-                    lambda v: (cmath.exp(a * v) * v**m).real, 0.0, 1.0, epsabs=1e-14
-                )
-                if isinstance(a, complex):
-                    ref_im, _ = integrate.quad(
-                        lambda v: (cmath.exp(a * v) * v**m).imag, 0.0, 1.0, epsabs=1e-14
+                got = exp_monomial_integral(a, m)
+                assert got.shape == (m + 1,)
+                for k in range(m + 1):
+                    ref, _ = integrate.quad(
+                        lambda v: (cmath.exp(a * v) * v**k).real, 0.0, 1.0, epsabs=1e-14
                     )
-                    ref = complex(ref, ref_im)
-                assert exp_monomial_integral(a, m) == pytest.approx(ref, abs=1e-13)
+                    if isinstance(a, complex):
+                        ref_im, _ = integrate.quad(
+                            lambda v: (cmath.exp(a * v) * v**k).imag, 0.0, 1.0, epsabs=1e-14
+                        )
+                        ref = complex(ref, ref_im)
+                    assert got[k] == pytest.approx(ref, abs=1e-13)
 
     def test_zero_argument_limit(self):
-        assert exp_monomial_integral(0.0, 5) == pytest.approx(1.0 / 6.0)
+        assert exp_monomial_integral(0.0, 5) == pytest.approx(1.0 / np.arange(1, 7))
 
     def test_accuracy_across_branch_switch(self):
         # downward recurrence just below |a| = 1/2, upward just above;
-        # both must track quadrature
+        # both must track quadrature at every order
         for a in (0.4999999, 0.5000001, -0.4999999, -0.5000001):
             for m in (0, 3, 7):
-                ref, _ = integrate.quad(
-                    lambda v: math.exp(a * v) * v**m, 0.0, 1.0, epsabs=1e-14
-                )
-                assert exp_monomial_integral(a, m) == pytest.approx(ref, abs=1e-13)
+                got = exp_monomial_integral(a, m)
+                for k in range(m + 1):
+                    ref, _ = integrate.quad(
+                        lambda v: math.exp(a * v) * v**k, 0.0, 1.0, epsabs=1e-14
+                    )
+                    assert got[k] == pytest.approx(ref, abs=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -85,6 +125,11 @@ class TestConstraints:
     def test_theta_range(self):
         with pytest.raises(ConstraintError):
             LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 1.0, 0.7)
+        with pytest.raises(ConstraintError):
+            LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 1.0, 0.572)
+        # Conrey's mean-value range reaches 4/7
+        LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 1.0, THETA_MAX)
+        assert THETA_MAX == 4.0 / 7.0
 
 
 class TestCConstant:
@@ -95,8 +140,26 @@ class TestCConstant:
 
     def test_baseline_value_and_kappa_window(self):
         c = c_constant_exact(BASELINE)
+        assert c == pytest.approx(2.3500677761, abs=1e-9)
         kappa = kappa_lower_bound(c, BASELINE.r_shift)
         assert 0.30 < kappa < 0.36
+
+    def test_weights_against_quadrature(self, rng):
+        # alpha, beta, gamma are the e^{2Rv}-weighted integrals of F^2, FQ
+        # and Q^2 with F = R theta Q + theta Q'
+        for _ in range(5):
+            params = random_params(rng)
+            q, r, theta = params.q_poly, params.r_shift, params.theta
+            dq = q.derivative()
+
+            def f(v):
+                return r * theta * q(v) + theta * dq(v)
+
+            want = [
+                integrate.quad(lambda v: math.exp(2 * r * v) * g(v), 0.0, 1.0, epsabs=1e-14)[0]
+                for g in (lambda v: f(v) ** 2, lambda v: f(v) * q(v), lambda v: q(v) ** 2)
+            ]
+            assert q_weights(q, r, theta) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_cross_path_agreement(self, rng):
         for _ in range(25):
@@ -169,26 +232,30 @@ class TestShiftedC:
 
 
 class TestQOperatorApplication:
-    # the exact closed form of the inner derivative squared; the linear
-    # expansion and this squared form differ, and operator application
-    # reproduces the squared form
-    def squared_oracle(self, params):
-        p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
-        h = 1e-3
-
-        def inner(u, v):
-            acc = 0.0
-            for w, x in zip((1.0, -8.0, 8.0, -1.0), (-2 * h, -h, h, 2 * h)):
-                acc += w * math.exp(r * theta * x) * p(x + u) * q(v + theta * x)
-            return math.exp(2.0 * r * v) * (acc / (12 * h)) ** 2
-
-        val, _ = integrate.dblquad(inner, 0.0, 1.0, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11)
-        return 1.0 + val / params.theta
+    # Young's route, by finite differences, converges to the closed form
+    # with the inner derivative squared
+    OTHER = LevinsonParams(
+        Polynomial((0.0, 0.4, 0.6)), Polynomial((1.0, -0.7, 0.3, -0.5)), 1.1, 0.45
+    )
 
     def test_matches_squared_functional(self):
-        applied = apply_q_operators(BASELINE, 1e8)
-        assert complex(applied).imag == pytest.approx(0.0, abs=1e-9)
-        assert complex(applied).real == pytest.approx(self.squared_oracle(BASELINE), abs=2e-3)
+        for params in (BASELINE, self.OTHER):
+            applied = apply_q_operators(params, 1e8)
+            assert complex(applied).imag == pytest.approx(0.0, abs=1e-9)
+            assert complex(applied).real == pytest.approx(c_constant_exact(params), abs=2e-3)
+
+    def test_error_fourth_order_in_step(self):
+        # the central stencils have at least five points, so the error is
+        # O(h^4): halving the step cuts it about 16x, down to steps where
+        # rounding (amplified by h^-deg Q) takes over
+        for params in (BASELINE, self.OTHER):
+            exact = c_constant_exact(params)
+            errors = [
+                abs(complex(apply_q_operators(params, 1e8, step)).real - exact)
+                for step in (0.4, 0.2, 0.1)
+            ]
+            for coarse, fine in zip(errors, errors[1:]):
+                assert 14.0 < coarse / fine < 18.0
 
     def test_t_stability(self):
         # the assembled constant is scale-free, so successive differences
@@ -234,6 +301,10 @@ class TestRegistry:
             assert 0.0 < kappa < 1.0
 
     def test_discrepancy_note(self):
-        assert discrepancy_note(2.40, 2.35) is None
-        note = discrepancy_note(2.50, 2.35)
-        assert note is not None and "2.35" in note
+        # 2.35 is quoted to two decimals, so the window is half a unit in
+        # the last digit; the squared baseline c misses it by 7e-5
+        assert discrepancy_note(c_constant_exact(BASELINE), 2.35) is None
+        assert discrepancy_note(2.354, 2.35) is None
+        for off in (2.356, 2.40, 2.50):
+            note = discrepancy_note(off, 2.35)
+            assert note is not None and "2.35" in note

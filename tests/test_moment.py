@@ -19,6 +19,8 @@ from critline.moment import (
 )
 from critline.mollifier import Polynomial
 
+from conftest import fornberg_weights
+
 BASELINE = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 1.3, 0.5)
 
 # finite-difference bounds max |w^(j)| Delta^j measured for this ramp;
@@ -67,13 +69,11 @@ class TestSmoothWeight:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_derivative_bounds(self, order, rng):
-        from critline.levinson import _fornberg_weights
-
         w = SmoothWeight(5000.0)
         d = w.delta
         h = d / 50.0
         grid = h * np.arange(-4, 5)
-        weights = _fornberg_weights(grid, order)
+        weights = fornberg_weights(grid, order)
         worst = 0.0
         for t in rng.uniform(*w.support, 100):
             est = abs(sum(weights[k] * smooth_weight(t + grid[k], w) for k in range(9)))

@@ -1,15 +1,19 @@
-"""Derivative-free kappa maximization: determinism, feasibility,
-dominance, and the R grid-scan oracle."""
+"""Kappa maximization: determinism, feasibility, dominance, the solved P,
+pinned optima, and the R grid-scan oracle."""
 
 import math
 
+import numpy as np
 import pytest
 
 from critline.errors import ConfigError
-from critline.levinson import LevinsonParams, c_constant_exact, kappa_lower_bound
+from critline.levinson import THETA_MAX, LevinsonParams, c_constant_exact, kappa_lower_bound
 from critline.mollifier import Polynomial
 from critline.optimizer import (
     SearchSpace,
+    _decode,
+    _Objective,
+    _solve_p,
     baseline_embedding,
     grid_scan_r,
     optimize_kappa,
@@ -35,6 +39,9 @@ class TestSearchSpace:
             SearchSpace(1, 1, (0.5, 2.5), 0.5, restarts=0)
         with pytest.raises(ConfigError):
             SearchSpace(7, 1, (0.5, 2.5), 0.5)
+        with pytest.raises(ConfigError):
+            SearchSpace(1, 1, (0.5, 2.5), 0.572)
+        SearchSpace(1, 1, (0.5, 2.5), THETA_MAX)
 
     def test_single_point_r_is_valid(self):
         SearchSpace(1, 1, (1.3, 1.3), 0.5)
@@ -108,13 +115,71 @@ class TestOptimizer:
 
     def test_baseline_embedding_decodes_exactly(self):
         space = SearchSpace(3, 3, (0.5, 2.5), 0.5)
-        vec = baseline_embedding(space)
-        from critline.optimizer import _decode
+        q_poly, r = _decode(baseline_embedding(space), space)
+        assert q_poly.coefficients == (1.0, -1.0)
+        assert r == 1.3
+        p_poly, c = _solve_p(q_poly, r, space.theta, space.p_degree)
+        assert c == pytest.approx(c_constant_exact(LevinsonParams(p_poly, q_poly, r, 0.5)), rel=1e-13)
+        assert c <= c_constant_exact(LevinsonParams(Polynomial((0.0, 1.0)), q_poly, r, 0.5))
 
-        params = _decode(vec, space)
-        assert params.p_poly.coefficients == (0.0, 1.0)
-        assert params.q_poly.coefficients == (1.0, -1.0)
-        assert params.r_shift == 1.3
+    def test_solved_p_is_the_constrained_minimum(self, rng):
+        # perturbing the solved P along P(0)=0, P(1)=1 never lowers c
+        space = SearchSpace(4, 3, (0.5, 2.5), 0.5)
+        q_poly, r = _decode(np.array([0.4, 0.2, 1.1]), space)
+        p_poly, c = _solve_p(q_poly, r, 0.5, 4)
+        for _ in range(20):
+            bump = rng.uniform(-0.1, 0.1, 3)
+            coeffs = np.array(p_poly.coefficients)
+            coeffs[2:] += bump
+            coeffs[1] -= bump.sum()
+            other = LevinsonParams(Polynomial(coeffs), q_poly, r, 0.5)
+            assert c_constant_exact(other) >= c - 1e-12
+
+    def test_solved_p_sums_to_one_exactly(self, rng):
+        # without the 2^-40 grid, 1 - sum(higher p) misses P(1) = 1 by an ulp
+        # for about one random (Q, R) in twelve
+        for p_degree in range(2, 7):
+            space = SearchSpace(p_degree, 5, (0.5, 2.5), 0.5)
+            for _ in range(60):
+                vec = np.append(rng.uniform(-1.0, 1.5, space.q_terms), rng.uniform(0.5, 2.5))
+                p_poly, _ = _solve_p(*_decode(vec, space), 0.5, p_degree)
+                assert p_poly.coefficients[0] == 0.0
+                assert math.fsum(p_poly.coefficients) == 1.0
+
+    def test_decoded_q_is_admissible(self, rng):
+        # Q(0) = 1 exactly and Q(x) + Q(1-x) constant, within deg Q <= q_degree
+        x = np.linspace(0.0, 1.0, 11)
+        for q_degree in range(1, 7):
+            space = SearchSpace(1, q_degree, (0.5, 2.5), 0.5)
+            vec = np.append(rng.uniform(-1.0, 1.0, space.q_terms), 1.0)
+            q_poly, _ = _decode(vec, space)
+            assert q_poly.coefficients[0] == 1.0
+            assert q_poly.degree <= q_degree
+            total = q_poly(x) + q_poly(1.0 - x)
+            assert np.ptp(total) < 1e-12
+
+    def test_objective_finite_for_every_in_range_r(self, rng):
+        # the squared functional gives c > 1, so no in-range point is rejected
+        for p_degree, q_degree in ((1, 1), (3, 3), (6, 6)):
+            space = SearchSpace(p_degree, q_degree, (0.5, 2.5), 0.5)
+            objective = _Objective(space)
+            for b in (baseline_embedding(space)[:-1], *rng.uniform(-2.0, 2.0, (4, space.q_terms))):
+                for r in np.linspace(0.5, 2.5, 41):
+                    assert math.isfinite(objective(np.append(b, r)))
+                assert objective(np.append(b, 2.6)) == math.inf
+
+    @pytest.mark.parametrize(
+        "theta, degrees, kappa",
+        [
+            (0.5, (1, 1), 0.347439),  # Levinson's 0.3474
+            (0.5, (3, 3), 0.365109),
+            (THETA_MAX, (3, 3), 0.408620),  # Conrey's 0.4088 lies between these two
+            (THETA_MAX, (4, 5), 0.408953),
+        ],
+    )
+    def test_pinned_optima(self, theta, degrees, kappa):
+        report = optimize_kappa(SearchSpace(*degrees, (0.5, 2.5), theta))
+        assert report.best_kappa == pytest.approx(kappa, abs=1e-5)
 
     def test_evaluation_budget_sane(self):
         report = optimize_kappa(SearchSpace(1, 1, (0.5, 2.5), 0.5, restarts=2, seed=2))
