@@ -17,7 +17,7 @@ import numpy as np
 
 from .arithmetic import FactorSieve, default_sieve_limit, get_sieve
 from .errors import ConditioningError, ConstraintError, DomainError, SieveRangeError
-from .zeta import _zeta_jet
+from .zeta import _dirichlet_jets, _zeta_jet
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class Polynomial:
         if self.degree == 0:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coefficients) if k > 0))
-
-    def integral_01(self) -> float:
-        """Integral over [0, 1]."""
-        return math.fsum(c / (k + 1) for k, c in enumerate(self.coefficients))
 
 
 def _require(cond: bool, message: str):
@@ -107,24 +103,29 @@ def mollifier_coefficients(spec: MollifierSpec, sieve: FactorSieve | None = None
     return h, mu[mu != 0] * spec.p_poly(x_h)
 
 
+def _all_terms(t_max: float) -> float:
+    """Cut for the grid kernel past every term: psi is a finite sum."""
+    return math.inf
+
+
 def psi_mollifier(s: complex, spec: MollifierSpec, sieve: FactorSieve | None = None) -> complex:
-    """psi(s) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - s} P(log(M/h)/log M)."""
+    """psi(s) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - s} P(log(M/h)/log M).
+
+    The one-point view of mollifier_line, with the factor table of an
+    explicit sieve when one is given.
+    """
     h, coeff = mollifier_coefficients(spec, sieve)
-    expo = spec.sigma0 - 0.5 - complex(s)
-    return complex(np.sum(coeff * np.exp(expo * np.log(h))))
+    s = complex(s)
+    jets, _ = _dirichlet_jets(s.real - spec.sigma0 + 0.5, np.array([s.imag]), h, coeff, 0, _all_terms)
+    return complex(jets[0, 0])
 
 
 def mollifier_line(sigma: float, t: np.ndarray, spec: MollifierSpec) -> np.ndarray:
-    """Vectorized psi(sigma + i t) over an ordinate grid."""
+    """Vectorized psi(sigma + i t) over an ordinate grid: the Dirichlet
+    polynomial with coefficients mu(h) P(.) h^{sigma0 - 1/2}, summed by the
+    grid kernel that zeta_line uses."""
     h, coeff = mollifier_coefficients(spec)
-    log_h = np.log(h)
-    weights = coeff * h ** (spec.sigma0 - 0.5 - sigma)
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.size, dtype=complex)
-    for b0 in range(0, t.size, 2048):
-        tc = t[b0 : b0 + 2048]
-        out[b0 : b0 + 2048] = np.exp(-1j * np.outer(tc, log_h)) @ weights
-    return out
+    return _dirichlet_jets(sigma - spec.sigma0 + 0.5, t, h, coeff, 0, _all_terms)[0][0]
 
 
 def _q_operator(jets: np.ndarray, q_poly: Polynomial, log_scale: float) -> np.ndarray:

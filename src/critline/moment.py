@@ -17,7 +17,7 @@ from scipy import integrate
 from .errors import DomainError
 from .levinson import LevinsonParams, c_constant_exact
 from .mollifier import MollifierSpec, _q_operator, mollifier_line
-from .zeta import zeta_line
+from .zeta import _em_cut, zeta_line
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ class MomentReport:
     grid_points: int
     t_scale: float
     grid_step: float
+    truncation_n: int  # the largest Euler-Maclaurin cut N of the zeta head sums
     refinement_warning: bool = False
 
 
@@ -138,5 +139,6 @@ def mollified_moment_numeric(
         grid_points=n_pts,
         t_scale=t_scale,
         grid_step=float(step),
+        truncation_n=_em_cut(hi),
         refinement_warning=warning,
     )

@@ -6,7 +6,9 @@ The single zeta engine is Euler-Maclaurin summation with Bernoulli
 corrections.  Values and derivatives are truncated-Taylor jets in a
 shift x: every zeta, zeta^(k) and Hurwitz zeta value adds the same
 remainder jet (_em_tail) to a head sum, and Re(s) < 0 is reached by
-applying the functional equation to the jets.
+applying the functional equation to the jets.  Head sums on a grid, and
+the mollifier's Dirichlet polynomial, go through one kernel,
+_dirichlet_jets.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ _BERNOULLI = sps.bernoulli(2 * _EM_TERMS)
 _EM_COEFF = np.array(
     [_BERNOULLI[2 * k] / math.factorial(2 * k) for k in range(1, _EM_TERMS + 1)]
 )
+# Dirichlet-polynomial grid kernel: ordinates per |t|-sorted chunk, terms
+# per block of n, and the byte budget of one group's stacked base weights
+_CHUNK = 256
+_NBLOCK = 8192
+_STACK_BYTES = 2 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -73,57 +80,75 @@ def _em_tail(s, base, order: int) -> np.ndarray:
     for j in range(order + 1):
         pow_jet[j] = b_pow * coeff
         coeff = coeff * (-log_b / (j + 1))
-    tail = 0.5 * pow_jet
-    # pole term b^{1-s-x}/(s+x-1)
-    inv = np.empty_like(pow_jet)
+    # the factor of b^{-s-x}: 1/2, the pole term b/(s+x-1), and the
+    # Bernoulli sum b^{-1} sum_k B_2k/(2k)! (s+x)_{2k-1} b^{2-2k}, in
+    # Horner form in b^{-2} with (s+x)_{2k+1} = (s+x)_{2k-1} (s+x+2k-1)(s+x+2k)
+    inv_b2 = 1.0 / (base * base)
+    rest = np.zeros_like(pow_jet)
+    rest[0] = _EM_COEFF[-1]
+    for k in range(_EM_TERMS - 1, 0, -1):
+        rest = _jet_mul_linear(_jet_mul_linear(rest, s, 2.0 * k - 1.0), s, 2.0 * k) * inv_b2
+        rest[0] += _EM_COEFF[k - 1]
+    rest = _jet_mul_linear(rest, s, 0.0) / base
+    rest[0] += 0.5
     recip = 1.0 / (s - 1.0)
-    acc = recip
+    pole = base * recip
     for j in range(order + 1):
-        inv[j] = acc if j % 2 == 0 else -acc
-        acc = acc * recip
-    tail += base * _jet_mul(pow_jet, inv)
-    # Bernoulli corrections
-    poch = np.zeros_like(pow_jet)
-    poch[0] = s
-    if order >= 1:
-        poch[1] = 1.0
-    scale = 1.0 / base
-    for k in range(1, _EM_TERMS + 1):
-        tail += _EM_COEFF[k - 1] * scale * _jet_mul(poch, pow_jet)
-        poch = _jet_mul_linear(poch, s, 2.0 * k - 1.0)
-        poch = _jet_mul_linear(poch, s, 2.0 * k)
-        scale = scale / (base * base)
-    return tail
+        rest[j] += pole
+        pole = -pole * recip
+    return _jet_mul(pow_jet, rest)
 
 
-def zeta_line(
-    sigma: float,
-    t: np.ndarray,
-    order: int = 0,
-    factor: float = 1.0,
-    chunk: int = 256,
-    nblock: int = 8192,
-) -> np.ndarray:
-    """Euler-Maclaurin jets of zeta along a horizontal line.
+def _em_cut(t_max: float, factor: float = 1.0) -> int:
+    """Euler-Maclaurin truncation N = max(20, ceil(factor * t_max)) of a
+    chunk of ordinates with largest |t| = t_max."""
+    return max(20, int(math.ceil(factor * t_max)))
 
-    Returns an array of shape (order+1, len(t)) whose j-th row holds
-    zeta^{(j)}(sigma + i t) / j!.  The ordinates are taken in |t|-sorted
-    chunks; each chunk is truncated at N = max(20, ceil(factor * max|t|))
-    of the chunk, which keeps the Bernoulli tail below 1e-12 for
-    factor >= 1 with the 14 correction terms used here.
 
-    The head sum of a chunk with base ordinate t_c and offsets
-    d_k = t_k - t_c is the phase table D[k, n] = n^{-i d_k} times the
-    base weights w_j(n) n^{-i t_c}, w_j(n) = n^{-sigma} (-log n)^j / j!.
+def _stacked_product(table, stack, group, jets, order: int):
+    """One product of the shared phase table with a group's base weights,
+    stacked side by side in stack; each chunk's offset correction is
+    applied to its own columns before its jets are added, and the group
+    is emptied."""
+    m = max(g[2] for g in group)
+    prod = table[:, :m] @ stack[:m]
+    for sel, shift, _, c0, cols in group:
+        sums = prod[: sel.size, c0 : c0 + cols]
+        sums[:, : cols - 1] += 1j * shift[:, None] * np.arange(1, cols) * sums[:, 1:]
+        jets[:, sel] += sums[:, : order + 1].T
+    group.clear()
+
+
+def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
+    """Jets sum_n coeff_n n^{-sigma-it} (-log n)^j / j! for j <= order.
+
+    n holds ascending positive terms and coeff their weights (None for all
+    ones).  The ordinates are taken in |t|-sorted chunks of the given size,
+    and a chunk sums the terms n < cut(max|t| of the chunk); cut must not
+    decrease with max|t|.  Returns the jets, of shape (order+1, len(t)),
+    and every point's cut.
+
+    The sum of a chunk with base ordinate t_c and offsets d_k = t_k - t_c
+    is the phase table D[k, n] = n^{-i d_k} times the base weights
+    W_c[n, j] = w_j(n) n^{-i t_c}, w_j(n) = coeff_n n^{-sigma} (-log n)^j / j!.
     On a uniform grid every chunk has the same offsets, up to the rounding
-    already in t, so D is built once per block of n from the first chunk
-    and each further chunk costs N exponentials and one matrix product.
-    A chunk whose offsets differ from the table's by more than 4 ulp of
-    its max|t| builds a table for itself, at the cost of one exponential
-    per point and term; irregular and sign-crossing inputs take that
-    path, while a shuffled uniform grid sorts back into uniform chunks
-    and a single chunk only ever meets its own table.  Within the 4 ulp,
-    the difference e_k of the offsets is corrected to first order,
+    already in t, so D is built once per block of _NBLOCK terms from the
+    first chunk, and each further chunk costs one exponential per term.
+    Row r a + b of D (r = ceil(sqrt(chunk))) is the product
+    n^{-i d_{ra}} n^{-i d_b}: 2r exponentials per term instead of one per
+    row, and D's offsets are the first chunk's up to the rounding of
+    d_{ra} + d_b, which the shift correction below absorbs.
+    Consecutive chunks that reuse D stack their W_c side by side, each
+    zero past its own cut, and each group of them costs one matrix product
+    D @ [W_c1 | W_c2 | ...].  The stack holds at most _STACK_BYTES, and
+    never more than D, so memory stays flat however long the grid is.
+    A chunk whose offsets differ from D's by more than 4 ulp of its max|t|
+    builds a table for itself, at the cost of one exponential per point and
+    term; irregular and sign-crossing inputs take that path, while a
+    shuffled uniform grid sorts back into uniform chunks.  A call with a
+    single chunk builds only its own table and makes one direct product,
+    with no stack and no extra column.  Within the 4 ulp, the difference
+    e_k of the offsets is corrected to first order,
     n^{-i e_k} = 1 - i e_k log n, which adds i (j+1) e_k times the
     order-(j+1) sum to the order-j one; a reused table then agrees with
     the chunk's own to about 1e-14 relative.
@@ -133,46 +158,95 @@ def zeta_line(
     chunks = [idx[c0 : c0 + chunk] for c0 in range(0, t.size, chunk)]
     cuts = np.zeros(t.size)
     for sel in chunks:
-        cuts[sel] = max(20, int(math.ceil(factor * np.abs(t[sel]).max())))
-    n_top = int(cuts.max(initial=20))
+        cuts[sel] = cut(np.abs(t[sel]).max())
+    used = np.searchsorted(n, cuts)  # terms below each point's cut
+    ln = np.log(n)
+    w0 = n**-sigma if coeff is None else coeff * n**-sigma
     jets = np.zeros((order + 1, t.size), dtype=complex)
-    # row 0 stays 1: every chunk's first offset is 0
-    table = np.ones((min(chunk, t.size), min(nblock, n_top - 1)), dtype=complex)
-    for b0 in range(1, n_top, nblock):
-        n = np.arange(b0, min(b0 + nblock, n_top), dtype=float)
-        ln = np.log(n)
+    shared = len(chunks) > 1
+    if shared:
+        side = math.isqrt(chunk - 1) + 1
+        table = np.empty((side, side, min(_NBLOCK, n.size)), dtype=complex)
+        flat = table.reshape(side * side, -1)
+        width = max(order + 2, min(chunk, _STACK_BYTES // (16 * flat.shape[1])))
+        stack = np.empty((flat.shape[1], width), dtype=complex)
+        group = []  # (sel, shift, terms, first column, columns) per stacked chunk
+    for b0 in range(0, used.max(initial=0), _NBLOCK):
+        lnb = ln[b0 : b0 + _NBLOCK]
         # w_j(n) for j <= order, and j = order+1 where a shift may need it
-        w = np.empty((n.size, order + 1 + (len(chunks) > 1)))
-        w[:, 0] = n**-sigma
+        w = np.empty((lnb.size, order + 1 + shared))
+        w[:, 0] = w0[b0 : b0 + lnb.size]
         for j in range(1, w.shape[1]):
-            w[:, j] = w[:, j - 1] * (-ln) / j
+            w[:, j] = w[:, j - 1] * (-lnb) / j
         # the table holds n^{-i ref} for the first chunk that reaches this
         # block, in columns [0, filled) filled as later chunks need them
-        ref, filled = None, 0
+        ref, filled, top = None, 0, 0
         for sel in chunks:
-            m = min(n.size, int(cuts[sel[0]]) - b0)
+            m = min(lnb.size, int(used[sel[0]]) - b0)
             if m <= 0:
                 continue
             tc = t[sel]
             delta = tc - tc[0]
-            if ref is None:
-                ref = delta
-            # only the last chunk is shorter than the one that set ref
-            shift = delta - ref[: delta.size]
-            if np.abs(shift).max() <= 4.0 * np.spacing(np.abs(tc).max()):
-                if filled < m:
-                    table[1 : ref.size, filled:m] = np.exp(-1j * np.outer(ref[1:], ln[filled:m]))
-                    filled = m
-                phases = table[: delta.size, :m]
-            else:
-                shift = np.zeros_like(delta)
-                phases = np.exp(-1j * np.outer(delta, ln[:m]))
-            # a nonzero shift is corrected with the order+1 sum, since
-            # n^{-i shift} = 1 - i shift log n and -log n w_j = (j+1) w_{j+1}
-            cols = order + 1 + int(shift.any())
-            sums = phases @ (w[:m, :cols] * np.exp(-1j * tc[0] * ln[:m])[:, None])
-            sums[:, : cols - 1] += 1j * shift[:, None] * np.arange(1, cols) * sums[:, 1:]
-            jets[:, sel] += sums[:, : order + 1].T
+            phase = np.exp(-1j * tc[0] * lnb[:m])
+            if shared:
+                if ref is None:
+                    coarse, fine = delta[::side], delta[:side]
+                    ref = (coarse[:, None] + fine).ravel()[: delta.size]
+                # only the last chunk is shorter than the one that set ref
+                shift = delta - ref[: delta.size]
+                if np.abs(shift).max() <= 4.0 * np.spacing(np.abs(tc).max()):
+                    if filled < m:
+                        np.multiply(
+                            np.exp(-1j * np.outer(coarse, lnb[filled:m]))[:, None],
+                            np.exp(-1j * np.outer(fine, lnb[filled:m])),
+                            out=table[: coarse.size, : fine.size, filled:m],
+                        )
+                        filled = m
+                    # a nonzero shift is corrected with the order+1 sum, since
+                    # n^{-i shift} = 1 - i shift log n and -log n w_j = (j+1) w_{j+1}
+                    cols = order + 1 + int(shift.any())
+                    if top + cols > width:
+                        _stacked_product(flat[: ref.size], stack[:, :top], group, jets, order)
+                        top = 0
+                    np.multiply(w[:m, :cols], phase[:, None], out=stack[:m, top : top + cols])
+                    stack[m:, top : top + cols] = 0.0
+                    group.append((sel, shift, m, top, cols))
+                    top += cols
+                    continue
+            own = np.exp(-1j * np.outer(delta, lnb[:m]))
+            jets[:, sel] += (own @ (w[:m, : order + 1] * phase[:, None])).T
+        if top:
+            _stacked_product(flat[: ref.size], stack[:, :top], group, jets, order)
+    return jets, cuts
+
+
+def zeta_line(
+    sigma: float,
+    t: np.ndarray,
+    order: int = 0,
+    factor: float = 1.0,
+    chunk: int = _CHUNK,
+) -> np.ndarray:
+    """Euler-Maclaurin jets of zeta along a horizontal line.
+
+    Returns an array of shape (order+1, len(t)) whose j-th row holds
+    zeta^{(j)}(sigma + i t) / j!.  The ordinates are taken in |t|-sorted
+    chunks of `chunk` points; each chunk sums n < N with
+    N = max(20, ceil(factor * max|t|)) of the chunk and adds the
+    Euler-Maclaurin remainder at N, which keeps the Bernoulli tail below
+    1e-12 for factor >= 1 with the 14 correction terms used here.
+
+    The head sums are one _dirichlet_jets call.  On a uniform grid every
+    chunk after the first reuses one phase table per block of n, and
+    consecutive reusing chunks stack their base weights, up to a fixed
+    byte budget (_STACK_BYTES, never more than the table), into one
+    matrix product per group; irregular and sign-crossing chunks build
+    their own tables.  A call with a single chunk, such as one point,
+    makes one direct product with its own table and builds no stack.
+    """
+    t = np.asarray(t, dtype=float)
+    n = np.arange(1.0, _em_cut(np.abs(t).max(initial=0.0), factor))
+    jets, cuts = _dirichlet_jets(sigma, t, n, None, order, lambda top: _em_cut(top, factor), chunk)
     return jets + _em_tail(sigma + 1j * t, cuts, order)
 
 

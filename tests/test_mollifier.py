@@ -11,6 +11,7 @@ import pytest
 from critline.arithmetic import FactorSieve
 from critline.dirichlet import enumerate_characters
 from critline.errors import ConstraintError, DomainError, SieveRangeError
+from critline.moment import SmoothWeight
 from critline.mollifier import (
     MollifierSpec,
     Polynomial,
@@ -49,11 +50,12 @@ class TestPolynomial:
     def test_derivative_and_integral(self):
         p = Polynomial((1.0, 2.0, 3.0))
         assert p.derivative().coefficients == (2.0, 6.0)
-        assert p.integral_01() == pytest.approx(1.0 + 1.0 + 1.0)
+        integral = math.fsum(c / (k + 1) for k, c in enumerate(p.coefficients))
+        assert integral == pytest.approx(1.0 + 1.0 + 1.0)
         from scipy import integrate
 
         quad, _ = integrate.quad(p, 0.0, 1.0)
-        assert p.integral_01() == pytest.approx(quad)
+        assert integral == pytest.approx(quad)
 
 
 class TestMollifierSpec:
@@ -110,6 +112,29 @@ class TestPsiMollifier:
         line = mollifier_line(0.43, t, spec)
         for k, tk in enumerate(t):
             assert line[k] == pytest.approx(psi_mollifier(0.43 + 1j * tk, spec, small_sieve), rel=1e-12)
+
+    def test_line_on_moment_grid_against_mpmath(self, small_sieve):
+        """The T=2000 moment grid is uniform, so mollifier_line reuses one
+        phase table across its chunks; 60 sampled ordinates against the
+        Moebius sum in 30 digits.  The error is the rounding of t log h,
+        about 1e-13 absolute, so it is measured against the sum of the
+        terms' moduli, which |psi| can fall well below."""
+        t_scale = 2000.0
+        lo, hi = SmoothWeight(t_scale).support
+        t = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.05)) + 1)
+        spec = MollifierSpec(t_scale, 0.5, 1.3, Polynomial((0.0, 1.2, -0.2)))
+        line = mollifier_line(spec.sigma0, t, spec)  # sum of c_h h^{-1/2-it}
+        with mp.workdps(30):
+            m_len = mp.mpf(t_scale) ** 0.5
+            terms = [
+                (h, mu * spec.p_poly(float(mp.log(m_len / h) / mp.log(m_len))))
+                for h in range(1, int(m_len) + 1)
+                if (mu := small_sieve.mobius(h))
+            ]
+            scale = sum(abs(c) / math.sqrt(h) for h, c in terms)
+            for i in np.random.default_rng(8).choice(t.size, 60, replace=False):
+                ref = complex(mp.fsum(c * mp.power(h, mp.mpc(-0.5, -t[i])) for h, c in terms))
+                assert abs(line[i] - ref) <= 2e-13 * scale
 
 
 class TestVSmoothedZeta:

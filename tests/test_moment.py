@@ -112,6 +112,9 @@ class TestMoment:
         assert report.main_term > 0.0
         assert report.ratio == pytest.approx(report.numeric_moment / report.main_term)
         assert not report.refinement_warning
+        # the largest Euler-Maclaurin cut, N = ceil(max t) at the top of the support
+        assert report.truncation_n == math.ceil(SmoothWeight(600.0).support[1])
+        assert mollified_moment_numeric(BASELINE, 600.0) == report
 
     def test_runtime_guard(self):
         with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from critline.moment import SmoothWeight
 from critline.zeta import (
     AfeParams,
     _afe_v_table,
+    _em_tail,
     afe_pair,
     afe_v_weight,
     afe_x_factor,
@@ -143,6 +144,33 @@ class TestZetaLineGrid:
         for c0 in range(chunk, t.size, 17 * chunk):
             own = zeta_line(sigma, t[c0 : c0 + chunk], 3)
             assert _rows_close(jets[:, c0 : c0 + chunk], own, 2e-13)
+
+    def test_stacked_groups_match_own_tables(self):
+        """A slice of the T=2e4 moment grid at order 3 stacks three chunks
+        per product, so its 24 chunks flush several groups, and its cuts
+        cross from the first block of n into the second."""
+        lo, hi = SmoothWeight(2e4).support
+        t = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.05)) + 1)[:6000]
+        sigma = 0.5 - 1.3 / math.log(2e4)
+        jets = zeta_line(sigma, t, 3)
+        chunk = 256
+        for c0 in (0, 4 * chunk, 11 * chunk, 17 * chunk, 23 * chunk):
+            own = zeta_line(sigma, t[c0 : c0 + chunk], 3)
+            assert _rows_close(jets[:, c0 : c0 + chunk], own, 2e-13)
+
+    def test_one_point_is_the_direct_head_sum(self):
+        """A single point makes one product of its row of ones with the base
+        weights, and adds the Euler-Maclaurin tail at its own cut."""
+        for sigma, tv, order in ((0.5, 14.134725, 0), (0.31, 1234.5, 3), (2.0, -77.25, 1), (0.8, 3.0, 2)):
+            cut = max(20, math.ceil(abs(tv)))
+            ln = np.log(np.arange(1.0, cut))
+            w = np.empty((ln.size, order + 1))
+            w[:, 0] = np.arange(1.0, cut) ** -sigma
+            for j in range(1, order + 1):
+                w[:, j] = w[:, j - 1] * (-ln) / j
+            head = (np.ones((1, ln.size)) @ (w * np.exp(-1j * tv * ln)[:, None]))[0]
+            want = head + _em_tail(sigma + 1j * np.array([tv]), np.array([float(cut)]), order)[:, 0]
+            assert np.array_equal(zeta_line(sigma, np.array([tv]), order)[:, 0], want)
 
     def test_reordered_and_perturbed_grids(self, moment_grid):
         sigma, t = moment_grid
