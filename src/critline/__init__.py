@@ -62,7 +62,6 @@ from .mollifier import (
 )
 from .moment import MomentReport, SmoothWeight, mollified_moment_numeric, smooth_weight, w_hat_zero
 from .optimizer import OptimizationReport, SearchSpace, grid_scan_r, optimize_kappa
-from .special import complex_gamma, upper_incomplete_gamma
 from .zeta import (
     AfeParams,
     ZeroScanReport,

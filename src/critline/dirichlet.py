@@ -13,9 +13,8 @@ zeta(s, a/q) over the units a in 1..q, and the Hurwitz row of one (q, s)
 serves every character mod q; for Re(s) < 0 the functional equation of
 the inducing primitive character reflects it there.  Tables, root rows
 and Hurwitz rows sit in LRU caches of 16 entries, enough for the
-characters of a few moduli at a few s.  The incomplete-gamma continuation
-of the completed L stays as an independent path of xi_completed_l, a
-reference for the functional equation at small height.
+characters of a few moduli at a few s.  The completed L multiplies that
+L-value by its gamma factor.
 """
 
 from __future__ import annotations
@@ -257,12 +256,8 @@ def epsilon_factor(chi: DirichletCharacter) -> complex:
     return gauss_sum(chi) / (1j**chi.parity * math.sqrt(chi.modulus))
 
 
-def theta_nu(z: complex, chi: DirichletCharacter, include_character: bool = True) -> complex:
-    """Weighted theta series sum of chi(n) n^kappa exp(-pi n^2 z / q).
-
-    include_character=False drops the chi(n) factor, leaving the bare
-    n^kappa heat kernel over the same modulus.
-    """
+def theta_nu(z: complex, chi: DirichletCharacter) -> complex:
+    """Weighted theta series sum of chi(n) n^kappa exp(-pi n^2 z / q)."""
     z = complex(z)
     if z.real <= 0:
         raise DomainError("theta series needs Re(z) > 0")
@@ -271,55 +266,30 @@ def theta_nu(z: complex, chi: DirichletCharacter, include_character: bool = True
     total = 0.0 + 0.0j
     for n in range(1, 10000):
         damp = cmath.exp(-math.pi * n * n * z / q)
-        term = (chi(n) if include_character else 1.0) * n**kappa * damp
-        total += term
+        total += chi(n) * n**kappa * damp
         if abs(damp) * (n + 1) ** kappa < 1e-18 * max(1.0, abs(total)):
             break
     return total
 
 
-def xi_completed_l(s: complex, chi: DirichletCharacter, path: str = "continued") -> complex:
-    """Completed L: (q/pi)^{(s+kappa)/2} Gamma((s+kappa)/2) L(s, chi).
+def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:
+    """Completed L: Lambda(s, chi) = (q/pi)^{(s+kappa)/2} Gamma((s+kappa)/2) L(s, chi).
 
-    Entire for primitive non-principal chi and satisfies
-    xi(s, chi) = epsilon(chi) xi(1-s, conj chi).  The continued path sums
-    incomplete-gamma tails of the split theta integral; xi decays like
-    exp(-pi |t| / 4) while those terms do not, so it loses accuracy with
-    height (against the direct path, every primitive chi mod 5, 12 and 37:
-    8.3e-12 relative at 1/2+10i, 1.8e-9 at 1/2+20i, 1.1e-1 at 1/2+40i) and
-    raises DomainError past |Im s| = 10.  The direct path multiplies the
-    factors and needs Hurwitz summation.
+    Entire for primitive non-principal chi, with
+    Lambda(s, chi) = epsilon(chi) Lambda(1-s, conj chi).  The gamma and
+    (q/pi) factors are taken as one exponential of log-gamma, so neither
+    overflows on its own.  At s = -kappa, -kappa-2, ... the product is a
+    removable 0 * infinity (a gamma pole on a trivial zero of L), and
+    there alone the value is epsilon(chi) Lambda(1-s, conj chi).
     """
     s = complex(s)
     if not chi.is_primitive or chi.is_principal:
         raise DomainError("completed L defined for primitive non-principal characters")
-    q = chi.modulus
-    kappa = chi.parity
-    if path == "direct":
-        pref = cmath.exp((s + kappa) / 2.0 * math.log(q / math.pi))
-        return pref * complex(sps.gamma((s + kappa) / 2.0)) * l_function(s, chi)
-    if path != "continued":
-        raise DomainError(f"unknown path {path!r}")
-    if abs(s.imag) > 10.0:
-        raise DomainError("continued path certified only for |Im s| <= 10")
-    from .special import upper_incomplete_gamma
-
-    eps = epsilon_factor(chi)
-    chi_bar = chi.conjugate()
-    total = 0.0 + 0.0j
-    for n in range(1, 400):
-        x = math.pi * n * n / q
-        weight = float(n) ** kappa
-        base = math.log(q / (math.pi * n * n))
-        term = chi(n) * weight * cmath.exp((s + kappa) / 2.0 * base) * (
-            upper_incomplete_gamma((s + kappa) / 2.0, x)
-        ) + eps * chi_bar(n) * weight * cmath.exp((1.0 - s + kappa) / 2.0 * base) * (
-            upper_incomplete_gamma((1.0 - s + kappa) / 2.0, x)
-        )
-        total += term
-        if x > 36.0 and abs(term) < 1e-17 * max(1.0, abs(total)):
-            break
-    return total
+    a = (s + chi.parity) / 2.0
+    if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
+        return epsilon_factor(chi) * xi_completed_l(1.0 - s, chi.conjugate())
+    log_factor = a * math.log(chi.modulus / math.pi) + complex(sps.loggamma(a))
+    return cmath.exp(log_factor) * l_function(s, chi)
 
 
 def l_function(s: complex, chi: DirichletCharacter) -> complex:

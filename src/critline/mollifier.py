@@ -213,9 +213,15 @@ def b_polynomial(s: complex, chi, coeffs: dict[int, float], y_length: float) -> 
 def wu_coefficient_table(
     spec: WuCoefficientSpec, mode: str = "literal", sieve: FactorSieve | None = None
 ) -> dict[int, float]:
-    """All a(n) for n <= y, skipping the zeros at non-squarefree n."""
+    """All a(n) for n <= y, skipping the zeros at non-squarefree n.
+
+    Without an explicit sieve the factor table is sized to y, so a short
+    table never builds the shared default sieve.
+    """
+    n_max = int(math.floor(spec.y_length))
+    sieve = sieve or FactorSieve(max(2, n_max))
     out = {}
-    for n in range(1, int(math.floor(spec.y_length)) + 1):
+    for n in range(1, n_max + 1):
         a_n = wu_coefficients(n, spec, mode, sieve)
         if a_n != 0.0:
             out[n] = a_n

@@ -331,37 +331,21 @@ def zeta_derivative(s: complex, order: int) -> complex:
     return math.factorial(order) * complex(_zeta_jet(s, order)[order])
 
 
-def xi_completed(s: complex, path: str = "direct") -> complex:
-    """Completed xi(s); entire, symmetric about s = 1/2.
+def xi_completed(s: complex) -> complex:
+    """Completed xi(s) = (s-1) pi^{-s/2} Gamma(s/2+1) zeta(s); entire, xi(s) = xi(1-s).
 
-    path 'direct' multiplies the gamma/pi/zeta factors; path 'continued'
-    sums the incomplete-gamma series, valid everywhere.
+    The gamma/pi factor is taken as one exponential of log-gamma, so it
+    neither overflows nor underflows on its own (xi(400) ~ 1.2e278).  At
+    s = 1 and s = -2, -4, ... the product is a removable 0 * infinity
+    (the zeta pole; the gamma poles at the trivial zeros), and there
+    alone the value is xi(1-s).
     """
     s = complex(s)
-    if path == "direct":
-        if s == 0.0 or s == 1.0:
-            return complex(0.5)
-        # s Gamma(s/2)/2 = Gamma(s/2 + 1) absorbs the s=0 pole
-        return (s - 1.0) * cmath.exp(-s / 2.0 * math.log(math.pi)) * complex(
-            sps.gamma(s / 2.0 + 1.0)
-        ) * zeta(s)
-    if path != "continued":
-        raise DomainError(f"unknown xi path {path!r}")
-    from .special import upper_incomplete_gamma
-
-    pref = s * (s - 1.0) / 2.0
-    total = complex(0.5)
-    for n in range(1, 40):
-        x = math.pi * n * n
-        term = cmath.exp(-s / 2.0 * math.log(math.pi) - s * math.log(n)) * (
-            upper_incomplete_gamma(s / 2.0, x)
-        ) + cmath.exp((s - 1.0) / 2.0 * math.log(math.pi) + (s - 1.0) * math.log(n)) * (
-            upper_incomplete_gamma((1.0 - s) / 2.0, x)
-        )
-        total += pref * term
-        if n > 2 and abs(pref * term) < 1e-16 * max(1.0, abs(total)):
-            break
-    return total
+    if s.imag == 0.0 and (s.real == 1.0 or (s.real <= -2.0 and s.real % 2.0 == 0.0)):
+        return xi_completed(1.0 - s)
+    # s Gamma(s/2)/2 = Gamma(s/2 + 1) absorbs the s=0 pole
+    log_factor = complex(sps.loggamma(s / 2.0 + 1.0)) - s / 2.0 * math.log(math.pi)
+    return (s - 1.0) * cmath.exp(log_factor) * zeta(s)
 
 
 def _hardy_phase(t: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from critline import arithmetic, mollifier
 from critline.arithmetic import FactorSieve
 from critline.dirichlet import enumerate_characters
 from critline.errors import ConstraintError, DomainError, SieveRangeError
@@ -219,6 +220,17 @@ class TestWuCoefficients:
         spec = self.make_spec(100.0)
         with pytest.raises(SieveRangeError):
             wu_coefficients(101, spec, sieve=small_sieve)
+
+    def test_table_without_sieve_builds_no_default_sieve(self, small_sieve, monkeypatch):
+        spec = self.make_spec(100.0)
+        expected = wu_coefficient_table(spec, sieve=small_sieve)
+
+        def refuse(limit=None):
+            raise AssertionError("the default sieve was requested")
+
+        monkeypatch.setattr(arithmetic, "get_sieve", refuse)
+        monkeypatch.setattr(mollifier, "get_sieve", refuse)
+        assert wu_coefficient_table(spec) == expected
 
 
 class TestBPolynomial:

@@ -235,21 +235,29 @@ class TestZetaDerivative:
             zeta_derivative(2.0, 9)
 
 
+def mpmath_xi(s):
+    """(s-1) pi^{-s/2} Gamma(s/2+1) zeta(s) in mpmath, away from s = 1."""
+    s = mp.mpc(s)
+    return complex((s - 1) * mp.power(mp.pi, -s / 2) * mp.gamma(s / 2 + 1) * mp.zeta(s))
+
+
 class TestXi:
-    def test_symmetry_and_path_agreement(self, rng):
+    def test_symmetry(self, rng):
         for _ in range(25):
             s = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            direct = xi_completed(s, "direct")
-            assert xi_completed(1.0 - s, "direct") == pytest.approx(direct, abs=1e-10)
-            assert xi_completed(s, "continued") == pytest.approx(direct, abs=1e-10)
+            assert xi_completed(1.0 - s) == pytest.approx(xi_completed(s), abs=1e-10)
+
+    def test_against_mpmath(self):
+        # far up the line xi decays like exp(-pi t / 4); at s = 400 it is ~1e278
+        for s in (0.3 + 5j, -3.3 + 2j, 0.5 + 30j, 0.5 + 60j, 0.5 + 200j, 400.0):
+            assert xi_completed(s) == pytest.approx(mpmath_xi(s), rel=1e-12)
 
     def test_special_points(self):
         assert xi_completed(0.0) == pytest.approx(0.5)
-        assert xi_completed(1.0, "continued") == pytest.approx(0.5, abs=1e-12)
-
-    def test_bad_path(self):
-        with pytest.raises(DomainError):
-            xi_completed(2.0, "nope")
+        # removable 0 * infinity of the product: the zeta pole and the
+        # gamma poles on the trivial zeros, valued by xi(1-s)
+        for s in (1.0, -2.0, -4.0):
+            assert xi_completed(s) == pytest.approx(mpmath_xi(1.0 - s), rel=1e-12)
 
 
 class TestHardyZ:
