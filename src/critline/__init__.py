@@ -58,7 +58,6 @@ from .mollifier import (
     psi_mollifier,
     v_smoothed_zeta,
     wu_coefficient_table,
-    wu_coefficients,
 )
 from .moment import MomentReport, SmoothWeight, mollified_moment_numeric, smooth_weight, w_hat_zero
 from .optimizer import OptimizationReport, SearchSpace, grid_scan_r, optimize_kappa

@@ -7,14 +7,12 @@ enter only through Lambda(n) and the Chebyshev psi sum.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import SieveRangeError
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
-SIEVE_LIMIT_ENV = "CLT_SIEVE_LIMIT"
 
 
 class FactorSieve:
@@ -139,8 +137,7 @@ _sieve_cache: dict[int, FactorSieve] = {}
 
 
 def default_sieve_limit() -> int:
-    env = os.environ.get(SIEVE_LIMIT_ENV)
-    return int(env) if env else DEFAULT_SIEVE_LIMIT
+    return DEFAULT_SIEVE_LIMIT
 
 
 def get_sieve(limit: int | None = None) -> FactorSieve:

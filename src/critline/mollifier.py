@@ -1,21 +1,23 @@
 """Mollifying Dirichlet polynomials and the smoothed zeta combination.
 
-psi_mollifier is the classical Moebius-weighted polynomial of length
-M = T^theta with a shaping polynomial P; v_smoothed_zeta applies a
-polynomial in -(1/L) d/ds to zeta; the two-piece coefficients a(n)
-extend the plain Moebius weight with a second shape carried by small
-prime divisors.
+Both mollifiers are coefficient tables (n, a_n) over the squarefree
+n <= y from one builder, with x_n = log(y/n)/log y: the classical one
+of length M = T^theta has a_n = mu(n) P(x_n), and Wu's two-piece one adds
+a second shape carried by the small prime divisors of n.  b_polynomial
+sums a table at one point, psi_mollifier is that sum for the classical
+table, and mollifier_line sums it on an ordinate grid through the zeta
+grid kernel.  v_smoothed_zeta applies a polynomial in -(1/L) d/ds to zeta.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import FactorSieve, default_sieve_limit, get_sieve
+from .arithmetic import DEFAULT_SIEVE_LIMIT, FactorSieve
+from .dirichlet import character
 from .errors import ConditioningError, ConstraintError, DomainError, SieveRangeError
 from .zeta import _dirichlet_jets, _zeta_jet
 
@@ -85,39 +87,90 @@ class MollifierSpec:
         return 0.5 - self.r_shift / self.log_scale
 
 
-def mollifier_coefficients(spec: MollifierSpec, sieve: FactorSieve | None = None):
-    """(h, mu(h) P(log(M/h)/log M)) table over squarefree h <= M.
+@dataclass(frozen=True)
+class WuCoefficientSpec:
+    """Two-piece coefficient shapes with mollifier length y."""
 
-    Without an explicit sieve, mu comes from a factor table sized to M,
-    so a short mollifier never builds the shared default sieve.
+    p1: Polynomial
+    p2: Polynomial
+    p: Polynomial
+    y_length: float
+
+    def __post_init__(self):
+        _require(abs(self.p1(0.0)) <= 1e-12, "P1(0)=0 required")
+        _require(abs(self.p2(0.0)) <= 1e-12, "P2(0)=0 required")
+        _require(abs(self.p(0.0)) <= 1e-12, "P(0)=0 required")
+        _require(abs(self.p1(1.0) - 1.0) <= 1e-12, "P1(1)=1 required")
+        _require(self.y_length >= 1.0, "y_length must be at least 1")
+
+
+def _coefficient_table(length: float, p1: Polynomial, p2=None, p=None, mode: str = "literal"):
+    """(n, a_n) over the squarefree n <= length, with x_n = log(length/n)/log(length):
+    a_n = mu(n) P1(x_n), plus mu(n) P2(x_n) sum over p | n, p <= length^{3/4}
+    of P(.) when P2 is given.
+
+    mu comes from one factor table sized to the length, so no table
+    builds the shared default sieve, and a length past the default sieve
+    limit is refused before anything is allocated.  The prime-divisor sum
+    takes one strided add per prime below the cutoff.
     """
-    m_len = spec.m_length
-    if m_len > (sieve.limit if sieve else default_sieve_limit()):
-        raise SieveRangeError(f"mollifier length {m_len:.3g} beyond sieve range")
-    h_max = int(math.floor(m_len))
-    mu = (sieve or FactorSieve(max(2, h_max))).mobius_table(h_max)
-    h = np.flatnonzero(mu) + 1.0
-    log_m = math.log(m_len)
-    # h=1 always sits at the full-strength end P(1)=1, even when M -> 1
-    x_h = (log_m - np.log(h)) / log_m if log_m > 0.0 else np.ones_like(h)
-    return h, mu[mu != 0] * spec.p_poly(x_h)
+    if length > DEFAULT_SIEVE_LIMIT:
+        raise SieveRangeError(f"mollifier length {length:.3g} beyond sieve range")
+    n_max = int(math.floor(length))
+    sieve = FactorSieve(max(2, n_max))
+    mu = sieve.mobius_table(n_max)
+    n = np.arange(1.0, n_max + 1)
+    log_len = math.log(length)
+    # n=1 always sits at the full-strength end P1(1)=1, even when length -> 1
+    x = (log_len - np.log(n)) / log_len if log_len > 0.0 else np.ones_like(n)
+    shape = p1(x)
+    if p2 is not None:
+        inner, p_x = np.zeros(n_max), p(x)
+        for prime in sieve.primes[sieve.primes <= length**0.75].tolist():
+            step = slice(prime - 1, None, prime)
+            inner[step] += p_x[step] if mode == "literal" else p(math.log(prime) / log_len)
+        shape = shape + p2(x) * inner
+    keep = mu != 0
+    return n[keep], (mu * shape)[keep]
+
+
+def mollifier_coefficients(spec: MollifierSpec):
+    """(h, mu(h) P(log(M/h)/log M)) table over squarefree h <= M."""
+    return _coefficient_table(spec.m_length, spec.p_poly)
+
+
+def wu_coefficient_table(spec: WuCoefficientSpec, mode: str = "literal"):
+    """Wu's two-piece coefficients as a table (n, a_n) over squarefree n <= y:
+    a(n) = mu(n) (P1(x_n) + P2(x_n) sum over p | n, p <= y^{3/4} of P(.)).
+
+    mode 'literal' evaluates the inner P at the same x_n = log(y/n)/log y
+    for every prime divisor; mode 'prime-log' evaluates it at
+    log(p)/log y instead.  Both are exposed because the first makes the
+    summand independent of p, which reads like a transcription slip, but
+    neither reading is asserted as canonical.
+    """
+    if mode not in ("literal", "prime-log"):
+        raise DomainError(f"unknown mode {mode!r}")
+    return _coefficient_table(spec.y_length, spec.p1, spec.p2, spec.p, mode)
+
+
+def b_polynomial(s: complex, chi, table) -> complex:
+    """B(s, chi) = sum of chi(n) a_n n^{-s} over a coefficient table (n, a_n), an exact finite sum."""
+    n, a_n = table
+    return complex(np.sum(chi(n.astype(np.int64)) * a_n * np.exp(-complex(s) * np.log(n))))
+
+
+def psi_mollifier(s: complex, spec: MollifierSpec) -> complex:
+    """psi(s) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - s} P(log(M/h)/log M).
+
+    B(s + 1/2 - sigma0) of the Moebius table at the principal character mod 1.
+    """
+    return b_polynomial(complex(s) + (0.5 - spec.sigma0), character(1, 0), mollifier_coefficients(spec))
 
 
 def _all_terms(t_max: float) -> float:
     """Cut for the grid kernel past every term: psi is a finite sum."""
     return math.inf
-
-
-def psi_mollifier(s: complex, spec: MollifierSpec, sieve: FactorSieve | None = None) -> complex:
-    """psi(s) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - s} P(log(M/h)/log M).
-
-    The one-point view of mollifier_line, with the factor table of an
-    explicit sieve when one is given.
-    """
-    h, coeff = mollifier_coefficients(spec, sieve)
-    s = complex(s)
-    jets, _ = _dirichlet_jets(s.real - spec.sigma0 + 0.5, np.array([s.imag]), h, coeff, 0, _all_terms)
-    return complex(jets[0, 0])
 
 
 def mollifier_line(sigma: float, t: np.ndarray, spec: MollifierSpec) -> np.ndarray:
@@ -149,80 +202,3 @@ def v_smoothed_zeta(s: complex, q_poly: Polynomial, log_scale: float) -> complex
     if abs(s - 1.0) < 1e-3:
         raise ConditioningError("zeta derivative too close to the pole at s=1")
     return complex(_q_operator(_zeta_jet(s, q_poly.degree), q_poly, log_scale))
-
-
-@dataclass(frozen=True)
-class WuCoefficientSpec:
-    """Two-piece coefficient shapes with mollifier length y."""
-
-    p1: Polynomial
-    p2: Polynomial
-    p: Polynomial
-    y_length: float
-
-    def __post_init__(self):
-        _require(abs(self.p1(0.0)) <= 1e-12, "P1(0)=0 required")
-        _require(abs(self.p2(0.0)) <= 1e-12, "P2(0)=0 required")
-        _require(abs(self.p(0.0)) <= 1e-12, "P(0)=0 required")
-        _require(abs(self.p1(1.0) - 1.0) <= 1e-12, "P1(1)=1 required")
-        _require(self.y_length >= 1.0, "y_length must be at least 1")
-
-
-def wu_coefficients(
-    n: int,
-    spec: WuCoefficientSpec,
-    mode: str = "literal",
-    sieve: FactorSieve | None = None,
-) -> float:
-    """a(n) = mu(n) (P1(x_n) + P2(x_n) sum over p | n, p <= y^{3/4} of P(.)).
-
-    mode 'literal' evaluates the inner P at the same x_n = log(y/n)/log y
-    for every prime divisor; mode 'prime-log' evaluates it at
-    log(p)/log y instead.  Both are exposed because the first makes the
-    summand independent of p, which reads like a transcription slip, but
-    neither reading is asserted as canonical.
-    """
-    if mode not in ("literal", "prime-log"):
-        raise DomainError(f"unknown mode {mode!r}")
-    n = int(n)
-    if n < 1 or n > spec.y_length:
-        raise SieveRangeError(f"n={n} outside [1, y={spec.y_length:.6g}]")
-    s = sieve or get_sieve()
-    mu = s.mobius(n)
-    if mu == 0:
-        return 0.0
-    log_y = math.log(spec.y_length) if spec.y_length > 1 else 1.0
-    x_n = (log_y - math.log(n)) / log_y if log_y else 1.0
-    cutoff = spec.y_length**0.75
-    prime_sum = 0.0
-    for p, _ in s.factorize(n):
-        if p <= cutoff:
-            prime_sum += spec.p(x_n if mode == "literal" else math.log(p) / log_y)
-    return mu * (spec.p1(x_n) + spec.p2(x_n) * prime_sum)
-
-
-def b_polynomial(s: complex, chi, coeffs: dict[int, float], y_length: float) -> complex:
-    """B(s, chi) = sum over n <= y of chi(n) a(n) n^{-s}, exact finite sum."""
-    total = 0.0 + 0.0j
-    for n, a_n in coeffs.items():
-        if n <= y_length and a_n != 0.0:
-            total += chi(n) * a_n * cmath.exp(-complex(s) * math.log(n))
-    return total
-
-
-def wu_coefficient_table(
-    spec: WuCoefficientSpec, mode: str = "literal", sieve: FactorSieve | None = None
-) -> dict[int, float]:
-    """All a(n) for n <= y, skipping the zeros at non-squarefree n.
-
-    Without an explicit sieve the factor table is sized to y, so a short
-    table never builds the shared default sieve.
-    """
-    n_max = int(math.floor(spec.y_length))
-    sieve = sieve or FactorSieve(max(2, n_max))
-    out = {}
-    for n in range(1, n_max + 1):
-        a_n = wu_coefficients(n, spec, mode, sieve)
-        if a_n != 0.0:
-            out[n] = a_n
-    return out

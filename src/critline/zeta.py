@@ -321,7 +321,11 @@ def zeta_derivative(s: complex, order: int) -> complex:
     """zeta^{(order)}(s), read from the Euler-Maclaurin jet at s.
 
     Evaluation closer than 1e-3 to the pole at s=1 is refused as too
-    ill-conditioned.
+    ill-conditioned.  High orders lose relative accuracy in the strip,
+    where the derivative is small next to the Euler-Maclaurin terms it
+    sums: against mpmath at 0.3+7.3i the error is 4.3e-11 at order 6,
+    1.5e-10 at order 7 and 4.3e-10 at order 8 (1.5e-10 at order 8 at
+    0.3+20i); at 2+3i every order up to 8 is within 1e-13.
     """
     s = complex(s)
     if order < 0 or order > 8:
@@ -502,17 +506,10 @@ def afe_v_weight(x: float, params: AfeParams) -> complex:
 
 
 def afe_x_factor(params: AfeParams) -> complex:
-    """The gamma-ratio reflection factor multiplying the second sum."""
-    a, b, t = complex(params.alpha), complex(params.beta), params.t
-    return complex(
-        np.exp(
-            (a + b) * math.log(math.pi)
-            + sps.loggamma((0.5 - a - 1j * t) / 2.0)
-            + sps.loggamma((0.5 - b + 1j * t) / 2.0)
-            - sps.loggamma((0.5 + a + 1j * t) / 2.0)
-            - sps.loggamma((0.5 + b - 1j * t) / 2.0)
-        )
-    )
+    """The gamma-ratio reflection factor multiplying the second sum: the
+    V-weight's gamma ratio at s = -(alpha + beta)."""
+    a, b = complex(params.alpha), complex(params.beta)
+    return complex(_gamma_ratio_weight(-(a + b), a, b, params.t))
 
 
 def afe_pair(params: AfeParams) -> complex:

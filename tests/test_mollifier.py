@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from critline import arithmetic, mollifier
-from critline.arithmetic import FactorSieve
-from critline.dirichlet import enumerate_characters
+from critline.dirichlet import character, enumerate_characters
 from critline.errors import ConstraintError, DomainError, SieveRangeError
 from critline.moment import SmoothWeight
 from critline.mollifier import (
@@ -18,15 +17,19 @@ from critline.mollifier import (
     Polynomial,
     WuCoefficientSpec,
     b_polynomial,
+    mollifier_coefficients,
     mollifier_line,
     psi_mollifier,
     v_smoothed_zeta,
     wu_coefficient_table,
-    wu_coefficients,
 )
 from critline.zeta import zeta
 
 mp.mp.dps = 25
+
+
+def refuse_sieve(limit=None):
+    raise AssertionError("a factor table was requested")
 
 
 class TestPolynomial:
@@ -70,49 +73,51 @@ class TestMollifierSpec:
         assert spec.sigma0 < 0.5
 
 
+def psi_brute(s, spec, sieve):
+    total = 0.0 + 0.0j
+    m = spec.m_length
+    log_m = math.log(m)
+    h = 1
+    while h <= int(m):
+        mu = sieve.mobius(h)
+        if mu:
+            x = (log_m - math.log(h)) / log_m
+            total += mu * spec.p_poly(x) * h ** complex(spec.sigma0 - 0.5 - s)
+        h += 1
+    return total
+
+
 class TestPsiMollifier:
-    def brute(self, s, spec, sieve):
-        total = 0.0 + 0.0j
-        m = spec.m_length
-        log_m = math.log(m)
-        h = 1
-        while h <= int(m):
-            mu = sieve.mobius(h)
-            if mu:
-                x = (log_m - math.log(h)) / log_m
-                total += mu * spec.p_poly(x) * h ** complex(spec.sigma0 - 0.5 - s)
-            h += 1
-        return total
 
     def test_matches_brute_force(self, rng, small_sieve):
         spec = MollifierSpec(10000.0, 0.5, 1.3, Polynomial((0.0, 1.0)))
         for _ in range(50):
             s = complex(rng.uniform(0, 1), rng.uniform(-50, 50))
-            got = psi_mollifier(s, spec, small_sieve)
-            assert got == pytest.approx(self.brute(s, spec, small_sieve), abs=1e-12)
+            got = psi_mollifier(s, spec)
+            assert got == pytest.approx(psi_brute(s, spec, small_sieve), abs=1e-12)
 
-    def test_single_term_degenerate(self, small_sieve):
+    def test_single_term_degenerate(self):
         spec = MollifierSpec(4.0, 0.2, 0.5, Polynomial((0.0, 1.0)))  # M < 2
-        assert psi_mollifier(0.5, spec, small_sieve) == pytest.approx(1.0)
+        assert psi_mollifier(0.5, spec) == pytest.approx(1.0)
 
-    def test_conjugation_symmetry(self, small_sieve):
+    def test_conjugation_symmetry(self):
         spec = MollifierSpec(5000.0, 0.4, 1.0, Polynomial((0.0, 1.0)))
         s = 0.45 + 12.0j
-        assert psi_mollifier(np.conj(s), spec, small_sieve) == pytest.approx(
-            np.conj(psi_mollifier(s, spec, small_sieve))
-        )
+        assert psi_mollifier(np.conj(s), spec) == pytest.approx(np.conj(psi_mollifier(s, spec)))
 
-    def test_sieve_range(self, small_sieve):
-        spec = MollifierSpec(10.0**12, 0.5, 1.3, Polynomial((0.0, 1.0)))
+    def test_sieve_range(self, monkeypatch):
+        # M = 1e8 is past the default sieve limit: refused before any table is built
+        spec = MollifierSpec(1e16, 0.5, 1.3, Polynomial((0.0, 1.0)))
+        monkeypatch.setattr(mollifier, "FactorSieve", refuse_sieve)
         with pytest.raises(SieveRangeError):
-            psi_mollifier(0.5, spec, small_sieve)
+            psi_mollifier(0.5, spec)
 
-    def test_line_matches_pointwise(self, rng, small_sieve):
+    def test_line_matches_pointwise(self, rng):
         spec = MollifierSpec(1e6, 0.5, 1.3, Polynomial((0.0, 1.2, -0.2)))
         t = rng.uniform(-3000, 3000, 20)
         line = mollifier_line(0.43, t, spec)
         for k, tk in enumerate(t):
-            assert line[k] == pytest.approx(psi_mollifier(0.43 + 1j * tk, spec, small_sieve), rel=1e-12)
+            assert line[k] == pytest.approx(psi_mollifier(0.43 + 1j * tk, spec), rel=1e-12)
 
     def test_line_on_moment_grid_against_mpmath(self, small_sieve):
         """The T=2000 moment grid is uniform, so mollifier_line reuses one
@@ -170,6 +175,21 @@ class TestVSmoothedZeta:
             v_smoothed_zeta(2.0, Polynomial(tuple([1.0] + [0.1] * 9)), 8.0)
 
 
+def wu_oracle(n, spec, mode, sieve):
+    """a(n) = mu(n) (P1(x_n) + P2(x_n) sum over p | n, p <= y^{3/4} of P(.)),
+    one n at a time from the factorization of n."""
+    mu = sieve.mobius(n)
+    if mu == 0:
+        return 0.0
+    log_y = math.log(spec.y_length) if spec.y_length > 1 else 1.0
+    x_n = (log_y - math.log(n)) / log_y
+    prime_sum = 0.0
+    for p, _ in sieve.factorize(n):
+        if p <= spec.y_length**0.75:
+            prime_sum += spec.p(x_n if mode == "literal" else math.log(p) / log_y)
+    return mu * (spec.p1(x_n) + spec.p2(x_n) * prime_sum)
+
+
 class TestWuCoefficients:
     def make_spec(self, y=10000.0):
         return WuCoefficientSpec(
@@ -185,90 +205,123 @@ class TestWuCoefficients:
                 Polynomial((0.1, 0.9)), Polynomial((0.0, 1.0)), Polynomial((0.0, 1.0)), 100.0
             )
 
-    def test_trivial_values(self, small_sieve):
-        spec = self.make_spec()
-        assert wu_coefficients(1, spec, sieve=small_sieve) == pytest.approx(1.0)
-        assert wu_coefficients(4, spec, sieve=small_sieve) == 0.0
+    def test_trivial_values(self):
+        n, a_n = wu_coefficient_table(self.make_spec())
+        assert n[0] == 1.0 and a_n[0] == pytest.approx(1.0)
+        assert 4.0 not in n  # mu(4) = 0: only squarefree n are listed
 
-    def test_large_prime_reduces_to_p1(self, small_sieve):
+    def test_large_prime_reduces_to_p1(self):
         spec = self.make_spec()
         y = spec.y_length
         log_y = math.log(y)
         cutoff = y**0.75
+        table = dict(zip(*wu_coefficient_table(spec)))
         for n in (1009, 2003, 9973):
             if n > cutoff:
                 x = (log_y - math.log(n)) / log_y
                 expected = -spec.p1(x)  # mu(prime) = -1, empty prime sum
-                assert wu_coefficients(n, spec, sieve=small_sieve) == pytest.approx(expected)
+                assert table[n] == pytest.approx(expected)
 
-    def test_growth_sanity(self, small_sieve):
-        spec = self.make_spec()
-        biggest = max(
-            abs(wu_coefficients(n, spec, sieve=small_sieve)) for n in range(1, 10001)
-        )
-        assert biggest < 10000.0**0.1
+    def test_growth_sanity(self):
+        _, a_n = wu_coefficient_table(self.make_spec())
+        assert np.max(np.abs(a_n)) < 10000.0**0.1
 
-    def test_modes_differ_only_through_inner_p(self, small_sieve):
+    def test_modes_differ_only_through_inner_p(self):
         spec = self.make_spec()
-        lit = wu_coefficients(6, spec, "literal", small_sieve)
-        alt = wu_coefficients(6, spec, "prime-log", small_sieve)
-        assert lit != alt  # 6 = 2*3 has small prime divisors below the cutoff
+        n, lit = wu_coefficient_table(spec, "literal")
+        _, alt = wu_coefficient_table(spec, "prime-log")
+        assert lit[n == 6] != alt[n == 6]  # 6 = 2*3 has small prime divisors below the cutoff
+        assert lit[n == 9973] == alt[n == 9973]  # a prime past the cutoff: empty prime sum
         with pytest.raises(DomainError):
-            wu_coefficients(6, spec, "bogus", small_sieve)
+            wu_coefficient_table(spec, "bogus")
 
-    def test_range_error(self, small_sieve):
-        spec = self.make_spec(100.0)
-        with pytest.raises(SieveRangeError):
-            wu_coefficients(101, spec, sieve=small_sieve)
+    def test_range_error(self, monkeypatch):
+        # y = 1e12 would need a 7.3 TiB factor table; it is refused before one is built
+        monkeypatch.setattr(mollifier, "FactorSieve", refuse_sieve)
+        for mode in ("literal", "prime-log"):
+            with pytest.raises(SieveRangeError):
+                wu_coefficient_table(self.make_spec(1e12), mode)
+
+    @pytest.mark.parametrize("mode", ["literal", "prime-log"])
+    @pytest.mark.parametrize("y", [1.5, 100.0, 500.0, 1e4])
+    def test_table_matches_per_n_oracle(self, y, mode, small_sieve):
+        spec = self.make_spec(y)
+        n, a_n = wu_coefficient_table(spec, mode)
+        squarefree = [k for k in range(1, int(y) + 1) if small_sieve.mobius(k)]
+        assert n.tolist() == squarefree
+        expected = [wu_oracle(k, spec, mode, small_sieve) for k in squarefree]
+        assert np.max(np.abs(a_n - expected)) <= 1e-14
 
     def test_table_without_sieve_builds_no_default_sieve(self, small_sieve, monkeypatch):
-        spec = self.make_spec(100.0)
-        expected = wu_coefficient_table(spec, sieve=small_sieve)
+        wspec = self.make_spec(100.0)
+        mspec = MollifierSpec(1e4, 0.5, 1.3, Polynomial((0.0, 1.2, -0.2)))
+        cached = dict(arithmetic._sieve_cache)
+        monkeypatch.setattr(arithmetic, "get_sieve", refuse_sieve)
+        assert not hasattr(mollifier, "get_sieve")
+        for mode in ("literal", "prime-log"):
+            n, a_n = wu_coefficient_table(wspec, mode)
+            expected = [wu_oracle(int(k), wspec, mode, small_sieve) for k in n]
+            assert np.max(np.abs(a_n - expected)) <= 1e-14
+        h, c = mollifier_coefficients(mspec)  # M = 100
+        assert h.tolist() == [k for k in range(1, 101) if small_sieve.mobius(k)]
+        expected = [small_sieve.mobius(int(k)) * mspec.p_poly(1.0 - math.log(k) / math.log(100.0)) for k in h]
+        assert np.max(np.abs(c - expected)) <= 1e-14
+        s = 0.6 + 17.0j
+        assert psi_mollifier(s, mspec) == pytest.approx(psi_brute(s, mspec, small_sieve), abs=1e-12)
+        assert arithmetic._sieve_cache == cached
 
-        def refuse(limit=None):
-            raise AssertionError("the default sieve was requested")
 
-        monkeypatch.setattr(arithmetic, "get_sieve", refuse)
-        monkeypatch.setattr(mollifier, "get_sieve", refuse)
-        assert wu_coefficient_table(spec) == expected
+def direct_b(s, chi, table):
+    """B(s, chi) term by term in cmath."""
+    return sum(chi(int(n)) * a * cmath.exp(-s * math.log(n)) for n, a in zip(*table))
 
 
 class TestBPolynomial:
-    def test_tiny_y_single_term(self, small_sieve):
+    def test_tiny_y_single_term(self):
         chi = enumerate_characters(1)[0]
         spec = WuCoefficientSpec(
             Polynomial((0.0, 1.0)), Polynomial((0.0, 1.0)), Polynomial((0.0, 1.0)), 1.5
         )
-        coeffs = wu_coefficient_table(spec, sieve=small_sieve)
-        assert b_polynomial(2.0, chi, coeffs, 1.5) == pytest.approx(coeffs[1])
+        n, a_n = wu_coefficient_table(spec)
+        assert n.tolist() == [1.0]
+        assert b_polynomial(2.0, chi, (n, a_n)) == pytest.approx(a_n[0])
 
-    def test_matches_mollifier_normalization(self, small_sieve):
+    def test_matches_mollifier_normalization(self):
         # with a(n) = mu(n) P(x_n), B(s) equals psi(s) after undoing the
         # sigma0 - 1/2 exponent shift
         t_scale, theta, r = 10000.0, 0.5, 1.3
         mspec = MollifierSpec(t_scale, theta, r, Polynomial((0.0, 1.0)))
+        # drop the second piece by zeroing P: a(n) = mu(n) P1(x_n)
         wspec = WuCoefficientSpec(
-            Polynomial((0.0, 1.0)),
-            Polynomial((0.0, 0.0, 1.0)),  # P2 irrelevant: P identically scaled
-            Polynomial((0.0, 1.0)),
-            t_scale**theta,
+            Polynomial((0.0, 1.0)), Polynomial((0.0, 0.0, 1.0)), Polynomial((0.0,)), t_scale**theta
         )
         chi = enumerate_characters(1)[0]
-        # drop the second piece by zeroing P: a(n) = mu(n) P1(x_n)
-        wspec = WuCoefficientSpec(wspec.p1, wspec.p2, Polynomial((0.0,)), wspec.y_length)
-        coeffs = wu_coefficient_table(wspec, sieve=small_sieve)
         s = 0.7 + 9.0j
-        b_val = b_polynomial(s + (0.5 - mspec.sigma0), chi, coeffs, wspec.y_length)
-        psi_val = psi_mollifier(s, mspec, small_sieve)
-        assert b_val == pytest.approx(psi_val, abs=1e-12)
+        b_val = b_polynomial(s + (0.5 - mspec.sigma0), chi, wu_coefficient_table(wspec))
+        assert b_val == pytest.approx(psi_mollifier(s, mspec), abs=1e-12)
 
-    def test_even_in_t_for_real_character(self, small_sieve):
+    def test_even_in_t_for_real_character(self):
         chi = enumerate_characters(4)[1]  # real character
         spec = WuCoefficientSpec(
             Polynomial((0.0, 1.0)), Polynomial((0.0, 1.0)), Polynomial((0.0, 1.0)), 500.0
         )
-        coeffs = wu_coefficient_table(spec, sieve=small_sieve)
+        table = wu_coefficient_table(spec)
         for t in (3.0, 11.5):
-            plus = abs(b_polynomial(0.5 + 1j * t, chi, coeffs, 500.0)) ** 2
-            minus = abs(b_polynomial(0.5 - 1j * t, chi, coeffs, 500.0)) ** 2
+            plus = abs(b_polynomial(0.5 + 1j * t, chi, table)) ** 2
+            minus = abs(b_polynomial(0.5 - 1j * t, chi, table)) ** 2
             assert plus == pytest.approx(minus, rel=1e-12)
+
+    def test_complex_character_against_direct_sum(self):
+        chi = character(7, 1)  # order 6; index 3 is the real quadratic character
+        assert chi(3) == pytest.approx(cmath.exp(1j * math.pi / 3))
+        spec = WuCoefficientSpec(
+            Polynomial((0.0, 0.383, 0.492, -0.023, 0.148)),
+            Polynomial((0.0, 1.0)),
+            Polynomial((0.0, 1.55, -1.564, 0.177)),
+            2000.0,
+        )
+        for mode in ("literal", "prime-log"):
+            table = wu_coefficient_table(spec, mode)
+            scale = float(np.sum(np.abs(table[1]) / np.sqrt(table[0])))
+            for s in (0.5 + 3.0j, 0.5 - 41.7j, 0.8 + 250.0j):
+                assert abs(b_polynomial(s, chi, table) - direct_b(s, chi, table)) <= 1e-13 * scale

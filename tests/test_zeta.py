@@ -222,6 +222,15 @@ class TestZetaDerivative:
                 ref = complex(mp.zeta(mp.mpc(s), derivative=order))
                 assert zeta_derivative(s, order) == pytest.approx(ref, rel=1e-10)
 
+    def test_high_order_accuracy_in_strip(self):
+        # the accuracy the docstring states: cancellation costs high orders
+        # relative digits where the derivative is small (4.3e-10 at order 8)
+        for s in (0.3 + 7.3j, 0.3 + 20.0j):
+            for order in range(9):
+                ref = complex(mp.zeta(mp.mpc(s), 1, order))
+                bound = 1e-10 if order <= 6 else 1e-9
+                assert abs(zeta_derivative(s, order) - ref) <= bound * abs(ref)
+
     def test_order_zero_identity(self):
         s = 0.4 + 7.0j
         assert zeta_derivative(s, 0) == zeta(s)
