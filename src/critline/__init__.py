@@ -6,15 +6,7 @@ constant and its kappa lower bound, and a derivative-free optimizer over
 the shaping polynomials.
 """
 
-from .arithmetic import (
-    FactorSieve,
-    chebyshev_psi,
-    divisors,
-    euler_phi,
-    get_sieve,
-    mobius,
-    von_mangoldt,
-)
+from .arithmetic import chebyshev_psi
 from .dirichlet import (
     CharacterTable,
     DirichletCharacter,
@@ -25,7 +17,6 @@ from .dirichlet import (
     gauss_sum,
     induced_primitive,
     l_function,
-    theta_nu,
     xi_completed_l,
 )
 from .errors import (
@@ -56,7 +47,6 @@ from .mollifier import (
     WuCoefficientSpec,
     b_polynomial,
     psi_mollifier,
-    v_smoothed_zeta,
     wu_coefficient_table,
 )
 from .moment import MomentReport, SmoothWeight, mollified_moment_numeric, smooth_weight, w_hat_zero
@@ -65,7 +55,6 @@ from .zeta import (
     AfeParams,
     ZeroScanReport,
     afe_pair,
-    afe_v_weight,
     afe_x_factor,
     count_critical_zeros,
     hardy_z,

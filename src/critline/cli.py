@@ -156,7 +156,7 @@ def _validate(command: str, params: dict):
     if command == "chars" or command == "lfun":
         if params["q"] < 1:
             raise ConfigError("modulus must be positive")
-    if command == "psi" and not 0 <= params["x"] <= arithmetic.default_sieve_limit():
+    if command == "psi" and not 0 <= params["x"] <= arithmetic.DEFAULT_SIEVE_LIMIT:
         raise ConfigError("x outside sieve range")
     if command in ("constant", "moment"):
         if params["R"] <= 0:

@@ -1,4 +1,4 @@
-"""Dirichlet characters, Gauss sums, theta series, and L-functions.
+"""Dirichlet characters, Gauss sums, and L-functions.
 
 Characters are represented by exact phase exponents over the lcm of the
 cyclic component orders, so conductor and parity computations are exact
@@ -34,12 +34,8 @@ _CACHE_SIZE = 16
 
 
 def _factor(q: int) -> list[tuple[int, int]]:
-    """Prime factorization of q by trial division.
-
-    Kept apart from arithmetic.FactorSieve on purpose: character and
-    L-value queries never need more than sqrt(q) divisions, and must not
-    build the default 1e7 sieve.
-    """
+    """Prime factorization of q by trial division: character and L-value
+    queries factor one modulus at a time and need at most sqrt(q) divisions."""
     out = []
     d = 2
     while d * d <= q:
@@ -241,10 +237,11 @@ def induced_primitive(chi: DirichletCharacter) -> DirichletCharacter:
 
 
 def gauss_sum(chi: DirichletCharacter, a: int = 1) -> complex:
-    """tau_a(chi) = sum over n mod q of chi(n) e(an/q)."""
+    """tau_a(chi) = sum over n mod q of chi(n) e(an/q), each e(an/q) read
+    from the row of q-th roots of unity at an mod q."""
     q = chi.modulus
     n = np.arange(q)
-    return complex((chi(n) * np.exp(2j * np.pi * a * n / q)).sum())
+    return complex((chi(n) * _roots_of_unity(q)[a % q * n % q]).sum())
 
 
 def epsilon_factor(chi: DirichletCharacter) -> complex:
@@ -254,22 +251,6 @@ def epsilon_factor(chi: DirichletCharacter) -> complex:
     if not chi.is_primitive:
         raise DomainError("root number defined for primitive characters only")
     return gauss_sum(chi) / (1j**chi.parity * math.sqrt(chi.modulus))
-
-
-def theta_nu(z: complex, chi: DirichletCharacter) -> complex:
-    """Weighted theta series sum of chi(n) n^kappa exp(-pi n^2 z / q)."""
-    z = complex(z)
-    if z.real <= 0:
-        raise DomainError("theta series needs Re(z) > 0")
-    q = chi.modulus
-    kappa = chi.parity
-    total = 0.0 + 0.0j
-    for n in range(1, 10000):
-        damp = cmath.exp(-math.pi * n * n * z / q)
-        total += chi(n) * n**kappa * damp
-        if abs(damp) * (n + 1) ** kappa < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
 
 
 def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:

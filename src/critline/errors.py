@@ -8,7 +8,7 @@ class CritlineError(Exception):
 
 
 class SieveRangeError(CritlineError, ValueError):
-    """Argument exceeds the factor sieve limit."""
+    """Argument exceeds the prime sieve limit."""
 
     code = "sieve_range"
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyError, ConstraintError, DomainError
 from .mollifier import Polynomial
@@ -124,7 +123,11 @@ def c_constant_quadrature(params: LevinsonParams, tol: float = 1e-10) -> float:
     The inner x-derivative is taken by a fourth-order five-point central
     difference; the second-order h=1e-6 stencil loses too much to
     rounding against the 1e-9 cross-path agreement this must support.
+    scipy.integrate is imported here, not at module level: it is the
+    package's slowest import, and only this oracle needs it.
     """
+    from scipy import integrate
+
     if tol < 1e-12:
         raise DomainError("tolerance below 1e-12 is not certifiable here")
     p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta

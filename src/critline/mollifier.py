@@ -6,7 +6,8 @@ of length M = T^theta has a_n = mu(n) P(x_n), and Wu's two-piece one adds
 a second shape carried by the small prime divisors of n.  b_polynomial
 sums a table at one point, psi_mollifier is that sum for the classical
 table, and mollifier_line sums it on an ordinate grid through the zeta
-grid kernel.  v_smoothed_zeta applies a polynomial in -(1/L) d/ds to zeta.
+grid kernel.  _q_operator applies Q(-(1/L) d/ds) to zeta jets, the
+smoothed combination V zeta that the moment multiplies by psi.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import DEFAULT_SIEVE_LIMIT, FactorSieve
+from .arithmetic import mobius_table, primes_upto
 from .dirichlet import character
-from .errors import ConditioningError, ConstraintError, DomainError, SieveRangeError
-from .zeta import _dirichlet_jets, _zeta_jet
+from .errors import ConstraintError, DomainError
+from .zeta import _dirichlet_jets
 
 
 @dataclass(frozen=True)
@@ -109,29 +110,27 @@ def _coefficient_table(length: float, p1: Polynomial, p2=None, p=None, mode: str
     a_n = mu(n) P1(x_n), plus mu(n) P2(x_n) sum over p | n, p <= length^{3/4}
     of P(.) when P2 is given.
 
-    mu comes from one factor table sized to the length, so no table
-    builds the shared default sieve, and a length past the default sieve
-    limit is refused before anything is allocated.  The prime-divisor sum
-    takes one strided add per prime below the cutoff.
+    mu comes from one Moebius table sized to the length, which refuses a
+    length past the sieve limit before anything is allocated.  Only the
+    squarefree n carry x_n and the polynomials; the prime-divisor sum is
+    one strided add per prime below the cutoff on a full-length array,
+    counting those primes in mode 'literal', where every summand is P(x_n).
     """
-    if length > DEFAULT_SIEVE_LIMIT:
-        raise SieveRangeError(f"mollifier length {length:.3g} beyond sieve range")
     n_max = int(math.floor(length))
-    sieve = FactorSieve(max(2, n_max))
-    mu = sieve.mobius_table(n_max)
-    n = np.arange(1.0, n_max + 1)
+    mu = mobius_table(n_max)
+    keep = mu != 0
+    n = np.flatnonzero(keep) + 1.0
     log_len = math.log(length)
     # n=1 always sits at the full-strength end P1(1)=1, even when length -> 1
     x = (log_len - np.log(n)) / log_len if log_len > 0.0 else np.ones_like(n)
     shape = p1(x)
     if p2 is not None:
-        inner, p_x = np.zeros(n_max), p(x)
-        for prime in sieve.primes[sieve.primes <= length**0.75].tolist():
-            step = slice(prime - 1, None, prime)
-            inner[step] += p_x[step] if mode == "literal" else p(math.log(prime) / log_len)
-        shape = shape + p2(x) * inner
-    keep = mu != 0
-    return n[keep], (mu * shape)[keep]
+        inner = np.zeros(n_max)
+        for prime in primes_upto(int(length**0.75)).tolist():
+            inner[prime - 1 :: prime] += 1.0 if mode == "literal" else p(math.log(prime) / log_len)
+        inner = inner[keep]
+        shape = shape + p2(x) * (inner * p(x) if mode == "literal" else inner)
+    return n, mu[keep] * shape
 
 
 def mollifier_coefficients(spec: MollifierSpec):
@@ -190,15 +189,3 @@ def _q_operator(jets: np.ndarray, q_poly: Polynomial, log_scale: float) -> np.nd
             fact *= j
         out += q_j * (-1.0 / log_scale) ** j * fact * jets[j]
     return out
-
-
-def v_smoothed_zeta(s: complex, q_poly: Polynomial, log_scale: float) -> complex:
-    """V(s): the polynomial Q applied to the operator -(1/L) d/ds, acting on zeta."""
-    s = complex(s)
-    if q_poly.degree > 8:
-        raise DomainError("smoothing polynomial degree capped at 8")
-    if log_scale <= 0:
-        raise DomainError("log scale must be positive")
-    if abs(s - 1.0) < 1e-3:
-        raise ConditioningError("zeta derivative too close to the pole at s=1")
-    return complex(_q_operator(_zeta_jet(s, q_poly.degree), q_poly, log_scale))

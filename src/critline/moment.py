@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 from .levinson import LevinsonParams, c_constant_exact
@@ -72,18 +71,9 @@ def smooth_weight(t, spec: SmoothWeight):
 
 
 def w_hat_zero(spec: SmoothWeight) -> float:
-    """Integral of w; by the ramp symmetry this is plateau length + delta,
-    but the value is recomputed by adaptive quadrature as specified."""
-    lo, hi = spec.support
-    value, _ = integrate.quad(
-        lambda t: smooth_weight(t, spec),
-        lo,
-        hi,
-        points=[spec.plateau[0], spec.plateau[1]],
-        epsrel=1e-8,
-        limit=200,
-    )
-    return value
+    """Integral of w: plateau length + delta, since the ramp symmetry
+    r(x) + r(delta - x) = 1 makes the two ramps together contribute delta."""
+    return (spec.plateau[1] - spec.plateau[0]) + spec.delta
 
 
 @dataclass(frozen=True)

@@ -498,13 +498,6 @@ def _afe_v_table(shifts, t: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def afe_v_weight(x: float, params: AfeParams) -> complex:
-    """Single V_{alpha,beta}(x, t) value (decay diagnostics)."""
-    params._check_shift_sum()
-    a, b = complex(params.alpha), complex(params.beta)
-    return complex(_afe_v_table([(a, b)], params.t, np.array([x]))[0, 0])
-
-
 def afe_x_factor(params: AfeParams) -> complex:
     """The gamma-ratio reflection factor multiplying the second sum: the
     V-weight's gamma ratio at s = -(alpha + beta)."""

@@ -1,10 +1,8 @@
-"""Shared fixtures, the finite-difference weights several oracles use,
-and the acceptance-criteria summary hook."""
+"""Shared fixtures, the finite-difference weights and trial-division
+arithmetic several oracles use, and the acceptance-criteria summary hook."""
 
 import numpy as np
 import pytest
-
-from critline.arithmetic import FactorSieve
 
 _CRITERIA: dict[int, tuple[bool, str]] = {}
 
@@ -36,6 +34,29 @@ def fornberg_weights(grid: np.ndarray, order: int) -> np.ndarray:
     return c[:, order]
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1 by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def mobius(n: int) -> int:
+    """mu(n) from the trial-division factorization of n."""
+    f = factorize(n)
+    return 0 if any(e > 1 for _, e in f) else (-1) ** len(f)
+
+
 def record_criterion(number: int, passed: bool, detail: str):
     """Collect one acceptance-criterion verdict for the terminal summary."""
     _CRITERIA[number] = (passed, detail)
@@ -49,11 +70,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = _CRITERIA[number]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {verdict} - {detail}")
-
-
-@pytest.fixture(scope="session")
-def small_sieve():
-    return FactorSieve(20000)
 
 
 @pytest.fixture

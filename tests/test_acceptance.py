@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from critline.arithmetic import FactorSieve
+from critline.arithmetic import chebyshev_psi
 from critline.dirichlet import (
     enumerate_characters,
     epsilon_factor,
@@ -235,8 +235,7 @@ def test_criterion_6_optimizer():
 
 def test_criterion_7_chebyshev_psi():
     start = time.perf_counter()
-    sieve = FactorSieve(1_000_000)
-    value = sieve.chebyshev_psi(1_000_000.0)
+    value = chebyshev_psi(1_000_000.0)
     elapsed = time.perf_counter() - start
 
     deviation = abs(value / 1e6 - 1.0)

@@ -1,4 +1,4 @@
-"""Characters, Gauss sums, theta series, and L-functions against
+"""Characters, Gauss sums, and L-functions against
 orthogonality relations, counting formulas, and mpmath oracles."""
 
 import math
@@ -16,10 +16,11 @@ from critline.dirichlet import (
     gauss_sum,
     induced_primitive,
     l_function,
-    theta_nu,
     xi_completed_l,
 )
 from critline.errors import DomainError, PoleError
+
+from conftest import mobius
 
 mp.mp.dps = 25
 
@@ -125,11 +126,9 @@ class TestEnumeration:
         assert conductors == [1, 3, 4, 12]
 
     @pytest.mark.parametrize("q", list(range(2, 40)))
-    def test_primitive_count_formula(self, q, small_sieve):
+    def test_primitive_count_formula(self, q):
         # number of primitive characters mod q = sum over d | q of mu(q/d) phi(d)
-        expected = sum(
-            small_sieve.mobius(q // d) * brute_phi(d) for d in range(1, q + 1) if q % d == 0
-        )
+        expected = sum(mobius(q // d) * brute_phi(d) for d in range(1, q + 1) if q % d == 0)
         got = sum(1 for c in enumerate_characters(q) if c.is_primitive and not c.is_principal)
         assert got == expected
 
@@ -191,6 +190,15 @@ class TestCharacterTable:
 
 
 class TestGaussSums:
+    def test_root_row_against_direct_exponentials(self):
+        # e(an/q) read from the row of q-th roots at an mod q, against one exp per term
+        for q in range(1, 61):
+            n = np.arange(q)
+            for c in enumerate_characters(q):
+                for a in (1, 2, 5, -3):
+                    direct = np.sum(c(n) * np.exp(2j * np.pi * a * n / q))
+                    assert abs(gauss_sum(c, a) - direct) <= 1e-13 * math.sqrt(q)
+
     def test_modulus_primitive(self):
         for q in range(2, 51):
             for c in enumerate_characters(q):
@@ -237,26 +245,6 @@ class TestGaussSums:
         principal = enumerate_characters(6)[0]
         with pytest.raises(DomainError):
             epsilon_factor(principal)
-
-
-class TestTheta:
-    @pytest.mark.parametrize("q", [5, 7, 8, 11, 13])
-    def test_transformation_law(self, q):
-        for c in enumerate_characters(q):
-            if c.is_primitive and not c.is_principal:
-                for z in (0.8, 1.3 + 0.4j):
-                    lhs = theta_nu(z, c)
-                    rhs = (
-                        epsilon_factor(c)
-                        * complex(z) ** -(0.5 + c.parity)
-                        * theta_nu(1.0 / complex(z), c.conjugate())
-                    )
-                    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_domain(self):
-        c = enumerate_characters(5)[1]
-        with pytest.raises(DomainError):
-            theta_nu(-1.0, c)
 
 
 class TestLFunction:

@@ -8,7 +8,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from critline import arithmetic, mollifier
 from critline.dirichlet import character, enumerate_characters
 from critline.errors import ConstraintError, DomainError, SieveRangeError
 from critline.moment import SmoothWeight
@@ -19,17 +18,15 @@ from critline.mollifier import (
     b_polynomial,
     mollifier_coefficients,
     mollifier_line,
+    _q_operator,
     psi_mollifier,
-    v_smoothed_zeta,
     wu_coefficient_table,
 )
-from critline.zeta import zeta
+from critline.zeta import _zeta_jet, zeta, zeta_line
+
+from conftest import factorize, mobius
 
 mp.mp.dps = 25
-
-
-def refuse_sieve(limit=None):
-    raise AssertionError("a factor table was requested")
 
 
 class TestPolynomial:
@@ -73,13 +70,13 @@ class TestMollifierSpec:
         assert spec.sigma0 < 0.5
 
 
-def psi_brute(s, spec, sieve):
+def psi_brute(s, spec):
     total = 0.0 + 0.0j
     m = spec.m_length
     log_m = math.log(m)
     h = 1
     while h <= int(m):
-        mu = sieve.mobius(h)
+        mu = mobius(h)
         if mu:
             x = (log_m - math.log(h)) / log_m
             total += mu * spec.p_poly(x) * h ** complex(spec.sigma0 - 0.5 - s)
@@ -89,12 +86,12 @@ def psi_brute(s, spec, sieve):
 
 class TestPsiMollifier:
 
-    def test_matches_brute_force(self, rng, small_sieve):
+    def test_matches_brute_force(self, rng):
         spec = MollifierSpec(10000.0, 0.5, 1.3, Polynomial((0.0, 1.0)))
         for _ in range(50):
             s = complex(rng.uniform(0, 1), rng.uniform(-50, 50))
             got = psi_mollifier(s, spec)
-            assert got == pytest.approx(psi_brute(s, spec, small_sieve), abs=1e-12)
+            assert got == pytest.approx(psi_brute(s, spec), abs=1e-12)
 
     def test_single_term_degenerate(self):
         spec = MollifierSpec(4.0, 0.2, 0.5, Polynomial((0.0, 1.0)))  # M < 2
@@ -105,10 +102,9 @@ class TestPsiMollifier:
         s = 0.45 + 12.0j
         assert psi_mollifier(np.conj(s), spec) == pytest.approx(np.conj(psi_mollifier(s, spec)))
 
-    def test_sieve_range(self, monkeypatch):
-        # M = 1e8 is past the default sieve limit: refused before any table is built
+    def test_sieve_range(self):
+        # M = 1e8 is past the sieve limit: refused before any table is built
         spec = MollifierSpec(1e16, 0.5, 1.3, Polynomial((0.0, 1.0)))
-        monkeypatch.setattr(mollifier, "FactorSieve", refuse_sieve)
         with pytest.raises(SieveRangeError):
             psi_mollifier(0.5, spec)
 
@@ -119,7 +115,7 @@ class TestPsiMollifier:
         for k, tk in enumerate(t):
             assert line[k] == pytest.approx(psi_mollifier(0.43 + 1j * tk, spec), rel=1e-12)
 
-    def test_line_on_moment_grid_against_mpmath(self, small_sieve):
+    def test_line_on_moment_grid_against_mpmath(self):
         """The T=2000 moment grid is uniform, so mollifier_line reuses one
         phase table across its chunks; 60 sampled ordinates against the
         Moebius sum in 30 digits.  The error is the rounding of t log h,
@@ -135,7 +131,7 @@ class TestPsiMollifier:
             terms = [
                 (h, mu * spec.p_poly(float(mp.log(m_len / h) / mp.log(m_len))))
                 for h in range(1, int(m_len) + 1)
-                if (mu := small_sieve.mobius(h))
+                if (mu := mobius(h))
             ]
             scale = sum(abs(c) / math.sqrt(h) for h, c in terms)
             for i in np.random.default_rng(8).choice(t.size, 60, replace=False):
@@ -143,10 +139,15 @@ class TestPsiMollifier:
                 assert abs(line[i] - ref) <= 2e-13 * scale
 
 
+def v_zeta(s, q_poly, log_scale):
+    """V zeta(s) = Q(-(1/L) d/ds) zeta(s) at one point, from the jet at s."""
+    return complex(_q_operator(_zeta_jet(complex(s), q_poly.degree), q_poly, log_scale))
+
+
 class TestVSmoothedZeta:
     def test_identity_operator(self):
         s = 0.6 + 20.0j
-        assert v_smoothed_zeta(s, Polynomial((1.0,)), 8.5) == zeta(s)
+        assert v_zeta(s, Polynomial((1.0,)), 8.5) == zeta(s)
 
     def test_linear_q_against_finite_difference(self):
         s = 0.6 + 20.0j
@@ -154,37 +155,37 @@ class TestVSmoothedZeta:
         h = 1e-5
         d1 = (zeta(s + h) - zeta(s - h)) / (2 * h)
         expected = zeta(s) + d1 / log_scale
-        got = v_smoothed_zeta(s, Polynomial((1.0, -1.0)), log_scale)
+        got = v_zeta(s, Polynomial((1.0, -1.0)), log_scale)
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_zero_padding_exact(self):
         s = 0.4 + 15.0j
-        a = v_smoothed_zeta(s, Polynomial((1.0, -1.032)), 9.0)
-        b = v_smoothed_zeta(s, Polynomial((1.0, -1.032, 0.0, 0.0)), 9.0)
+        a = v_zeta(s, Polynomial((1.0, -1.032)), 9.0)
+        b = v_zeta(s, Polynomial((1.0, -1.032, 0.0, 0.0)), 9.0)
         assert a == b
 
     def test_published_linear_q_on_shifted_line(self):
+        # the moment's path: Q applied to the jets of zeta_line on sigma0
         log_t = math.log(1e6)
         sigma0 = 0.5 - 1.116 / log_t
-        for t in (20.0, 55.0, 90.0):
-            value = v_smoothed_zeta(complex(sigma0, t), Polynomial((1.0, -1.032)), log_t)
-            assert np.isfinite(value.real) and np.isfinite(value.imag)
+        q_poly = Polynomial((1.0, -1.032))
+        t = np.array([20.0, 55.0, 90.0])
+        line = _q_operator(zeta_line(sigma0, t, order=q_poly.degree), q_poly, log_t)
+        assert np.all(np.isfinite(line))
+        for k, tk in enumerate(t):
+            assert line[k] == pytest.approx(v_zeta(complex(sigma0, tk), q_poly, log_t), rel=1e-12)
 
-    def test_degree_cap(self):
-        with pytest.raises(DomainError):
-            v_smoothed_zeta(2.0, Polynomial(tuple([1.0] + [0.1] * 9)), 8.0)
 
-
-def wu_oracle(n, spec, mode, sieve):
+def wu_oracle(n, spec, mode):
     """a(n) = mu(n) (P1(x_n) + P2(x_n) sum over p | n, p <= y^{3/4} of P(.)),
     one n at a time from the factorization of n."""
-    mu = sieve.mobius(n)
+    mu = mobius(n)
     if mu == 0:
         return 0.0
     log_y = math.log(spec.y_length) if spec.y_length > 1 else 1.0
     x_n = (log_y - math.log(n)) / log_y
     prime_sum = 0.0
-    for p, _ in sieve.factorize(n):
+    for p, _ in factorize(n):
         if p <= spec.y_length**0.75:
             prime_sum += spec.p(x_n if mode == "literal" else math.log(p) / log_y)
     return mu * (spec.p1(x_n) + spec.p2(x_n) * prime_sum)
@@ -235,40 +236,37 @@ class TestWuCoefficients:
         with pytest.raises(DomainError):
             wu_coefficient_table(spec, "bogus")
 
-    def test_range_error(self, monkeypatch):
-        # y = 1e12 would need a 7.3 TiB factor table; it is refused before one is built
-        monkeypatch.setattr(mollifier, "FactorSieve", refuse_sieve)
+    def test_range_error(self):
+        # y = 1e12 would need a 1 TB Moebius table; it is refused before one is built
         for mode in ("literal", "prime-log"):
             with pytest.raises(SieveRangeError):
                 wu_coefficient_table(self.make_spec(1e12), mode)
 
     @pytest.mark.parametrize("mode", ["literal", "prime-log"])
     @pytest.mark.parametrize("y", [1.5, 100.0, 500.0, 1e4])
-    def test_table_matches_per_n_oracle(self, y, mode, small_sieve):
+    def test_table_matches_per_n_oracle(self, y, mode):
         spec = self.make_spec(y)
         n, a_n = wu_coefficient_table(spec, mode)
-        squarefree = [k for k in range(1, int(y) + 1) if small_sieve.mobius(k)]
+        squarefree = [k for k in range(1, int(y) + 1) if mobius(k)]
         assert n.tolist() == squarefree
-        expected = [wu_oracle(k, spec, mode, small_sieve) for k in squarefree]
+        expected = [wu_oracle(k, spec, mode) for k in squarefree]
         assert np.max(np.abs(a_n - expected)) <= 1e-14
 
-    def test_table_without_sieve_builds_no_default_sieve(self, small_sieve, monkeypatch):
+    def test_table_without_sieve_builds_no_default_sieve(self):
+        """Both tables and psi_mollifier, each from a Moebius table sized to
+        its own length, against the trial-division oracle."""
         wspec = self.make_spec(100.0)
         mspec = MollifierSpec(1e4, 0.5, 1.3, Polynomial((0.0, 1.2, -0.2)))
-        cached = dict(arithmetic._sieve_cache)
-        monkeypatch.setattr(arithmetic, "get_sieve", refuse_sieve)
-        assert not hasattr(mollifier, "get_sieve")
         for mode in ("literal", "prime-log"):
             n, a_n = wu_coefficient_table(wspec, mode)
-            expected = [wu_oracle(int(k), wspec, mode, small_sieve) for k in n]
+            expected = [wu_oracle(int(k), wspec, mode) for k in n]
             assert np.max(np.abs(a_n - expected)) <= 1e-14
         h, c = mollifier_coefficients(mspec)  # M = 100
-        assert h.tolist() == [k for k in range(1, 101) if small_sieve.mobius(k)]
-        expected = [small_sieve.mobius(int(k)) * mspec.p_poly(1.0 - math.log(k) / math.log(100.0)) for k in h]
+        assert h.tolist() == [k for k in range(1, 101) if mobius(k)]
+        expected = [mobius(int(k)) * mspec.p_poly(1.0 - math.log(k) / math.log(100.0)) for k in h]
         assert np.max(np.abs(c - expected)) <= 1e-14
         s = 0.6 + 17.0j
-        assert psi_mollifier(s, mspec) == pytest.approx(psi_brute(s, mspec, small_sieve), abs=1e-12)
-        assert arithmetic._sieve_cache == cached
+        assert psi_mollifier(s, mspec) == pytest.approx(psi_brute(s, mspec), abs=1e-12)
 
 
 def direct_b(s, chi, table):

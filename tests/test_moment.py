@@ -1,10 +1,6 @@
 """Smooth plateau weight and the desk-scale mollified moment."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,9 +13,9 @@ from critline.moment import (
     smooth_weight,
     w_hat_zero,
 )
-from critline.mollifier import Polynomial
+from critline.mollifier import MollifierSpec, Polynomial, mollifier_coefficients
 
-from conftest import fornberg_weights
+from conftest import fornberg_weights, mobius
 
 BASELINE = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 1.3, 0.5)
 
@@ -130,27 +126,16 @@ class TestMoment:
         assert a.numeric_moment == pytest.approx(b.numeric_moment, rel=2e-3)
 
     def test_short_mollifier_builds_no_shared_sieve(self):
-        """At T=1000 (M ~ 32) the Moebius table is sized to M: the shared
-        default sieve stays unbuilt, and the table lists the squarefree h <= M."""
-        import critline
-
-        code = (
-            "import json, numpy as np\n"
-            "from critline import arithmetic\n"
-            "from critline.levinson import LevinsonParams\n"
-            "from critline.moment import mollified_moment_numeric\n"
-            "from critline.mollifier import MollifierSpec, Polynomial, mollifier_coefficients\n"
-            "params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 1.3, 0.5)\n"
-            "mollified_moment_numeric(params, 1000.0)\n"
-            "spec = MollifierSpec(1000.0, 0.5, 1.3, params.p_poly)\n"
-            "h, c = mollifier_coefficients(spec)\n"
-            "mu = arithmetic.FactorSieve(20000).mobius_table(31)\n"
-            "print(json.dumps([len(arithmetic._sieve_cache), h.size,\n"
-            "                  bool(np.array_equal(h, np.flatnonzero(mu) + 1.0) and np.all(c[:1] == 1.0))]))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert json.loads(out.stdout) == [0, 20, True]
+        """At T=1000 (M ~ 31.6) the Moebius table is sized to M: the
+        coefficients are mu(h) P(log(M/h)/log M) over the squarefree h <= 31."""
+        spec = MollifierSpec(1000.0, 0.5, 1.3, BASELINE.p_poly)
+        h, c = mollifier_coefficients(spec)
+        squarefree = [k for k in range(1, 32) if mobius(k)]
+        assert h.tolist() == squarefree
+        log_m = math.log(spec.m_length)
+        expected = [mobius(k) * spec.p_poly((log_m - math.log(k)) / log_m) for k in squarefree]
+        assert c[0] == 1.0
+        assert np.max(np.abs(c - expected)) <= 1e-15
 
     def test_degenerate_mollifier(self):
         # theta tiny: M < 2, psi collapses to 1 and the moment is the

@@ -18,7 +18,6 @@ from critline.zeta import (
     _afe_v_table,
     _em_tail,
     afe_pair,
-    afe_v_weight,
     afe_x_factor,
     count_critical_zeros,
     hardy_z,
@@ -359,11 +358,9 @@ class TestAfe:
         assert afe_x_factor(p) == pytest.approx(complex(ref), rel=1e-12)
 
     def test_v_weight_normalization_and_decay(self):
-        p = AfeParams(1e-3, 1e-3, 50.0)
-        near_one = afe_v_weight(1.0, p)
+        near_one, far = _afe_v_table([(1e-3, 1e-3)], 50.0, np.array([1.0, 4000.0]))[:, 0]
         assert abs(near_one - 1.0) < 0.1
-        far = abs(afe_v_weight(4000.0, p))
-        assert far < 1e-4
+        assert abs(far) < 1e-4
 
     @pytest.mark.parametrize(
         "a, b, t", [(1e-3, 1e-3, 50.0), (0.05, -0.02, 30.0), (0.2, 0.1, 100.0)]
@@ -392,10 +389,12 @@ class TestAfe:
 
 
 def test_import_leaves_mpmath_out():
-    """mpmath is a test oracle only; the package must not import it."""
+    """mpmath is a test oracle only, and scipy.integrate serves only the
+    quadrature oracle c_constant_quadrature: importing the package loads
+    neither."""
     import critline
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
-    code = "import sys, critline; print('mpmath' in sys.modules)"
+    code = "import sys, critline; print([m in sys.modules for m in ('mpmath', 'scipy.integrate')])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
