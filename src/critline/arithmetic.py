@@ -33,15 +33,17 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def mobius_table(n: int) -> np.ndarray:
-    """mu(h) for h = 1..n: one strided sign flip per prime p <= n and one
-    strided zeroing per prime square p^2 <= n."""
-    primes = primes_upto(n)
+    """mu(h), h = 1..n: each prime p <= sqrt(n) flips its multiples, zeroes p^2's and multiplies
+    into rad[h]; a squarefree h with rad[h] != h has one more prime factor, flipped at the end."""
+    _check_range(n)
     mu = np.ones(n, dtype=np.int8)
-    for p in primes.tolist():
+    rad = np.ones(n, dtype=np.int32)
+    for p in primes_upto(math.isqrt(n)).tolist():
         flip = mu[p - 1 :: p]
         np.negative(flip, out=flip)
-    for p in primes[primes <= math.isqrt(n)].tolist():
+        rad[p - 1 :: p] *= p
         mu[p * p - 1 :: p * p] = 0
+    np.negative(mu, out=mu, where=rad != np.arange(1, n + 1, dtype=np.int32))
     return mu
 
 

@@ -297,6 +297,7 @@ def _run_command(config: RunConfig):
             },
             "evaluations": rep.evaluations,
             "restart_trace": [list(pair) for pair in rep.restart_trace],
+            "converged": rep.converged,
         }, None
     if config.command == "moment":
         return moment.mollified_moment_numeric(p["levinson"], p["T"], p["step"]), None

@@ -83,19 +83,24 @@ def _poly_product_integral(p: Polynomial, q: Polynomial) -> float:
     return math.fsum(c / (k + 1) for k, c in enumerate(conv))
 
 
+def hankel_weights(q: np.ndarray, dq: np.ndarray, r_shift: float, theta: float, index: np.ndarray):
+    """(alpha, beta, gamma) = fHf, fHq and qHq for the coefficient vectors q
+    of Q and dq of Q' (equal length n), with f = theta (R q + dq) and H the
+    Hankel matrix I_{i+j} of e^{2Rv}; index is the n x n grid i + j."""
+    f = theta * (r_shift * q + dq)
+    hankel = exp_monomial_integral(2.0 * r_shift, 2 * q.size - 2)[index]
+    hq = hankel @ q
+    return f @ hankel @ f, f @ hq, q @ hq
+
+
 def q_weights(q_poly: Polynomial, r_shift: float, theta: float) -> tuple[float, float, float]:
     """(alpha, beta, gamma) = integrals over [0,1] of e^{2Rv} times F^2, F Q
     and Q^2, with F = R theta Q + theta Q', all from one moment vector
     I_0..I_{2 deg Q} of e^{2Rv}."""
     q = np.asarray(q_poly.coefficients, dtype=float)
-    f = r_shift * theta * q
-    f[:-1] += theta * q[1:] * np.arange(1.0, q.size)
-    moments = exp_monomial_integral(2.0 * float(r_shift), 2 * q.size - 2)
-    return (
-        float(np.convolve(f, f) @ moments),
-        float(np.convolve(f, q) @ moments),
-        float(np.convolve(q, q) @ moments),
-    )
+    dq = np.append(q[1:] * np.arange(1.0, q.size), 0.0)
+    index = np.add.outer(np.arange(q.size), np.arange(q.size))
+    return tuple(float(w) for w in hankel_weights(q, dq, float(r_shift), theta, index))
 
 
 def c_constant_exact(params: LevinsonParams) -> float:
@@ -117,31 +122,29 @@ def c_constant_exact(params: LevinsonParams) -> float:
 
 
 def c_constant_quadrature(params: LevinsonParams, tol: float = 1e-10) -> float:
-    """Adaptive-quadrature oracle for the same double integral of the
-    squared inner derivative.
+    """Quadrature oracle for the same double integral of the squared inner
+    derivative: a tensor Gauss-Legendre rule, its 48-node value, with the
+    gap to the 24-node value as the error estimate.
 
     The inner x-derivative is taken by a fourth-order five-point central
     difference; the second-order h=1e-6 stencil loses too much to
     rounding against the 1e-9 cross-path agreement this must support.
-    scipy.integrate is imported here, not at module level: it is the
-    package's slowest import, and only this oracle needs it.
     """
-    from scipy import integrate
-
     if tol < 1e-12:
         raise DomainError("tolerance below 1e-12 is not certifiable here")
     p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
     h = 1e-3
-    stencil = (1.0, -8.0, 8.0, -1.0)
-    offsets = (-2.0 * h, -h, h, 2.0 * h)
 
-    def integrand(u, v):
-        acc = 0.0
-        for w, x in zip(stencil, offsets):
-            acc += w * math.exp(r * theta * x) * p(x + u) * q(v + theta * x)
-        return math.exp(2.0 * r * v) * (acc / (12.0 * h)) ** 2
+    def tensor_rule(nodes: int) -> float:
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
+        acc = np.zeros((nodes, nodes))
+        for weight, offset in zip((1.0, -8.0, 8.0, -1.0), (-2.0 * h, -h, h, 2.0 * h)):
+            acc += weight * math.exp(r * theta * offset) * np.outer(p(x + offset), q(x + theta * offset))
+        return float(w @ (acc / (12.0 * h)) ** 2 @ (w * np.exp(2.0 * r * x)))
 
-    value, err = integrate.dblquad(integrand, 0.0, 1.0, 0.0, 1.0, epsabs=tol, epsrel=tol)
+    value = tensor_rule(48)
+    err = abs(value - tensor_rule(24))
     if err > max(tol, 1e-9) * 10.0:
         raise AccuracyError(f"quadrature error estimate {err:.3e} exceeds tolerance")
     return 1.0 + value / theta

@@ -5,8 +5,10 @@ The simplex searches only (b_1..b_k, R), with k = ceil(q_degree/2) and
 Q = 1 + sum b_j ((1-2x)^{2j-1} - 1): Q(0) = 1 exactly and Q(x) + Q(1-x) is
 constant.  For each (Q, R), c is a quadratic form in P, so the best P of
 degree <= p_degree with P(0) = 0 and P(1) = 1 comes from one small linear
-solve.  The descent is deterministic given the seed; restart 0 always
-embeds the baseline point so enlarging the space can never lose ground.
+solve, with the minimal c in closed form, on arrays built once per search
+space.  The descent is deterministic given the seed; restart 0 always embeds
+the baseline point so enlarging the space can never lose ground.  The report
+counts the restarts that met the stopping rule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .levinson import THETA_MAX, LevinsonParams, c_constant_exact, kappa_lower_bound, q_weights
+from .levinson import THETA_MAX, LevinsonParams, c_constant_exact, hankel_weights
+from .levinson import kappa_lower_bound, q_weights
 from .mollifier import Polynomial
 
 
@@ -54,6 +57,30 @@ class OptimizationReport:
     best_kappa: float
     evaluations: int
     restart_trace: tuple[tuple[int, float], ...]
+    converged: int  # restarts whose simplex shrank below the diameter tolerance
+
+
+def _q_basis(q_terms: int) -> np.ndarray:
+    """Row j: (1-2x)^{2j+1} - 1, padded to 2 q_terms; no constant term, so Q(0) = 1 exactly."""
+    basis = np.zeros((q_terms, 2 * q_terms))
+    for j in range(q_terms):
+        n = 2 * j + 1
+        basis[j, 1 : n + 1] = [math.comb(n, k) * (-2.0) ** k for k in range(1, n + 1)]
+    return basis
+
+
+def _gram_pieces(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """A_ij = int x^{i+j} and B_ij = int ij x^{i+j-2} over [0,1], i, j = 1..degree."""
+    i = np.arange(1.0, degree + 1.0)
+    return 1.0 / (i[:, None] + i + 1.0), np.outer(i, i) / (i[:, None] + i - 1.0)
+
+
+def _minimize_p(weights, theta: float, gram_a, gram_b) -> tuple[np.ndarray, float]:
+    """y = (alpha A + gamma B)^{-1} 1, to which the best P is proportional,
+    and the minimal c = 1 + (1/sum y + beta) / theta."""
+    alpha, beta, gamma = weights
+    y = np.linalg.solve(alpha * gram_a + gamma * gram_b, np.ones(len(gram_a)))
+    return y, 1.0 + (1.0 / float(y.sum()) + beta) / theta
 
 
 def _decode(vec: np.ndarray, space: SearchSpace) -> tuple[Polynomial, float] | None:
@@ -61,11 +88,8 @@ def _decode(vec: np.ndarray, space: SearchSpace) -> tuple[Polynomial, float] | N
     r_lo, r_hi = space.r_range
     if not (r_lo <= r <= r_hi):
         return None
-    q = np.zeros(2 * space.q_terms)
+    q = vec[:-1] @ _q_basis(space.q_terms)
     q[0] = 1.0
-    for j, b in enumerate(vec[:-1]):
-        n = 2 * j + 1  # b ((1-2x)^n - 1): the constant terms cancel, so Q(0) = 1 exactly
-        q[1 : n + 1] += [b * math.comb(n, k) * (-2.0) ** k for k in range(1, n + 1)]
     return Polynomial(q), r
 
 
@@ -74,55 +98,54 @@ def _solve_p(q_poly: Polynomial, r: float, theta: float, degree: int) -> tuple[P
     under P(0) = 0 and P(1) = 1, and that minimal c.
 
     With P = sum p_i x^i and P(1) = 1, int P P' = 1/2, so c - 1 is
-    (p'(alpha A + gamma B)p + beta) / theta on the Gram matrices
-    A_ij = int x^{i+j} and B_ij = int ij x^{i+j-2}; the constrained
-    minimizer is proportional to (alpha A + gamma B)^{-1} 1.
+    (p'(alpha A + gamma B)p + beta) / theta on the Gram matrices of
+    _gram_pieces; the constrained minimizer is y / sum y (see _minimize_p).
     """
-    alpha, beta, gamma = q_weights(q_poly, r, theta)
-    i = np.arange(1.0, degree + 1.0)
-    gram = alpha / (i[:, None] + i + 1.0) + gamma * np.outer(i, i) / (i[:, None] + i - 1.0)
-    y = np.linalg.solve(gram, np.ones(degree))
+    y, c = _minimize_p(q_weights(q_poly, r, theta), theta, *_gram_pieces(degree))
     p = y / y.sum()
     # higher coefficients on a 2^-40 grid: below 2^12 in size, their sum and
     # p_1 = 1 - sum are then exact, so P(1) = 1 holds in floating point too
     p[1:] = np.round(p[1:] * 2.0**40) / 2.0**40
     p[0] = 1.0 - float(np.sum(p[1:]))
-    c = 1.0 + (float(p @ gram @ p) + beta) / theta
     return Polynomial((0.0, *p)), c
 
 
 class _Objective:
+    """-kappa at (b, R) with the best P, from arrays built once per space."""
+
     def __init__(self, space: SearchSpace):
         self.space = space
         self.evaluations = 0
+        self.basis = _q_basis(space.q_terms)
+        size = self.basis.shape[1]
+        self.deriv = np.diag(np.arange(1.0, size), -1)  # q @ deriv holds Q'
+        self.index = np.add.outer(np.arange(size), np.arange(size))
+        self.gram = _gram_pieces(space.p_degree)
 
     def __call__(self, vec: np.ndarray) -> float:
         self.evaluations += 1
-        decoded = _decode(vec, self.space)
-        if decoded is None:
+        r = float(vec[-1])
+        if not self.space.r_range[0] <= r <= self.space.r_range[1]:
             return math.inf
-        q_poly, r = decoded
-        _, c = _solve_p(q_poly, r, self.space.theta, self.space.p_degree)
-        return -kappa_lower_bound(c, r)
+        q = vec[:-1] @ self.basis
+        q[0] = 1.0
+        weights = hankel_weights(q, q @ self.deriv, r, self.space.theta, self.index)
+        return -kappa_lower_bound(_minimize_p(weights, self.space.theta, *self.gram)[1], r)
 
 
-def _nelder_mead(f, start: np.ndarray, scale: float, max_iter: int = 4000) -> tuple[np.ndarray, float]:
-    """Simplex descent: reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5; stops when the simplex diameter drops below 1e-8."""
+def _nelder_mead(f, start: np.ndarray, scale: float, max_iter=4000) -> tuple[np.ndarray, float, bool]:
+    """Simplex descent on one (n+1, n) array: reflection 1, expansion 2,
+    contraction 0.5, shrink 0.5; True once the diameter drops below 1e-8."""
     n = start.size
-    pts = [start.copy()]
+    pts = np.tile(start, (n + 1, 1))
     for i in range(n):
-        p = start.copy()
-        p[i] += scale if p[i] == 0.0 else 0.1 * scale * (1.0 + abs(p[i]))
-        pts.append(p)
-    vals = [f(p) for p in pts]
+        pts[i + 1, i] += scale if start[i] == 0.0 else 0.1 * scale * (1.0 + abs(start[i]))
+    vals = np.array([f(p) for p in pts])
     for _ in range(max_iter):
         order = np.argsort(vals, kind="stable")
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        diam = max(np.max(np.abs(p - pts[0])) for p in pts[1:])
-        if diam < 1e-8:
-            break
+        pts, vals = pts[order], vals[order]
+        if np.max(np.abs(pts[1:] - pts[0])) < 1e-8:
+            return pts[0], float(vals[0]), True
         centroid = np.mean(pts[:-1], axis=0)
         refl = centroid + (centroid - pts[-1])
         f_refl = f(refl)
@@ -141,11 +164,10 @@ def _nelder_mead(f, start: np.ndarray, scale: float, max_iter: int = 4000) -> tu
             if f_contr < vals[-1]:
                 pts[-1], vals[-1] = contr, f_contr
             else:
-                for i in range(1, n + 1):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = f(pts[i])
-    order = np.argsort(vals, kind="stable")
-    return pts[order[0]], vals[order[0]]
+                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
+                vals[1:] = [f(p) for p in pts[1:]]
+    best = int(np.argsort(vals, kind="stable")[0])
+    return pts[best], float(vals[best]), False
 
 
 def baseline_embedding(space: SearchSpace) -> np.ndarray:
@@ -166,12 +188,14 @@ def optimize_kappa(space: SearchSpace) -> OptimizationReport:
     best_vec = None
     best_val = math.inf
     trace = []
+    converged = 0
     for restart in range(space.restarts):
         if restart == 0:
             start = baseline_embedding(space)
         else:
             start = np.append(rng.uniform(-0.5, 1.5, space.q_terms), rng.uniform(r_lo, r_hi))
-        vec, val = _nelder_mead(objective, start, scale=0.5)
+        vec, val, done = _nelder_mead(objective, start, scale=0.5)
+        converged += done
         trace.append((restart, -val if math.isfinite(val) else math.nan))
         if val < best_val:
             best_vec, best_val = vec, val
@@ -180,7 +204,7 @@ def optimize_kappa(space: SearchSpace) -> OptimizationReport:
     params = LevinsonParams(p_poly, q_poly, r, space.theta)
     # report kappa recomputed from the exact pipeline, not the cached value
     kappa = kappa_lower_bound(c_constant_exact(params), r)
-    return OptimizationReport(params, kappa, objective.evaluations, tuple(trace))
+    return OptimizationReport(params, kappa, objective.evaluations, tuple(trace), converged)
 
 
 def grid_scan_r(

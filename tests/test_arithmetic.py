@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from critline.arithmetic import DEFAULT_SIEVE_LIMIT, chebyshev_psi, mobius_table, primes_upto
@@ -46,6 +47,21 @@ class TestFactorSieve:
         assert mobius_table(N).tolist() == [mobius(n) for n in range(1, N + 1)]
         assert mobius_table(1).tolist() == [1]
         assert mobius_table(0).tolist() == []
+
+    def test_mobius_against_per_prime_loop(self):
+        # the former table: one strided sign flip for every prime p <= n
+        def per_prime(n):
+            primes = primes_upto(n)
+            mu = np.ones(n, dtype=np.int8)
+            for p in primes.tolist():
+                flip = mu[p - 1 :: p]
+                np.negative(flip, out=flip)
+            for p in primes[primes <= math.isqrt(n)].tolist():
+                mu[p * p - 1 :: p * p] = 0
+            return mu
+
+        for n in (2, 3, 4, 8, 9, 10, 48, 49, 50, 120, 121, 961, 9999, 10000, 10001, 65536, 99856, 100000):
+            assert np.array_equal(mobius_table(n), per_prime(n)), n
 
     def test_von_mangoldt(self):
         # Lambda(n) = psi(n) - psi(n - 1)

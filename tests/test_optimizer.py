@@ -12,6 +12,7 @@ from critline.mollifier import Polynomial
 from critline.optimizer import (
     SearchSpace,
     _decode,
+    _nelder_mead,
     _Objective,
     _solve_p,
     baseline_embedding,
@@ -180,6 +181,39 @@ class TestOptimizer:
     def test_pinned_optima(self, theta, degrees, kappa):
         report = optimize_kappa(SearchSpace(*degrees, (0.5, 2.5), theta))
         assert report.best_kappa == pytest.approx(kappa, abs=1e-5)
+
+    @pytest.mark.parametrize("theta", [0.5, THETA_MAX])
+    def test_closed_form_c_matches_solved_p(self, rng, theta):
+        # the objective's 1 + (1/sum y + beta)/theta (read back from -kappa),
+        # _solve_p's c and the exact c of the solved (rounded) P are one number
+        for p_degree in range(1, 7):
+            for q_degree in range(1, 7):
+                space = SearchSpace(p_degree, q_degree, (0.5, 2.5), theta)
+                vec = np.append(rng.uniform(-1.0, 1.5, space.q_terms), rng.uniform(0.5, 2.5))
+                q_poly, r = _decode(vec, space)
+                closed = math.exp(r * (1.0 + _Objective(space)(vec)))
+                p_poly, solved = _solve_p(q_poly, r, theta, p_degree)
+                exact = c_constant_exact(LevinsonParams(p_poly, q_poly, r, theta))
+                assert solved == pytest.approx(closed, rel=1e-12)
+                assert exact == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.5, THETA_MAX])
+    def test_default_runs_converge(self, theta):
+        # the benchmark's degrees, default restarts: every restart meets the
+        # 1e-8 diameter well inside max_iter
+        for degree in (1, 2, 3, 4):
+            space = SearchSpace(degree, degree, (0.5, 2.5), theta)
+            assert optimize_kappa(space).converged == space.restarts
+
+    def test_nelder_mead_reports_the_iteration_cap(self):
+        def bowl(x):
+            return float(x @ x)
+
+        _, _, converged = _nelder_mead(bowl, np.array([1.0, -2.0]), 0.5, max_iter=5)
+        assert not converged
+        vec, val, converged = _nelder_mead(bowl, np.array([1.0, -2.0]), 0.5)
+        assert converged
+        assert val < 1e-15 and np.max(np.abs(vec)) < 1e-7
 
     def test_evaluation_budget_sane(self):
         report = optimize_kappa(SearchSpace(1, 1, (0.5, 2.5), 0.5, restarts=2, seed=2))

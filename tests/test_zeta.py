@@ -389,12 +389,19 @@ class TestAfe:
 
 
 def test_import_leaves_mpmath_out():
-    """mpmath is a test oracle only, and scipy.integrate serves only the
-    quadrature oracle c_constant_quadrature: importing the package loads
-    neither."""
+    """mpmath is a test oracle only, and scipy.integrate is not used at all:
+    neither importing the package nor the `constant` command, which runs the
+    Gauss-Legendre quadrature oracle c_constant_quadrature, loads either."""
     import critline
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
-    code = "import sys, critline; print([m in sys.modules for m in ('mpmath', 'scipy.integrate')])"
+    code = (
+        "import sys, critline, critline.cli; mods = ('mpmath', 'scipy.integrate'); "
+        "print([m in sys.modules for m in mods]); "
+        "sys.stdout.flush(); code = critline.cli.main(['constant']); "
+        "print([m in sys.modules for m in mods], code)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[False, False]"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[False, False]"
+    assert lines[-1] == "[False, False] 0"
