@@ -7,13 +7,16 @@ here is exact integer arithmetic except for the logarithms of psi.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import SieveRangeError
+from .errors import DomainError, SieveRangeError
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
+# logs handed to fsum per piece, so that only one piece at a time is a list
+_PSI_PIECE = 65_536
 
 
 def _check_range(x: float):
@@ -48,13 +51,15 @@ def mobius_table(n: int) -> np.ndarray:
 
 
 def chebyshev_psi(x: float) -> float:
-    """Sum of Lambda(n) over n <= x, accumulated with exact (fsum) summation."""
+    """Sum of Lambda(n) over n <= x, accumulated with exact (fsum) summation;
+    fsum is correctly rounded in any grouping, so it takes the logs in pieces."""
     if x < 0:
-        raise ValueError("x must be nonnegative")
+        raise DomainError("x must be nonnegative")
     _check_range(x)
     xi = int(math.floor(x))
     primes = primes_upto(xi)
-    parts = [math.fsum(np.log(primes.astype(np.float64)).tolist())]
+    pieces = (primes[i : i + _PSI_PIECE].astype(np.float64) for i in range(0, primes.size, _PSI_PIECE))
+    parts = [math.fsum(itertools.chain.from_iterable(np.log(piece).tolist() for piece in pieces))]
     # prime powers p^j <= x contribute one extra log p per power
     for p in primes[primes <= math.isqrt(xi)].tolist():
         pk = p * p

@@ -8,6 +8,7 @@ ignored.  Exit codes: 0 success, 1 computation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import io
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arithmetic, dirichlet, levinson, moment, mollifier, optimizer
-from .zeta import count_critical_zeros, zeta as zeta_eval
+from . import arithmetic, dirichlet, levinson, moment, mollifier, optimizer, zeta
 from .errors import ConfigError, ConstraintError, CritlineError, DomainError
 
 COMMANDS = ("zeta", "zeros", "chars", "lfun", "psi", "constant", "optimize", "moment", "registry")
@@ -35,19 +35,28 @@ class RunConfig:
     output_path: str | None = None
 
 
+def _parse_real(text: str) -> float:
+    """A finite float: nan and +-inf are refused like malformed text."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_poly(text: str, name: str) -> mollifier.Polynomial:
     try:
-        coeffs = [float(tok) for tok in text.replace("[", "").replace("]", "").split(",")]
+        coeffs = [_parse_real(tok) for tok in text.replace("[", "").replace("]", "").split(",")]
     except ValueError as exc:
         raise ConfigError(f"malformed coefficient list for {name}: {text!r} ({exc})")
     return mollifier.Polynomial(coeffs)
 
 
 def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", "").replace("i", "j"))
-    except ValueError:
-        raise ConfigError(f"malformed complex number {text!r}")
+    """A finite complex number, with i or j as the imaginary unit."""
+    value = complex(text.replace(" ", "").replace("i", "j"))
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 # per-command parameter schema: name -> (converter, default); REQUIRED means
@@ -56,32 +65,32 @@ _REQUIRED = object()
 
 _SCHEMAS: dict[str, dict] = {
     "zeta": {"s": (_parse_complex, _REQUIRED)},
-    "zeros": {"tmin": (float, 0.0), "tmax": (float, _REQUIRED), "step": (float, 0.05)},
+    "zeros": {"tmin": (_parse_real, 0.0), "tmax": (_parse_real, _REQUIRED), "step": (_parse_real, 0.05)},
     "chars": {"q": (int, _REQUIRED)},
     "lfun": {"q": (int, _REQUIRED), "index": (int, 0), "s": (_parse_complex, _REQUIRED)},
-    "psi": {"x": (float, _REQUIRED)},
+    "psi": {"x": (_parse_real, _REQUIRED)},
     "constant": {
         "P": (str, "0,1"),
         "Q": (str, "1,-1"),
-        "R": (float, 1.3),
-        "theta": (float, 0.5),
+        "R": (_parse_real, 1.3),
+        "theta": (_parse_real, 0.5),
     },
     "optimize": {
         "p-degree": (int, 1),
         "q-degree": (int, 1),
-        "theta": (float, 0.5),
-        "r-min": (float, 0.5),
-        "r-max": (float, 2.5),
+        "theta": (_parse_real, 0.5),
+        "r-min": (_parse_real, 0.5),
+        "r-max": (_parse_real, 2.5),
         "restarts": (int, 8),
         "seed": (int, 0),
     },
     "moment": {
-        "T": (float, 5000.0),
-        "theta": (float, 0.5),
-        "R": (float, 1.3),
+        "T": (_parse_real, 5000.0),
+        "theta": (_parse_real, 0.5),
+        "R": (_parse_real, 1.3),
         "P": (str, "0,1"),
         "Q": (str, "1,-1"),
-        "step": (float, 0.0),
+        "step": (_parse_real, 0.0),
     },
     "registry": {},
 }
@@ -243,10 +252,10 @@ def _run_command(config: RunConfig):
     """Returns (report_object, csv_rows or None)."""
     p = config.parameters
     if config.command == "zeta":
-        value = zeta_eval(p["s"])
+        value = zeta.zeta(p["s"])
         return {"s": p["s"], "zeta": value}, None
     if config.command == "zeros":
-        rep = count_critical_zeros(p["tmin"], p["tmax"], p["step"])
+        rep = zeta.count_critical_zeros(p["tmin"], p["tmax"], p["step"])
         rows = [{"zero": z} for z in rep.zeros]
         return rep, rows
     if config.command == "chars":
@@ -270,7 +279,7 @@ def _run_command(config: RunConfig):
         return {"x": p["x"], "psi": value, "ratio": value / p["x"] if p["x"] else 0.0}, None
     if config.command == "constant":
         c_exact = levinson.c_constant_exact(p["levinson"])
-        c_quad = levinson.c_constant_quadrature(p["levinson"], 1e-10)
+        c_quad = levinson.c_constant_quadrature(p["levinson"])
         report = {
             "c_exact": c_exact,
             "c_quadrature": c_quad,

@@ -22,6 +22,8 @@ from .mollifier import Polynomial
 
 # the range of Conrey's mean-value theorem (Conrey 1989)
 THETA_MAX = 4.0 / 7.0
+QUADRATURE_BOUND = 1e-8  # see c_constant_quadrature
+CLAIM_WINDOW = 0.005  # see discrepancy_note
 
 
 @dataclass(frozen=True)
@@ -121,17 +123,16 @@ def c_constant_exact(params: LevinsonParams) -> float:
     return 1.0 + quad_form / params.theta
 
 
-def c_constant_quadrature(params: LevinsonParams, tol: float = 1e-10) -> float:
+def c_constant_quadrature(params: LevinsonParams) -> float:
     """Quadrature oracle for the same double integral of the squared inner
     derivative: a tensor Gauss-Legendre rule, its 48-node value, with the
-    gap to the 24-node value as the error estimate.
+    gap to the 24-node value as the error estimate.  An estimate above
+    QUADRATURE_BOUND = 1e-8 raises AccuracyError.
 
     The inner x-derivative is taken by a fourth-order five-point central
     difference; the second-order h=1e-6 stencil loses too much to
     rounding against the 1e-9 cross-path agreement this must support.
     """
-    if tol < 1e-12:
-        raise DomainError("tolerance below 1e-12 is not certifiable here")
     p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
     h = 1e-3
 
@@ -145,8 +146,8 @@ def c_constant_quadrature(params: LevinsonParams, tol: float = 1e-10) -> float:
 
     value = tensor_rule(48)
     err = abs(value - tensor_rule(24))
-    if err > max(tol, 1e-9) * 10.0:
-        raise AccuracyError(f"quadrature error estimate {err:.3e} exceeds tolerance")
+    if err > QUADRATURE_BOUND:
+        raise AccuracyError(f"quadrature error estimate {err:.3e} exceeds {QUADRATURE_BOUND}")
     return 1.0 + value / theta
 
 
@@ -275,15 +276,15 @@ def published_tuples() -> list[PublishedTuple]:
     return [baseline, kappa_tuple, star_tuple]
 
 
-def discrepancy_note(computed_c: float, claimed_c: float, window: float = 0.005) -> str | None:
-    """Flag a computed constant that drifts past the window around a claim;
-    the default window is half a unit in the last digit of a claim quoted to
-    two decimals."""
+def discrepancy_note(computed_c: float, claimed_c: float) -> str | None:
+    """Flag a computed constant that misses a claim by more than
+    CLAIM_WINDOW, half a unit in the last digit of a claim quoted to two
+    decimals."""
     gap = abs(computed_c - claimed_c)
-    if gap <= window:
+    if gap <= CLAIM_WINDOW:
         return None
     return (
         f"computed c={computed_c:.9f} differs from the published claim "
-        f"{claimed_c} by {gap:.4f} (> {window}); the published value likely "
+        f"{claimed_c} by {gap:.4f} (> {CLAIM_WINDOW}); the published value likely "
         "tracks a variant normalization and is reported, not patched"
     )

@@ -47,7 +47,7 @@ BASELINE = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 1.3, 
 def test_criterion_1_levinson_pipeline():
     start = time.perf_counter()
     c_exact = c_constant_exact(BASELINE)
-    c_quad = c_constant_quadrature(BASELINE, 1e-10)
+    c_quad = c_constant_quadrature(BASELINE)
     elapsed = time.perf_counter() - start
     kappa = kappa_lower_bound(c_exact, BASELINE.r_shift)
     note = discrepancy_note(c_exact, 2.35)

@@ -1,6 +1,9 @@
 """The prime sieve tables against trial-division oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,35 @@ class TestFactorSieve:
         for x in (10, 100.5, 1000, 7919, 7920, 16384, N):
             assert chebyshev_psi(x) == pytest.approx(math.fsum(lam[: int(x)]), rel=1e-15)
 
+    def test_chebyshev_psi_is_the_one_list_sum(self):
+        # fsum is correctly rounded in any grouping, so feeding it the logs
+        # in pieces gives the sum of one list of every log, bit for bit;
+        # 1e6 has 78,498 primes, more than one piece
+        def one_list(x):
+            xi = int(math.floor(x))
+            primes = primes_upto(xi)
+            parts = [math.fsum(np.log(primes.astype(np.float64)).tolist())]
+            for p in primes[primes <= math.isqrt(xi)].tolist():
+                pk = p * p
+                while pk <= xi:
+                    parts.append(math.log(p))
+                    pk *= p
+            return math.fsum(parts)
+
+        for x in (2, 1000, 65_537, 1e5, 1e6):
+            assert chebyshev_psi(x) == one_list(x), x
+
     def test_chebyshev_psi_small(self):
         assert chebyshev_psi(0.0) == chebyshev_psi(1.9) == 0.0
         assert chebyshev_psi(2.0) == pytest.approx(math.log(2))
+
+
+def test_import_leaves_scipy_out():
+    """The sieve module needs numpy only: importing it in a fresh
+    interpreter loads no scipy."""
+    import critline
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
+    code = "import sys, critline.arithmetic; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

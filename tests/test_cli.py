@@ -94,6 +94,25 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["error"] == "pole"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta", "--s", "nan"),
+            ("zeros", "--tmax", "inf"),
+            ("zeros", "--tmax", "nan"),
+            ("optimize", "--r-max", "inf"),
+        ],
+    )
+    def test_non_finite_input_is_a_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "finite" in err
+
+    def test_zero_scan_past_certified_height(self, capsys):
+        code, out, _ = run_cli(capsys, "zeros", "--tmin", "100000", "--tmax", "100001")
+        assert code == 1
+        assert json.loads(out)["error"] == "domain"
+
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--s", "2+0j")
         assert code == 0

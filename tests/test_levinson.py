@@ -136,7 +136,7 @@ class TestCConstant:
     def test_trivial_collapse(self):
         params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 0.0, 0.5)
         assert c_constant_exact(params) == pytest.approx(3.0)
-        assert c_constant_quadrature(params, 1e-10) == pytest.approx(3.0, abs=1e-9)
+        assert c_constant_quadrature(params) == pytest.approx(3.0, abs=1e-9)
 
     def test_baseline_value_and_kappa_window(self):
         c = c_constant_exact(BASELINE)
@@ -165,7 +165,7 @@ class TestCConstant:
         for _ in range(25):
             params = random_params(rng)
             exact = c_constant_exact(params)
-            quad = c_constant_quadrature(params, 1e-10)
+            quad = c_constant_quadrature(params)
             assert abs(exact - quad) <= 1e-9 * max(1.0, abs(exact))
 
     def test_monotone_in_r(self):
@@ -174,10 +174,6 @@ class TestCConstant:
             params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), float(r), 0.5)
             values.append(c_constant_exact(params))
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_tolerance_floor(self):
-        with pytest.raises(DomainError):
-            c_constant_quadrature(BASELINE, 1e-13)
 
 
 class TestKappaBound:
