@@ -2,7 +2,10 @@
 key=value config format, and deterministic JSON/CSV/text output.
 
 Flags override config-file values; unknown keys are rejected rather than
-ignored.  Exit codes: 0 success, 1 computation error, 2 usage error.
+ignored.  Every range check is the library's.  Exit codes: 0 success;
+2 usage error (text that does not parse, a missing key, an unreadable
+--config or unwritable --output, a LevinsonParams or SearchSpace refusal);
+1 anything else the library refuses, with its own error code and message.
 """
 
 from __future__ import annotations
@@ -19,12 +22,8 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import arithmetic, dirichlet, levinson, moment, mollifier, optimizer, zeta
-from .errors import ConfigError, ConstraintError, CritlineError, DomainError
-
-COMMANDS = ("zeta", "zeros", "chars", "lfun", "psi", "constant", "optimize", "moment", "registry")
+from .errors import ConfigError, ConstraintError, CritlineError
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,9 @@ def _parse_real(text: str) -> float:
     return value
 
 
-def _parse_poly(text: str, name: str) -> mollifier.Polynomial:
-    try:
-        coeffs = [_parse_real(tok) for tok in text.replace("[", "").replace("]", "").split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"malformed coefficient list for {name}: {text!r} ({exc})")
-    return mollifier.Polynomial(coeffs)
+def _parse_poly(text: str) -> mollifier.Polynomial:
+    """Ascending coefficients separated by commas, brackets optional."""
+    return mollifier.Polynomial(_parse_real(tok) for tok in text.replace("[", "").replace("]", "").split(","))
 
 
 def _parse_complex(text: str) -> complex:
@@ -59,46 +55,48 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-# per-command parameter schema: name -> (converter, default); REQUIRED means
-# the caller must supply a value
-_REQUIRED = object()
-
+# per-command parameter schema: name -> (converter, default text); a None
+# default means the caller must supply a value
 _SCHEMAS: dict[str, dict] = {
-    "zeta": {"s": (_parse_complex, _REQUIRED)},
-    "zeros": {"tmin": (_parse_real, 0.0), "tmax": (_parse_real, _REQUIRED), "step": (_parse_real, 0.05)},
-    "chars": {"q": (int, _REQUIRED)},
-    "lfun": {"q": (int, _REQUIRED), "index": (int, 0), "s": (_parse_complex, _REQUIRED)},
-    "psi": {"x": (_parse_real, _REQUIRED)},
+    "zeta": {"s": (_parse_complex, None)},
+    "zeros": {"tmin": (_parse_real, "0"), "tmax": (_parse_real, None), "step": (_parse_real, "0.05")},
+    "chars": {"q": (int, None)},
+    "lfun": {"q": (int, None), "index": (int, "0"), "s": (_parse_complex, None)},
+    "psi": {"x": (_parse_real, None)},
     "constant": {
-        "P": (str, "0,1"),
-        "Q": (str, "1,-1"),
-        "R": (_parse_real, 1.3),
-        "theta": (_parse_real, 0.5),
+        "P": (_parse_poly, "0,1"),
+        "Q": (_parse_poly, "1,-1"),
+        "R": (_parse_real, "1.3"),
+        "theta": (_parse_real, "0.5"),
     },
     "optimize": {
-        "p-degree": (int, 1),
-        "q-degree": (int, 1),
-        "theta": (_parse_real, 0.5),
-        "r-min": (_parse_real, 0.5),
-        "r-max": (_parse_real, 2.5),
-        "restarts": (int, 8),
-        "seed": (int, 0),
+        "p-degree": (int, "1"),
+        "q-degree": (int, "1"),
+        "theta": (_parse_real, "0.5"),
+        "r-min": (_parse_real, "0.5"),
+        "r-max": (_parse_real, "2.5"),
+        "restarts": (int, "8"),
+        "seed": (int, "0"),
     },
     "moment": {
-        "T": (_parse_real, 5000.0),
-        "theta": (_parse_real, 0.5),
-        "R": (_parse_real, 1.3),
-        "P": (str, "0,1"),
-        "Q": (str, "1,-1"),
-        "step": (_parse_real, 0.0),
+        "T": (_parse_real, "5000"),
+        "theta": (_parse_real, "0.5"),
+        "R": (_parse_real, "1.3"),
+        "P": (_parse_poly, "0,1"),
+        "Q": (_parse_poly, "1,-1"),
+        "step": (_parse_real, "0"),
     },
     "registry": {},
 }
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        fh = open(path, errors="replace")  # a file that is not text fails below, as malformed lines
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config {path!r}: {exc.strerror}")
     out = {}
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -110,10 +108,19 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_PARSER = argparse.ArgumentParser(prog="critline", add_help=True, epilog=(
-    "optimize: --p-degree bounds the degree of P; --q-degree d bounds the degree of Q, "
-    "which is searched over ceil(d/2) odd-symmetric terms (1-2x)^(2j-1) - 1."))
-_PARSER.add_argument("command", choices=COMMANDS)
+def _keys_help() -> str:
+    """Every command's keys, read from _SCHEMAS; a * marks a required one."""
+    lines = ["keys, as --key VALUE or as key = value lines in a --config file (* required):"]
+    for command, schema in _SCHEMAS.items():
+        keys = " ".join(f"--{key}" + "*" * (default is None) for key, (_, default) in schema.items())
+        lines.append(f"  {command:<10} {keys or '(none)'}")
+    return "\n".join(lines + ["", "optimize: --p-degree bounds the degree of P; --q-degree d bounds the degree",
+                              "of Q, which is searched over ceil(d/2) odd-symmetric terms (1-2x)^(2j-1) - 1."])
+
+
+_PARSER = argparse.ArgumentParser(
+    prog="critline", epilog=_keys_help(), formatter_class=argparse.RawDescriptionHelpFormatter)
+_PARSER.add_argument("command", choices=_SCHEMAS)
 _PARSER.add_argument("--config", default=None)
 _PARSER.add_argument("--format", choices=("json", "csv", "text"), default="json")
 _PARSER.add_argument("--output", default=None)
@@ -122,6 +129,10 @@ _PARSER.add_argument("--output", default=None)
 def parse_config(argv: list[str]) -> RunConfig:
     known, rest = _PARSER.parse_known_args(argv)
     schema = _SCHEMAS[known.command]
+    if known.output is not None:  # refused before anything is computed
+        directory = os.path.dirname(os.path.abspath(known.output))
+        if os.path.isdir(known.output) or not os.access(directory, os.W_OK):
+            raise ConfigError(f"--output {known.output!r} is not a file in a writable directory")
 
     raw: dict[str, str] = {}
     if known.config:
@@ -145,36 +156,17 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise ConfigError(f"unknown keys for {known.command}: {sorted(unknown)}")
     params = {}
     for name, (conv, default) in schema.items():
-        if name in raw:
-            try:
-                params[name] = conv(raw[name])
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for {name}: {raw[name]!r} ({exc})")
-        elif default is _REQUIRED:
+        text = raw.get(name, default)
+        if text is None:
             raise ConfigError(f"missing required parameter {name} for {known.command}")
-        else:
-            params[name] = default
-    _validate(known.command, params)
-    return RunConfig(known.command, params, known.format, known.output)
-
-
-def _validate(command: str, params: dict):
-    if command == "zeros":
-        if params["step"] <= 0 or params["tmax"] < params["tmin"] or params["tmin"] < 0:
-            raise ConfigError("need 0 <= tmin <= tmax and step > 0")
-    if command == "chars" or command == "lfun":
-        if params["q"] < 1:
-            raise ConfigError("modulus must be positive")
-    if command == "psi" and not 0 <= params["x"] <= arithmetic.DEFAULT_SIEVE_LIMIT:
-        raise ConfigError("x outside sieve range")
-    if command in ("constant", "moment"):
-        if params["R"] <= 0:
-            raise ConfigError("R must be positive")
-        # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1 and 0 < theta <= 4/7
-        params["levinson"] = levinson.LevinsonParams(
-            _parse_poly(params["P"], "P"), _parse_poly(params["Q"], "Q"), params["R"], params["theta"]
-        )
-    if command == "optimize":
+        try:
+            params[name] = conv(text)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value for {name}: {text!r} ({exc})")
+    if known.command in ("constant", "moment"):
+        # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1, R >= 0 and 0 < theta <= 4/7
+        params["levinson"] = levinson.LevinsonParams(params["P"], params["Q"], params["R"], params["theta"])
+    elif known.command == "optimize":
         # SearchSpace checks the degrees, the R range, theta and the restarts
         params["space"] = optimizer.SearchSpace(
             params["p-degree"],
@@ -184,6 +176,7 @@ def _validate(command: str, params: dict):
             params["restarts"],
             params["seed"],
         )
+    return RunConfig(known.command, params, known.format, known.output)
 
 
 def _fmt_number(x) -> str:
@@ -197,20 +190,16 @@ def _fmt_number(x) -> str:
 def _to_jsonable(obj):
     if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
         return obj
+    if isinstance(obj, mollifier.Polynomial):
+        return list(obj.coefficients)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     return obj
 
 
@@ -222,9 +211,7 @@ def _dump_json(obj) -> str:
     def emit(o) -> str:
         if o is None or (isinstance(o, float) and not math.isfinite(o)):
             return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, (int, float)):
+        if isinstance(o, (int, float)):  # bool included
             return _fmt_number(o)
         if isinstance(o, str):
             return quote(o)
@@ -268,10 +255,7 @@ def _run_command(config: RunConfig):
         ]
         return {"modulus": p["q"], "count": len(rows), "characters": rows}, rows
     if config.command == "lfun":
-        try:
-            chi = dirichlet.character(p["q"], p["index"])
-        except DomainError as exc:  # q >= 1 is checked already: the index is out of range
-            raise ConfigError(str(exc))
+        chi = dirichlet.character(p["q"], p["index"])
         value = dirichlet.l_function(p["s"], chi)
         return {"q": p["q"], "index": p["index"], "s": p["s"], "l": value}, None
     if config.command == "psi":
@@ -299,8 +283,8 @@ def _run_command(config: RunConfig):
         return {
             "best_kappa": rep.best_kappa,
             "best_params": {
-                "P": list(rep.best_params.p_poly.coefficients),
-                "Q": list(rep.best_params.q_poly.coefficients),
+                "P": rep.best_params.p_poly,
+                "Q": rep.best_params.q_poly,
                 "R": rep.best_params.r_shift,
                 "theta": rep.best_params.theta,
             },
@@ -311,24 +295,7 @@ def _run_command(config: RunConfig):
     if config.command == "moment":
         return moment.mollified_moment_numeric(p["levinson"], p["T"], p["step"]), None
     if config.command == "registry":
-        entries = []
-        for t in levinson.published_tuples():
-            entries.append(
-                {
-                    "name": t.name,
-                    "source": t.source,
-                    "r_shift": t.r_shift,
-                    "claimed_bound": t.claimed_bound,
-                    "claimed_c": t.claimed_c,
-                    "not_reproducible_here": t.not_reproducible_here,
-                    "q_poly": list(t.q_poly.coefficients),
-                    "p_poly": list(t.p_poly.coefficients) if t.p_poly else None,
-                    "p1_poly": list(t.p1_poly.coefficients) if t.p1_poly else None,
-                    "p2_poly": list(t.p2_poly.coefficients) if t.p2_poly else None,
-                }
-            )
-        return {"tuples": entries}, None
-    raise ConfigError(f"unknown command {config.command}")
+        return {"tuples": levinson.published_tuples()}, None
 
 
 def _render_text(obj) -> str:
@@ -384,15 +351,8 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if not argv:
-        sys.stderr.write(
-            "usage: critline {" + ",".join(COMMANDS) + "} [--config FILE] "
-            "[--format json|csv|text] [--output PATH] [--key value ...]\n"
-        )
-        return 2
     try:
-        config = parse_config(argv)
+        config = parse_config(sys.argv[1:] if argv is None else argv)
     except (ConfigError, ConstraintError) as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")
         return 2

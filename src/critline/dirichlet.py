@@ -13,8 +13,9 @@ zeta(s, a/q) over the units a in 1..q, and the Hurwitz row of one (q, s)
 serves every character mod q; for Re(s) < 0 the functional equation of
 the inducing primitive character reflects it there.  Tables, root rows
 and Hurwitz rows sit in LRU caches of 16 entries, enough for the
-characters of a few moduli at a few s.  The completed L multiplies that
-L-value by its gamma factor.
+characters of a few moduli at a few s; a table of more than 2^22 entries
+(32 MiB) is refused before it is built, so the table cache stays under
+512 MiB.  The completed L multiplies that L-value by its gamma factor.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import DomainError
 from .zeta import hurwitz_zeta
 
 _CACHE_SIZE = 16
+_TABLE_ENTRIES = 1 << 22  # the largest phi(q) * q character table
 
 
 def _factor(q: int) -> list[tuple[int, int]]:
@@ -192,6 +194,9 @@ def character_table(q: int) -> CharacterTable:
     """The phi(q) x q phase table of the characters mod q, with their conductors."""
     if q < 1:
         raise DomainError("modulus must be positive")
+    # q alone bounds the table first, so a huge q is never factored
+    if q > _TABLE_ENTRIES or math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(q)) * q > _TABLE_ENTRIES:
+        raise DomainError(f"the phi(q) x q character table of q = {q} exceeds {_TABLE_ENTRIES} entries")
     orders, tables = _component_dlogs(q)
     lcm, count = math.lcm(*orders), math.prod(orders)
     radix = np.array(orders, dtype=np.int64)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from critline.cli import main, parse_config
+from critline.cli import _SCHEMAS, main, parse_config
 from critline.errors import ConfigError, ConstraintError
 
 
@@ -40,9 +40,25 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(["zeros"])
 
-    def test_range_validation(self):
-        with pytest.raises(ConfigError):
-            parse_config(["zeros", "--tmax", "10", "--step", "-1"])
+    @pytest.mark.parametrize(
+        "argv, error, message",
+        [
+            (("zeros", "--tmax", "10", "--step", "-1"), "domain", "step > 0"),
+            (("zeros", "--tmin", "100000", "--tmax", "100001"), "domain", "t_max <= 100000"),
+            (("psi", "--x", "-1"), "domain", "x must be nonnegative"),
+            (("psi", "--x", "10000001"), "sieve_range", "sieve limit"),
+            (("chars", "--q", "0"), "domain", "modulus must be positive"),
+        ],
+        ids=["negative-step", "past-certified-height", "negative-x", "past-sieve-limit", "zero-modulus"],
+    )
+    def test_range_validation(self, capsys, argv, error, message):
+        # the CLI copies no range check: the library refuses while running
+        parse_config(list(argv))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == error
+        assert message in payload["message"]
 
     def test_optimizer_theta_passes_through(self):
         config = parse_config(["optimize", "--theta", "0.5"])
@@ -76,6 +92,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(["zeros", "--config", str(cfg), "--tmax", "5"])
 
+    def test_config_file_missing(self, capsys, tmp_path):
+        cfg = str(tmp_path / "absent.cfg")
+        code, _, err = run_cli(capsys, "zeros", "--config", cfg, "--tmax", "5")
+        assert code == 2
+        assert "error [config]" in err and cfg in err
+
+    def test_output_directory_missing(self, capsys, tmp_path):
+        target = str(tmp_path / "absent" / "out.json")
+        with pytest.raises(ConfigError, match="absent"):
+            parse_config(["zeta", "--s", "2", "--output", target])
+        code, out, err = run_cli(capsys, "zeta", "--s", "2", "--output", target)
+        assert code == 2
+        assert out == "" and "error [config]" in err and target in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestExitCodes:
     def test_empty_argv_usage(self, capsys):
@@ -108,16 +139,21 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in err
 
-    def test_zero_scan_past_certified_height(self, capsys):
-        code, out, _ = run_cli(capsys, "zeros", "--tmin", "100000", "--tmax", "100001")
-        assert code == 1
-        assert json.loads(out)["error"] == "domain"
-
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--s", "2+0j")
         assert code == 0
         payload = json.loads(out)
         assert payload["zeta"]["re"] == pytest.approx(math.pi**2 / 6)
+
+    def test_help_lists_every_key(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        listed = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+                  if line.startswith("  ") and line.split()[0] in _SCHEMAS}
+        assert listed == {
+            command: [f"--{key}" + "*" * (default is None) for key, (_, default) in schema.items()] or ["(none)"]
+            for command, schema in _SCHEMAS.items()
+        }
 
 
 class TestOutput:
@@ -181,6 +217,7 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["published_claim"]["c"] == 2.35
+        assert payload["params"] == {"P": [0, 1], "Q": [1, -1], "R": 1.3, "theta": 0.5}
         assert abs(payload["c_exact"] - payload["c_quadrature"]) < 1e-9
         assert "discrepancy_note" not in payload
 
@@ -197,7 +234,7 @@ class TestCommands:
         for index in ("9", "4", "-1"):
             code, out, _ = run_cli(capsys, "lfun", "--q", "5", "--index", index, "--s", "2+0j")
             assert code == 1
-            assert json.loads(out)["error"] == "config"
+            assert json.loads(out) == {"error": "domain", "message": "character index outside 0..3"}
         code, _, _ = run_cli(capsys, "lfun", "--q", "5", "--index", "3", "--s", "2+0j")
         assert code == 0
 

@@ -2,6 +2,7 @@
 orthogonality relations, counting formulas, and mpmath oracles."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -187,6 +188,25 @@ class TestCharacterTable:
             dirichlet._hurwitz_row.cache_clear()
             cold.append([l_function(s, c) for s in points])
         assert warm == again == cold
+
+    def test_oversized_table_refused_before_allocation(self):
+        # phi(10^6) * 10^6 = 4e11 entries, 3.2 TB as int64; 10^18 + 9 is
+        # refused on its size alone, before it is factored; the prime 2053
+        # is the least q past 2^22 entries
+        tracemalloc.start()
+        try:
+            for q in (2053, 10**6, 10**18 + 9):
+                with pytest.raises(DomainError, match="character table"):
+                    character_table(q)
+            with pytest.raises(DomainError, match="character table"):
+                character(10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the prime below it still fits: phi(q) * q just under 2^22
+        assert character_table(2039).phases.shape == (2038, 2039)
+        character_table.cache_clear()
 
 
 class TestGaussSums:
