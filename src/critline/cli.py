@@ -4,7 +4,8 @@ key=value config format, and deterministic JSON/CSV/text output.
 Flags override config-file values; unknown keys are rejected rather than
 ignored.  Every range check is the library's.  Exit codes: 0 success;
 2 usage error (text that does not parse, a missing key, an unreadable
---config or unwritable --output, a LevinsonParams or SearchSpace refusal);
+--config or unwritable --output, csv for a command without a table, a
+LevinsonParams or SearchSpace refusal);
 1 anything else the library refuses, with its own error code and message.
 """
 
@@ -88,6 +89,8 @@ _SCHEMAS: dict[str, dict] = {
     },
     "registry": {},
 }
+# the columns of the tabular commands, the only ones with csv output
+_COLUMNS = {"zeros": ("zero",), "chars": ("index", "conductor", "parity", "primitive")}
 
 
 def _read_config_file(path: str) -> dict:
@@ -129,6 +132,8 @@ _PARSER.add_argument("--output", default=None)
 def parse_config(argv: list[str]) -> RunConfig:
     known, rest = _PARSER.parse_known_args(argv)
     schema = _SCHEMAS[known.command]
+    if known.format == "csv" and known.command not in _COLUMNS:
+        raise ConfigError(f"csv output is only available for tabular commands: {', '.join(_COLUMNS)}")
     if known.output is not None:  # refused before anything is computed
         directory = os.path.dirname(os.path.abspath(known.output))
         if os.path.isdir(known.output) or not os.access(directory, os.W_OK):
@@ -224,11 +229,9 @@ def _dump_json(obj) -> str:
     return emit(_to_jsonable(obj))
 
 
-def _dump_csv(rows: list[dict]) -> str:
+def _dump_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     buf = io.StringIO()
-    if not rows:
-        return ""
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), quoting=csv.QUOTE_MINIMAL)
+    writer = csv.DictWriter(buf, fieldnames=columns, quoting=csv.QUOTE_MINIMAL)
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _fmt_number(v) if isinstance(v, (int, float)) else v for k, v in row.items()})
@@ -339,10 +342,7 @@ def run(config: RunConfig) -> int:
             sys.stderr.write(f"error [{exc.code}]: {exc}\n")
         return 1
     if config.output_format == "csv":
-        if rows is None:
-            sys.stderr.write("csv output is only available for tabular commands\n")
-            return 2
-        _write_output(_dump_csv(rows), config.output_path)
+        _write_output(_dump_csv(rows, _COLUMNS[config.command]), config.output_path)
     elif config.output_format == "text":
         _write_output(_render_text(report), config.output_path)
     else:

@@ -301,10 +301,15 @@ def l_function(s: complex, chi: DirichletCharacter) -> complex:
             return 0j  # trivial zero: a pole of Gamma((s+kappa)/2)
         gamma_ratio = sps.loggamma((1.0 - s + kappa) / 2.0) - sps.loggamma((s + kappa) / 2.0)
         val = epsilon_factor(prim) * l_function(1.0 - s, prim.conjugate())
-        val *= cmath.exp((0.5 - s) * math.log(f / math.pi) + gamma_ratio)
-        for p, _ in _factor(q):
-            if f % p != 0:
-                val *= 1.0 - prim(p) * cmath.exp(-s * math.log(p))
+        try:
+            val *= cmath.exp((0.5 - s) * math.log(f / math.pi) + gamma_ratio)
+            for p, _ in _factor(q):
+                if f % p != 0:
+                    val *= 1.0 - prim(p) * cmath.exp(-s * math.log(p))
+        except OverflowError:  # cmath.exp past Re 709.78; a product overflows to inf instead
+            val = complex(math.inf)
+        if not cmath.isfinite(val):
+            raise DomainError(f"L(s, chi) at s = {s} overflows a double")
         return val
     if s == 1.0 and not chi.is_principal:
         residues = np.flatnonzero(chi.phases >= 0)  # q >= 3 here: no unit is q itself

@@ -3,7 +3,9 @@ its shifted two-variable generalization, and the registry of published
 polynomial tuples.
 
 c is Conrey's functional, with the inner x-derivative squared.  For fixed
-(Q, R, theta) it is a quadratic form in P whose three weights come from one
+(Q, R, theta) it is a quadratic form in P: its Gram matrices in P's
+coefficients come from gram_pieces, the one builder that c_constant_exact,
+shifted_c and the optimizer share, and its three weights come from one
 vector of exponential-monomial integrals; that vector comes from a
 recurrence that runs upward for well-separated arguments and downward
 (self-correcting) for small ones.
@@ -59,7 +61,10 @@ def exp_monomial_integral(a: complex, m: int) -> np.ndarray:
     if a == 0:
         return 1.0 / np.arange(1.0, m + 2.0)
     is_complex = isinstance(a, complex)
-    ea = cmath.exp(a) if is_complex else math.exp(a)
+    try:
+        ea = cmath.exp(a) if is_complex else math.exp(a)
+    except OverflowError:  # Re a past about 709.78
+        raise DomainError(f"e^({a}) overflows a double") from None
     out = np.empty(m + 1, dtype=complex if is_complex else float)
     # upward amplifies rounding by about m!/|a|^m, so it is reserved for
     # |a| comfortably above the degree
@@ -79,10 +84,20 @@ def exp_monomial_integral(a: complex, m: int) -> np.ndarray:
     return out
 
 
-def _poly_product_integral(p: Polynomial, q: Polynomial) -> float:
-    """Integral over [0,1] of p(u) q(u) du, exact rational-coefficient path."""
-    conv = np.convolve(p.coefficients, q.coefficients)
-    return math.fsum(c / (k + 1) for k, c in enumerate(conv))
+def gram_pieces(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices of c's quadratic form in P = sum p_i x^i:
+    A_ij = int x^{i+j} and B_ij = int (x^i)'(x^j)' = ij / (i+j-1) over
+    [0,1], for i, j = 0..degree."""
+    i = np.arange(degree + 1.0)
+    k = i[1:]  # row and column 0 of B vanish
+    return 1.0 / (i[:, None] + i + 1.0), np.pad(np.outer(k, k) / (k[:, None] + k - 1.0), (1, 0))
+
+
+def _p_integrals(p: Polynomial) -> tuple[float, float, float]:
+    """int P^2, int P P' = (P(1)^2 - P(0)^2) / 2 and int P'^2 over [0,1]."""
+    coeffs = np.array(p.coefficients)
+    gram_a, gram_b = gram_pieces(p.degree)
+    return float(coeffs @ gram_a @ coeffs), 0.5 * (p(1.0) ** 2 - p(0.0) ** 2), float(coeffs @ gram_b @ coeffs)
 
 
 def hankel_weights(q: np.ndarray, dq: np.ndarray, r_shift: float, theta: float, index: np.ndarray):
@@ -110,17 +125,12 @@ def c_constant_exact(params: LevinsonParams) -> float:
 
     The inner x-derivative at x=0, R theta P(u)Q(v) + P'(u)Q(v)
     + theta P(u)Q'(v), is P(u)F(v) + P'(u)Q(v); its square against e^{2Rv}
-    is alpha int P^2 + 2 beta int P P' + gamma int P'^2 (see q_weights).
+    is alpha int P^2 + 2 beta int P P' + gamma int P'^2 (see q_weights and
+    gram_pieces).
     """
-    p = params.p_poly
-    p_prime = p.derivative()
+    pp, ppd, pdpd = _p_integrals(params.p_poly)
     alpha, beta, gamma = q_weights(params.q_poly, params.r_shift, params.theta)
-    quad_form = (
-        alpha * _poly_product_integral(p, p)
-        + 2.0 * beta * _poly_product_integral(p, p_prime)
-        + gamma * _poly_product_integral(p_prime, p_prime)
-    )
-    return 1.0 + quad_form / params.theta
+    return 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / params.theta
 
 
 def c_constant_quadrature(params: LevinsonParams) -> float:
@@ -153,8 +163,8 @@ def c_constant_quadrature(params: LevinsonParams) -> float:
 
 def kappa_lower_bound(c_value: float, r_shift: float) -> float:
     """kappa >= 1 - log(c)/R."""
-    if c_value < 1.0:
-        raise DomainError("c below 1 would push the bound past 1; upstream bug")
+    if not 1.0 <= c_value < math.inf:  # refuses nan, and a c that overflowed
+        raise DomainError(f"c must be finite and at least 1, got {c_value}")
     if r_shift <= 0.0:
         raise DomainError("R must be positive")
     return 1.0 - math.log(c_value) / r_shift
@@ -190,10 +200,7 @@ def shifted_c(shift: ShiftedParams, p_poly: Polynomial, theta: float) -> complex
     log_m = math.log(shift.m_length)
     log_t = math.log(shift.t_scale)
     iv = exp_monomial_integral(-(a + b) * log_t, 0)[0]
-    p_prime = p_poly.derivative()
-    pp = _poly_product_integral(p_poly, p_poly)
-    ppd = _poly_product_integral(p_poly, p_prime)
-    pdpd = _poly_product_integral(p_prime, p_prime)
+    pp, ppd, pdpd = _p_integrals(p_poly)
     return 1.0 + (iv / theta) * (a * b * log_m**2 * pp - (a + b) * log_m * ppd + pdpd)
 
 

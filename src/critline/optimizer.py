@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .levinson import THETA_MAX, LevinsonParams, c_constant_exact, hankel_weights
-from .levinson import kappa_lower_bound, q_weights
+from .levinson import THETA_MAX, LevinsonParams, c_constant_exact, gram_pieces, hankel_weights, kappa_lower_bound
 from .mollifier import Polynomial
+
+# largest R searched: e^{2R} stays below 1e261, so the Q weights and the P
+# solve stay well inside the double range (e^{2R} itself overflows past 354.9)
+R_SEARCH_MAX = 300.0
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,8 @@ class SearchSpace:
         if self.p_degree > 6 or self.q_degree > 6:
             raise ConfigError("degrees above 6 are not supported")
         r_lo, r_hi = self.r_range
-        if not (0.0 < r_lo <= r_hi):
-            raise ConfigError("r_range must satisfy 0 < r_min <= r_max")
+        if not (0.0 < r_lo <= r_hi <= R_SEARCH_MAX):
+            raise ConfigError(f"r_range must satisfy 0 < r_min <= r_max <= {R_SEARCH_MAX:g}")
         if not 0.0 < self.theta <= THETA_MAX:
             raise ConfigError("theta must lie in (0, 4/7]")
         if not 1 <= self.restarts <= 64:
@@ -69,47 +72,6 @@ def _q_basis(q_terms: int) -> np.ndarray:
     return basis
 
 
-def _gram_pieces(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """A_ij = int x^{i+j} and B_ij = int ij x^{i+j-2} over [0,1], i, j = 1..degree."""
-    i = np.arange(1.0, degree + 1.0)
-    return 1.0 / (i[:, None] + i + 1.0), np.outer(i, i) / (i[:, None] + i - 1.0)
-
-
-def _minimize_p(weights, theta: float, gram_a, gram_b) -> tuple[np.ndarray, float]:
-    """y = (alpha A + gamma B)^{-1} 1, to which the best P is proportional,
-    and the minimal c = 1 + (1/sum y + beta) / theta."""
-    alpha, beta, gamma = weights
-    y = np.linalg.solve(alpha * gram_a + gamma * gram_b, np.ones(len(gram_a)))
-    return y, 1.0 + (1.0 / float(y.sum()) + beta) / theta
-
-
-def _decode(vec: np.ndarray, space: SearchSpace) -> tuple[Polynomial, float] | None:
-    r = float(vec[-1])
-    r_lo, r_hi = space.r_range
-    if not (r_lo <= r <= r_hi):
-        return None
-    q = vec[:-1] @ _q_basis(space.q_terms)
-    q[0] = 1.0
-    return Polynomial(q), r
-
-
-def _solve_p(q_poly: Polynomial, r: float, theta: float, degree: int) -> tuple[Polynomial, float]:
-    """The P of the given degree bound that minimizes c(P, Q, R, theta)
-    under P(0) = 0 and P(1) = 1, and that minimal c.
-
-    With P = sum p_i x^i and P(1) = 1, int P P' = 1/2, so c - 1 is
-    (p'(alpha A + gamma B)p + beta) / theta on the Gram matrices of
-    _gram_pieces; the constrained minimizer is y / sum y (see _minimize_p).
-    """
-    y, c = _minimize_p(q_weights(q_poly, r, theta), theta, *_gram_pieces(degree))
-    p = y / y.sum()
-    # higher coefficients on a 2^-40 grid: below 2^12 in size, their sum and
-    # p_1 = 1 - sum are then exact, so P(1) = 1 holds in floating point too
-    p[1:] = np.round(p[1:] * 2.0**40) / 2.0**40
-    p[0] = 1.0 - float(np.sum(p[1:]))
-    return Polynomial((0.0, *p)), c
-
-
 class _Objective:
     """-kappa at (b, R) with the best P, from arrays built once per space."""
 
@@ -120,17 +82,40 @@ class _Objective:
         size = self.basis.shape[1]
         self.deriv = np.diag(np.arange(1.0, size), -1)  # q @ deriv holds Q'
         self.index = np.add.outer(np.arange(size), np.arange(size))
-        self.gram = _gram_pieces(space.p_degree)
+        self.gram = [g[1:, 1:] for g in gram_pieces(space.p_degree)]  # P(0) = 0: no constant term
+
+    def solve(self, vec: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float] | None:
+        """(Q's coefficients, R, y, minimal c) at (b, R), or None for R out of range.
+
+        With P = sum p_i x^i and P(1) = 1, int P P' = 1/2, so c - 1 is
+        (p'(alpha A + gamma B)p + beta) / theta on gram_pieces' P(0) = 0 block;
+        the best P is y / sum y, y = (alpha A + gamma B)^{-1} 1, and the
+        minimal c is 1 + (1/sum y + beta) / theta.
+        """
+        r = float(vec[-1])
+        if not self.space.r_range[0] <= r <= self.space.r_range[1]:
+            return None
+        q = vec[:-1] @ self.basis
+        q[0] = 1.0
+        alpha, beta, gamma = hankel_weights(q, q @ self.deriv, r, self.space.theta, self.index)
+        gram_a, gram_b = self.gram
+        y = np.linalg.solve(alpha * gram_a + gamma * gram_b, np.ones(len(gram_a)))
+        return q, r, y, 1.0 + (1.0 / float(y.sum()) + beta) / self.space.theta
 
     def __call__(self, vec: np.ndarray) -> float:
         self.evaluations += 1
-        r = float(vec[-1])
-        if not self.space.r_range[0] <= r <= self.space.r_range[1]:
-            return math.inf
-        q = vec[:-1] @ self.basis
-        q[0] = 1.0
-        weights = hankel_weights(q, q @ self.deriv, r, self.space.theta, self.index)
-        return -kappa_lower_bound(_minimize_p(weights, self.space.theta, *self.gram)[1], r)
+        solved = self.solve(vec)
+        return math.inf if solved is None else -kappa_lower_bound(solved[3], solved[1])
+
+    def params(self, vec: np.ndarray) -> LevinsonParams:
+        """The best (P, Q, R) at an in-range (b, R), with P(1) = 1 exact."""
+        q, r, y, _ = self.solve(vec)
+        p = y / y.sum()
+        # higher coefficients on a 2^-40 grid: below 2^12 in size, their sum and
+        # p_1 = 1 - sum are then exact, so P(1) = 1 holds in floating point too
+        p[1:] = np.round(p[1:] * 2.0**40) / 2.0**40
+        p[0] = 1.0 - float(np.sum(p[1:]))
+        return LevinsonParams(Polynomial((0.0, *p)), Polynomial(q), r, self.space.theta)
 
 
 def _nelder_mead(f, start: np.ndarray, scale: float, max_iter=4000) -> tuple[np.ndarray, float, bool]:
@@ -199,11 +184,9 @@ def optimize_kappa(space: SearchSpace) -> OptimizationReport:
         trace.append((restart, -val if math.isfinite(val) else math.nan))
         if val < best_val:
             best_vec, best_val = vec, val
-    q_poly, r = _decode(best_vec, space)
-    p_poly, _ = _solve_p(q_poly, r, space.theta, space.p_degree)
-    params = LevinsonParams(p_poly, q_poly, r, space.theta)
+    params = objective.params(best_vec)
     # report kappa recomputed from the exact pipeline, not the cached value
-    kappa = kappa_lower_bound(c_constant_exact(params), r)
+    kappa = kappa_lower_bound(c_constant_exact(params), params.r_shift)
     return OptimizationReport(params, kappa, objective.evaluations, tuple(trace), converged)
 
 

@@ -33,7 +33,8 @@ _EM_COEFF = np.array(
 _CHUNK = 256
 _NBLOCK = 8192
 _STACK_BYTES = 2 << 20
-# largest |t| at which Hardy's Z, and so a zero scan, is certified
+# largest |t| at which zeta, Hurwitz zeta and Hardy's Z, and so a zero
+# scan, are certified
 Z_T_MAX = 1e5
 
 
@@ -247,9 +248,17 @@ def zeta_line(
     matrix product per group; irregular and sign-crossing chunks build
     their own tables.  A call with a single chunk, such as one point,
     makes one direct product with its own table and builds no stack.
+
+    |t| above Z_T_MAX is refused before any term is built.  Near the cap,
+    against mpmath at 93 points with t in [99000, 1e5] and sigma in
+    {1/4, 1/2, 3/2}, the absolute error is at most 2.9e-9 and the relative
+    error at most 2.3e-9 where |zeta| >= 0.1 (2.1e-8 at |zeta| = 0.006).
     """
     t = np.asarray(t, dtype=float)
-    n = np.arange(1.0, _em_cut(np.abs(t).max(initial=0.0), factor))
+    t_top = np.abs(t).max(initial=0.0)
+    if not t_top <= Z_T_MAX:  # refuses nan too, before the terms are built
+        raise DomainError(f"zeta certified only for |t| <= {Z_T_MAX:g}")
+    n = np.arange(1.0, _em_cut(t_top, factor))
     jets, cuts = _dirichlet_jets(sigma, t, n, None, order, lambda top: _em_cut(top, factor), chunk)
     return jets + _em_tail(sigma + 1j * t, cuts, order)
 
@@ -259,11 +268,16 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
 
     Vectorized over an array of real or complex offsets a with Re(a) > 0:
     the terms m < N with N ~ max(20, 3|Im s|) plus the Euler-Maclaurin
-    remainder at N + a.
+    remainder at N + a.  |Im s| above Z_T_MAX is refused before any array
+    is built.  Near the cap, against mpmath at 90 points (Im s in
+    [99000, 1e5], Re s in {1/4, 1/2, 3/2}, a in {1/7, 1/3, 2/3, 0.9, 1}),
+    the relative error is at most 5.4e-10.
     """
     s = complex(s)
     if s == 1.0:
         raise PoleError("hurwitz zeta pole at s=1")
+    if not abs(s.imag) <= Z_T_MAX:  # refuses nan too, before the terms are built
+        raise DomainError(f"hurwitz zeta certified only for |Im s| <= {Z_T_MAX:g}")
     a = np.asarray(a)
     if np.any(np.real(a) <= 0.0):
         raise DomainError("hurwitz zeta needs Re(a) > 0")
@@ -303,9 +317,12 @@ def _zeta_jet(s: complex, order: int) -> np.ndarray:
     sine = np.array(
         [cycle[j % 4] * (0.5 * math.pi) ** j / math.factorial(j) for j in range(order + 1)]
     )
-    jet = _jet_mul(_jet_mul(_jet_exp(log_jet), sine), reflected)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        jet = _jet_mul(_jet_mul(_jet_exp(log_jet), sine), reflected)
     if s.imag == 0.0 and s.real == round(s.real) and int(s.real) % 2 == 0:
         jet[0] = 0.0  # trivial zeros
+    if not np.isfinite(jet).all():
+        raise DomainError(f"zeta jet at s = {s} overflows a double")
     return jet
 
 
@@ -363,11 +380,9 @@ def _hardy_phase(t: np.ndarray) -> np.ndarray:
 
 
 def hardy_z(t: float) -> float:
-    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2+it): real, with the sign of zeta(1/2) at 0."""
-    t = float(t)
-    if not abs(t) <= Z_T_MAX:  # refuses nan too
-        raise DomainError(f"hardy_z certified only for |t| <= {Z_T_MAX:g}")
-    return float(hardy_z_line(np.array([t]))[0])
+    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2+it): real, with the sign of zeta(1/2) at 0;
+    |t| above Z_T_MAX is refused by zeta_line."""
+    return float(hardy_z_line(np.array([float(t)]))[0])
 
 
 def hardy_z_line(t: np.ndarray) -> np.ndarray:

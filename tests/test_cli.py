@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import critline.moment as moment_module
 from critline.cli import _SCHEMAS, main, parse_config
 from critline.errors import ConfigError, ConstraintError
 
@@ -139,6 +140,29 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, exit_code, error",
+        [
+            (("constant", "--R", "400"), 1, "domain"),
+            (("constant", "--R", "354", "--Q", "1,5"), 1, "domain"),
+            (("optimize", "--r-max", "400"), 2, "config"),
+            (("lfun", "--q", "3", "--index", "1", "--s", "-200+0.5j"), 1, "domain"),
+            (("zeta", "--s", "-401"), 1, "domain"),
+            (("zeta", "--s", "1e300j"), 1, "domain"),
+            (("lfun", "--q", "1", "--s", "0.5+1e300j"), 1, "domain"),
+        ],
+        ids=["constant-R", "constant-c", "optimize-r-max", "lfun-reflection", "zeta-reflection", "zeta-height", "lfun-height"],
+    )
+    def test_overflow_and_height_refused(self, capsys, argv, exit_code, error):
+        # each once ended in a traceback or printed null
+        code, out, err = run_cli(capsys, *argv)
+        assert code == exit_code
+        if code == 1:
+            assert json.loads(out)["error"] == error
+        else:
+            assert f"error [{error}]" in err
+        assert "null" not in out
+
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--s", "2+0j")
         assert code == 0
@@ -188,6 +212,24 @@ class TestOutput:
         code, _, err = run_cli(capsys, "zeta", "--s", "2+0j", "--format", "csv")
         assert code == 2
         assert "tabular" in err
+
+    def test_csv_refused_before_running(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the moment was computed")
+
+        monkeypatch.setattr(moment_module, "mollified_moment_numeric", unreachable)
+        with pytest.raises(ConfigError, match="tabular"):
+            parse_config(["moment", "--T", "2000", "--format", "csv"])
+        code, out, err = run_cli(capsys, "moment", "--T", "2000", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "tabular" in err
+
+    def test_csv_header_of_an_empty_table(self, capsys):
+        # no zero below t = 14.13
+        code, out, _ = run_cli(capsys, "zeros", "--tmax", "10", "--format", "csv")
+        assert code == 0
+        assert out == "zero\r\n"
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "psi", "--x", "1000", "--format", "text")

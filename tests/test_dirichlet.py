@@ -310,6 +310,26 @@ class TestLFunction:
                 ref = mpmath_l(s, c)
                 assert abs(l_function(s, c) - ref) <= 1e-10 * max(1.0, abs(ref))
 
+    def test_overflow_refused(self):
+        # |L(-200+0.5i, chi mod 3)| is about 1e396: the reflection overflows
+        with pytest.raises(DomainError, match="overflows"):
+            l_function(-200.0 + 0.5j, character(3, 1))
+        # chi mod 6 induced from mod 3: the gamma factor (about 1e271) is finite,
+        # and the Euler factor 1 - chi*(2) 2^{-s} (about 1e54) overflows the product
+        with pytest.raises(DomainError, match="overflows"):
+            l_function(-180.0 + 0.5j, character(6, 1))
+
+    def test_height_cap_refused_before_the_terms(self):
+        chi = character(1, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="certified"):
+                l_function(0.5 + 1e300j, chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_near_one(self):
         # the Hurwitz poles cancel in floating point: up to about 4e-12
         # relative at |s-1| = 1e-4, growing like 1/|s-1| closer in

@@ -72,6 +72,19 @@ def random_params(rng):
     )
 
 
+# the brute-force oracle for the Gram pieces: each integral of a product
+# of two polynomials from the exact convolution of their coefficients
+def _poly_product_integral(p: Polynomial, q: Polynomial) -> float:
+    """Integral over [0,1] of p(u) q(u) du, exact rational-coefficient path."""
+    conv = np.convolve(p.coefficients, q.coefficients)
+    return math.fsum(c / (k + 1) for k, c in enumerate(conv))
+
+
+def p_integrals_by_products(p: Polynomial) -> tuple[float, float, float]:
+    dp = p.derivative()
+    return _poly_product_integral(p, p), _poly_product_integral(p, dp), _poly_product_integral(dp, dp)
+
+
 class TestExpMonomialIntegral:
     def test_against_quadrature(self):
         for a in (0.0, 1e-9, 0.3, -0.45, 0.49, 2.6, -5.0, 0.002 + 0.001j):
@@ -107,6 +120,13 @@ class TestExpMonomialIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             exp_monomial_integral(1.0, -1)
+
+    def test_overflow_refused(self):
+        # e^a overflows a double past a = 709.78; 2R = 800 is constant --R 400
+        for a in (800.0, 710.0 + 0.5j):
+            with pytest.raises(DomainError, match="overflows"):
+                exp_monomial_integral(a, 4)
+        assert np.isfinite(exp_monomial_integral(709.0, 4)).all()
 
 
 class TestConstraints:
@@ -176,6 +196,53 @@ class TestCConstant:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+class TestGramPiecesAgainstProducts:
+    # c_constant_exact and shifted_c read int P^2, int P P', int P'^2 from
+    # gram_pieces; the convolution oracle must give the same c to 1e-14
+    def test_registry_tuples(self):
+        shift = ShiftedParams(-0.05 + 0.01j, -0.05 - 0.02j, 1e4, 1e8)
+        for t in published_tuples():
+            # the two-piece tuples meet P(0)=0, P(1)=1 through P1 only
+            p = t.p1_poly if t.p1_poly is not None else t.p_poly
+            self._check_c(LevinsonParams(p, t.q_poly, t.r_shift, 0.5))
+            for piece in (t.p_poly, t.p1_poly, t.p2_poly):
+                if piece is not None:
+                    self._check_shifted(shift, piece, 0.5)
+
+    def test_random_c_constant_exact(self, rng):
+        for _ in range(120):
+            p_deg, q_deg = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            p = [0.0] + list(rng.uniform(-1, 1, p_deg))
+            p[-1] += 1.0 - sum(p)  # P(1)=1
+            q = Polynomial([1.0] + list(rng.uniform(-1, 1, q_deg)))
+            r, theta = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, THETA_MAX))
+            self._check_c(LevinsonParams(Polynomial(p), q, r, theta))
+
+    def test_random_shifted_c(self, rng):
+        # any P, P(0) = 0 or not, degree 0 included
+        for degree in range(7):
+            for _ in range(12):
+                p = Polynomial(rng.uniform(-1, 1, degree + 1))
+                a, b = rng.uniform(-0.2, 0.2, 4).view(complex)
+                self._check_shifted(ShiftedParams(a, b, 1e4, 1e8), p, float(rng.uniform(0.1, 0.5)))
+
+    @staticmethod
+    def _check_c(params):
+        pp, ppd, pdpd = p_integrals_by_products(params.p_poly)
+        alpha, beta, gamma = q_weights(params.q_poly, params.r_shift, params.theta)
+        want = 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / params.theta
+        assert c_constant_exact(params) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def _check_shifted(shift, p, theta):
+        pp, ppd, pdpd = p_integrals_by_products(p)
+        a, b = complex(shift.alpha), complex(shift.beta)
+        log_m, log_t = math.log(shift.m_length), math.log(shift.t_scale)
+        iv = exp_monomial_integral(-(a + b) * log_t, 0)[0]
+        want = 1.0 + (iv / theta) * (a * b * log_m**2 * pp - (a + b) * log_m * ppd + pdpd)
+        assert abs(shifted_c(shift, p, theta) - want) <= 1e-14 * abs(want)
+
+
 class TestKappaBound:
     def test_trivial_values(self):
         assert kappa_lower_bound(1.0, 2.0) == 1.0
@@ -186,6 +253,9 @@ class TestKappaBound:
             kappa_lower_bound(0.9, 1.0)
         with pytest.raises(DomainError):
             kappa_lower_bound(2.0, 0.0)
+        for c in (math.inf, math.nan):  # a c that overflowed
+            with pytest.raises(DomainError):
+                kappa_lower_bound(c, 1.0)
 
 
 class TestShiftedC:

@@ -11,10 +11,8 @@ from critline.levinson import THETA_MAX, LevinsonParams, c_constant_exact, kappa
 from critline.mollifier import Polynomial
 from critline.optimizer import (
     SearchSpace,
-    _decode,
     _nelder_mead,
     _Objective,
-    _solve_p,
     baseline_embedding,
     grid_scan_r,
     optimize_kappa,
@@ -116,18 +114,22 @@ class TestOptimizer:
 
     def test_baseline_embedding_decodes_exactly(self):
         space = SearchSpace(3, 3, (0.5, 2.5), 0.5)
-        q_poly, r = _decode(baseline_embedding(space), space)
+        objective = _Objective(space)
+        params = objective.params(baseline_embedding(space))
+        q_poly, r = params.q_poly, params.r_shift
         assert q_poly.coefficients == (1.0, -1.0)
         assert r == 1.3
-        p_poly, c = _solve_p(q_poly, r, space.theta, space.p_degree)
-        assert c == pytest.approx(c_constant_exact(LevinsonParams(p_poly, q_poly, r, 0.5)), rel=1e-13)
+        c = objective.solve(baseline_embedding(space))[3]
+        assert c == pytest.approx(c_constant_exact(params), rel=1e-13)
         assert c <= c_constant_exact(LevinsonParams(Polynomial((0.0, 1.0)), q_poly, r, 0.5))
 
     def test_solved_p_is_the_constrained_minimum(self, rng):
         # perturbing the solved P along P(0)=0, P(1)=1 never lowers c
         space = SearchSpace(4, 3, (0.5, 2.5), 0.5)
-        q_poly, r = _decode(np.array([0.4, 0.2, 1.1]), space)
-        p_poly, c = _solve_p(q_poly, r, 0.5, 4)
+        objective = _Objective(space)
+        vec = np.array([0.4, 0.2, 1.1])
+        params, c = objective.params(vec), objective.solve(vec)[3]
+        p_poly, q_poly, r = params.p_poly, params.q_poly, params.r_shift
         for _ in range(20):
             bump = rng.uniform(-0.1, 0.1, 3)
             coeffs = np.array(p_poly.coefficients)
@@ -141,9 +143,10 @@ class TestOptimizer:
         # for about one random (Q, R) in twelve
         for p_degree in range(2, 7):
             space = SearchSpace(p_degree, 5, (0.5, 2.5), 0.5)
+            objective = _Objective(space)
             for _ in range(60):
                 vec = np.append(rng.uniform(-1.0, 1.5, space.q_terms), rng.uniform(0.5, 2.5))
-                p_poly, _ = _solve_p(*_decode(vec, space), 0.5, p_degree)
+                p_poly = objective.params(vec).p_poly
                 assert p_poly.coefficients[0] == 0.0
                 assert math.fsum(p_poly.coefficients) == 1.0
 
@@ -153,7 +156,7 @@ class TestOptimizer:
         for q_degree in range(1, 7):
             space = SearchSpace(1, q_degree, (0.5, 2.5), 0.5)
             vec = np.append(rng.uniform(-1.0, 1.0, space.q_terms), 1.0)
-            q_poly, _ = _decode(vec, space)
+            q_poly = _Objective(space).params(vec).q_poly
             assert q_poly.coefficients[0] == 1.0
             assert q_poly.degree <= q_degree
             total = q_poly(x) + q_poly(1.0 - x)
@@ -185,15 +188,15 @@ class TestOptimizer:
     @pytest.mark.parametrize("theta", [0.5, THETA_MAX])
     def test_closed_form_c_matches_solved_p(self, rng, theta):
         # the objective's 1 + (1/sum y + beta)/theta (read back from -kappa),
-        # _solve_p's c and the exact c of the solved (rounded) P are one number
+        # the solve's c and the exact c of the solved (rounded) P are one number
         for p_degree in range(1, 7):
             for q_degree in range(1, 7):
                 space = SearchSpace(p_degree, q_degree, (0.5, 2.5), theta)
+                objective = _Objective(space)
                 vec = np.append(rng.uniform(-1.0, 1.5, space.q_terms), rng.uniform(0.5, 2.5))
-                q_poly, r = _decode(vec, space)
-                closed = math.exp(r * (1.0 + _Objective(space)(vec)))
-                p_poly, solved = _solve_p(q_poly, r, theta, p_degree)
-                exact = c_constant_exact(LevinsonParams(p_poly, q_poly, r, theta))
+                closed = math.exp(vec[-1] * (1.0 + objective(vec)))
+                solved = objective.solve(vec)[3]
+                exact = c_constant_exact(objective.params(vec))
                 assert solved == pytest.approx(closed, rel=1e-12)
                 assert exact == pytest.approx(closed, rel=1e-12)
 

@@ -83,6 +83,34 @@ class TestZeta:
         ref = complex(mp.zeta(mp.mpc(s)))
         assert zeta(s) == pytest.approx(ref, rel=1e-9)
 
+    def test_overflow_refused(self):
+        # |zeta(-401)| is about 1e547; -300 is a trivial zero and stays 0
+        for s in (-401.0, -301.0, -350.0 + 2.0j):
+            with pytest.raises(DomainError, match="overflows"):
+                zeta(s)
+        with pytest.raises(DomainError, match="overflows"):
+            zeta_derivative(-401.0, 1)
+        assert zeta(-300.0) == 0.0
+
+    def test_height_cap_refused_before_the_terms(self):
+        # a height past Z_T_MAX would ask np.arange for ~|t| terms
+        # (1e300 raised ValueError; 1e9 would take gigabytes)
+        tracemalloc.start()
+        try:
+            for s in (1e300j, 0.5 + 1e9j, 0.5 - 100001j, complex(0.5, math.nan)):
+                with pytest.raises(DomainError, match="certified"):
+                    zeta(s)
+            with pytest.raises(DomainError, match="certified"):
+                zeta_line(0.5, np.array([10.0, 1e300]))
+            for s in (0.5 + 1e300j, 2.0 - 1e9j):
+                with pytest.raises(DomainError, match="certified"):
+                    hurwitz_zeta(s, np.array([0.25, 0.5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.isfinite(zeta(0.5 + 1e5j))
+
 
 class TestZetaLine:
     def test_jets_match_mpmath_derivatives(self):
