@@ -76,7 +76,7 @@ _SCHEMAS: dict[str, dict] = {
         "theta": (_parse_real, "0.5"),
         "r-min": (_parse_real, "0.5"),
         "r-max": (_parse_real, "2.5"),
-        "restarts": (int, "8"),
+        "restarts": (int, "8"),  # both accepted and unused: perfbench/workloads.py still sends them
         "seed": (int, "0"),
     },
     "moment": {
@@ -118,7 +118,8 @@ def _keys_help() -> str:
         keys = " ".join(f"--{key}" + "*" * (default is None) for key, (_, default) in schema.items())
         lines.append(f"  {command:<10} {keys or '(none)'}")
     return "\n".join(lines + ["", "optimize: --p-degree bounds the degree of P; --q-degree d bounds the degree",
-                              "of Q, which is searched over ceil(d/2) odd-symmetric terms (1-2x)^(2j-1) - 1."])
+                              "of Q, which is searched over ceil(d/2) odd-symmetric terms (1-2x)^(2j-1) - 1.",
+                              "The search is deterministic: --restarts and --seed are accepted and have no effect."])
 
 
 _PARSER = argparse.ArgumentParser(
@@ -169,18 +170,12 @@ def parse_config(argv: list[str]) -> RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {name}: {text!r} ({exc})")
     if known.command in ("constant", "moment"):
-        # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1, R >= 0 and 0 < theta <= 4/7
+        # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1, R > 0 and 0 < theta <= 4/7
         params["levinson"] = levinson.LevinsonParams(params["P"], params["Q"], params["R"], params["theta"])
     elif known.command == "optimize":
-        # SearchSpace checks the degrees, the R range, theta and the restarts
+        # SearchSpace checks the degrees, the R range and theta
         params["space"] = optimizer.SearchSpace(
-            params["p-degree"],
-            params["q-degree"],
-            (params["r-min"], params["r-max"]),
-            params["theta"],
-            params["restarts"],
-            params["seed"],
-        )
+            params["p-degree"], params["q-degree"], (params["r-min"], params["r-max"]), params["theta"])
     return RunConfig(known.command, params, known.format, known.output)
 
 
@@ -266,11 +261,11 @@ def _run_command(config: RunConfig):
         return {"x": p["x"], "psi": value, "ratio": value / p["x"] if p["x"] else 0.0}, None
     if config.command == "constant":
         c_exact = levinson.c_constant_exact(p["levinson"])
-        c_quad = levinson.c_constant_quadrature(p["levinson"])
+        kappa = levinson.kappa_lower_bound(c_exact, p["R"])  # an overflowed c is refused before the quadrature
         report = {
             "c_exact": c_exact,
-            "c_quadrature": c_quad,
-            "kappa_bound": levinson.kappa_lower_bound(c_exact, p["R"]),
+            "c_quadrature": levinson.c_constant_quadrature(p["levinson"]),
+            "kappa_bound": kappa,
             "params": {"P": p["P"], "Q": p["Q"], "R": p["R"], "theta": p["theta"]},
         }
         # the published claim belongs to the baseline tuple (at theta = 1/2) only
@@ -292,7 +287,6 @@ def _run_command(config: RunConfig):
                 "theta": rep.best_params.theta,
             },
             "evaluations": rep.evaluations,
-            "restart_trace": [list(pair) for pair in rep.restart_trace],
             "converged": rep.converged,
         }, None
     if config.command == "moment":

@@ -266,7 +266,8 @@ def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:
     (q/pi) factors are taken as one exponential of log-gamma, so neither
     overflows on its own.  At s = -kappa, -kappa-2, ... the product is a
     removable 0 * infinity (a gamma pole on a trivial zero of L), and
-    there alone the value is epsilon(chi) Lambda(1-s, conj chi).
+    there alone the value is epsilon(chi) Lambda(1-s, conj chi).  A value
+    past the double range is a DomainError.
     """
     s = complex(s)
     if not chi.is_primitive or chi.is_principal:
@@ -275,7 +276,13 @@ def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:
     if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
         return epsilon_factor(chi) * xi_completed_l(1.0 - s, chi.conjugate())
     log_factor = a * math.log(chi.modulus / math.pi) + complex(sps.loggamma(a))
-    return cmath.exp(log_factor) * l_function(s, chi)
+    try:
+        val = cmath.exp(log_factor) * l_function(s, chi)
+    except OverflowError:  # cmath.exp past Re 709.78; a product overflows to inf instead
+        val = complex(math.inf)
+    if not cmath.isfinite(val):
+        raise DomainError(f"Lambda(s, chi) at s = {s} overflows a double")
+    return val
 
 
 def l_function(s: complex, chi: DirichletCharacter) -> complex:

@@ -3,9 +3,10 @@ its shifted two-variable generalization, and the registry of published
 polynomial tuples.
 
 c is Conrey's functional, with the inner x-derivative squared.  For fixed
-(Q, R, theta) it is a quadratic form in P: its Gram matrices in P's
-coefficients come from gram_pieces, the one builder that c_constant_exact,
-shifted_c and the optimizer share, and its three weights come from one
+(Q, R, theta) it is a quadratic form in P, and for fixed (P, R, theta) one
+in Q.  P's Gram matrices come from gram_pieces, the one builder that
+c_constant_exact, shifted_c and the optimizer share; Q's come from
+hankel_pieces, which c_constant_exact and the optimizer share, from one
 vector of exponential-monomial integrals; that vector comes from a
 recurrence that runs upward for well-separated arguments and downward
 (self-correcting) for small ones.
@@ -42,8 +43,8 @@ class LevinsonParams:
             raise ConstraintError("P(1)=1 violated")
         if abs(self.q_poly(0.0) - 1.0) > 1e-12:
             raise ConstraintError("Q(0)=1 violated")
-        if not self.r_shift >= 0.0:
-            raise ConstraintError("R must be nonnegative")
+        if not self.r_shift > 0.0:
+            raise ConstraintError("R must be positive")
         if not 0.0 < self.theta <= THETA_MAX:
             raise ConstraintError("theta must lie in (0, 4/7]")
 
@@ -100,24 +101,28 @@ def _p_integrals(p: Polynomial) -> tuple[float, float, float]:
     return float(coeffs @ gram_a @ coeffs), 0.5 * (p(1.0) ** 2 - p(0.0) ** 2), float(coeffs @ gram_b @ coeffs)
 
 
-def hankel_weights(q: np.ndarray, dq: np.ndarray, r_shift: float, theta: float, index: np.ndarray):
-    """(alpha, beta, gamma) = fHf, fHq and qHq for the coefficient vectors q
-    of Q and dq of Q' (equal length n), with f = theta (R q + dq) and H the
-    Hankel matrix I_{i+j} of e^{2Rv}; index is the n x n grid i + j."""
-    f = theta * (r_shift * q + dq)
-    hankel = exp_monomial_integral(2.0 * r_shift, 2 * q.size - 2)[index]
+def hankel_pieces(size: int, r_shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """(H, M) for c's quadratic form in Q = sum q_i x^i, i < size, at R:
+    H_ij = I_{i+j} of e^{2Rv}, and M = R + d/dx acting on coefficient rows,
+    so that f = theta q M holds the coefficients of F = theta (R Q + Q')."""
+    hankel = exp_monomial_integral(2.0 * r_shift, 2 * size - 2)[np.add.outer(np.arange(size), np.arange(size))]
+    return hankel, r_shift * np.eye(size) + np.diag(np.arange(1.0, size), -1)
+
+
+def hankel_weights(q: np.ndarray, hankel: np.ndarray, m: np.ndarray, theta: float):
+    """(alpha, beta, gamma) = fHf, fHq and qHq, the integrals over [0,1] of
+    e^{2Rv} times F^2, F Q and Q^2, for Q's coefficients q and hankel_pieces'
+    (H, M)."""
+    f = theta * (q @ m)
     hq = hankel @ q
     return f @ hankel @ f, f @ hq, q @ hq
 
 
 def q_weights(q_poly: Polynomial, r_shift: float, theta: float) -> tuple[float, float, float]:
-    """(alpha, beta, gamma) = integrals over [0,1] of e^{2Rv} times F^2, F Q
-    and Q^2, with F = R theta Q + theta Q', all from one moment vector
+    """hankel_weights for a Polynomial Q: all three from one moment vector
     I_0..I_{2 deg Q} of e^{2Rv}."""
     q = np.asarray(q_poly.coefficients, dtype=float)
-    dq = np.append(q[1:] * np.arange(1.0, q.size), 0.0)
-    index = np.add.outer(np.arange(q.size), np.arange(q.size))
-    return tuple(float(w) for w in hankel_weights(q, dq, float(r_shift), theta, index))
+    return tuple(float(w) for w in hankel_weights(q, *hankel_pieces(q.size, float(r_shift)), theta))
 
 
 def c_constant_exact(params: LevinsonParams) -> float:
@@ -156,7 +161,7 @@ def c_constant_quadrature(params: LevinsonParams) -> float:
 
     value = tensor_rule(48)
     err = abs(value - tensor_rule(24))
-    if err > QUADRATURE_BOUND:
+    if not err <= QUADRATURE_BOUND:  # refuses a nan estimate too
         raise AccuracyError(f"quadrature error estimate {err:.3e} exceeds {QUADRATURE_BOUND}")
     return 1.0 + value / theta
 

@@ -363,14 +363,21 @@ def xi_completed(s: complex) -> complex:
     neither overflows nor underflows on its own (xi(400) ~ 1.2e278).  At
     s = 1 and s = -2, -4, ... the product is a removable 0 * infinity
     (the zeta pole; the gamma poles at the trivial zeros), and there
-    alone the value is xi(1-s).
+    alone the value is xi(1-s).  A value past the double range (from
+    s = 434 on the real axis) is a DomainError.
     """
     s = complex(s)
     if s.imag == 0.0 and (s.real == 1.0 or (s.real <= -2.0 and s.real % 2.0 == 0.0)):
         return xi_completed(1.0 - s)
     # s Gamma(s/2)/2 = Gamma(s/2 + 1) absorbs the s=0 pole
     log_factor = complex(sps.loggamma(s / 2.0 + 1.0)) - s / 2.0 * math.log(math.pi)
-    return (s - 1.0) * cmath.exp(log_factor) * zeta(s)
+    try:
+        val = (s - 1.0) * cmath.exp(log_factor) * zeta(s)
+    except OverflowError:  # cmath.exp past Re 709.78; a product overflows to inf instead
+        val = complex(math.inf)
+    if not cmath.isfinite(val):
+        raise DomainError(f"xi(s) at s = {s} overflows a double")
+    return val
 
 
 def _hardy_phase(t: np.ndarray) -> np.ndarray:

@@ -206,12 +206,12 @@ def test_criterion_6_optimizer():
     )
     grid_best = max(k for _, k in grid)
 
-    space_11 = SearchSpace(1, 1, (0.5, 2.5), 0.5, restarts=6, seed=11)
+    space_11 = SearchSpace(1, 1, (0.5, 2.5), 0.5)
     report_11 = optimize_kappa(space_11)
     repeat_11 = optimize_kappa(space_11)
 
     baseline_kappa = kappa_lower_bound(c_constant_exact(BASELINE), 1.3)
-    space_33 = SearchSpace(3, 3, (0.5, 2.5), 0.5, restarts=6, seed=11)
+    space_33 = SearchSpace(3, 3, (0.5, 2.5), 0.5)
     report_33 = optimize_kappa(space_33)
     elapsed = time.perf_counter() - start
 

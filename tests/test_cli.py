@@ -7,7 +7,7 @@ import os
 import pytest
 
 import critline.moment as moment_module
-from critline.cli import _SCHEMAS, main, parse_config
+from critline.cli import _SCHEMAS, _dump_json, main, parse_config
 from critline.errors import ConfigError, ConstraintError
 
 
@@ -163,6 +163,29 @@ class TestExitCodes:
             assert f"error [{error}]" in err
         assert "null" not in out
 
+    @pytest.mark.parametrize("command", ["constant", "moment"])
+    def test_zero_r_is_a_usage_error(self, capsys, command):
+        # LevinsonParams refuses R = 0 while parsing, before anything is computed
+        with pytest.raises(ConstraintError, match="R must be positive"):
+            parse_config([command, "--R", "0"])
+        code, out, err = run_cli(capsys, command, "--R", "0")
+        assert code == 2
+        assert out == ""
+        assert "error [constraint]: R must be positive" in err
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_benchmark_optimize_argv(self, capsys, degree):
+        # the benchmark still sends --seed and --restarts: accepted, no effect
+        argv = ["optimize", "--p-degree", str(degree), "--q-degree", str(degree)]
+        outputs = []
+        for extra in (["--seed", "0", "--restarts", "8"], ["--seed", "0", "--restarts", "8"], []):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        best = json.loads(outputs[0])["best_params"]
+        assert best["P"][0] == 0.0 and math.fsum(best["P"]) == 1.0 and best["Q"][0] == 1.0
+
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--s", "2+0j")
         assert code == 0
@@ -198,8 +221,8 @@ class TestOutput:
 
         code, out, _ = run_cli(capsys, "optimize", "--p-degree", "1", "--q-degree", "1")
         assert code == 0
-        payload = json.loads(out, parse_constant=reject)
-        assert len(payload["restart_trace"]) == 8
+        assert json.loads(out, parse_constant=reject)["converged"] is True
+        assert _dump_json({"a": math.nan, "b": [math.inf, -math.inf]}) == '{"a": null, "b": [null, null]}'
 
     def test_csv_header_and_rows(self, capsys):
         code, out, _ = run_cli(capsys, "chars", "--q", "5", "--format", "csv")

@@ -358,6 +358,11 @@ class TestCompletedL:
                     ref = mpmath_completed_l(s, c, l_ref)
                     assert xi_completed_l(s, c) == pytest.approx(ref, rel=1e-12)
 
+    def test_overflow_refused(self):
+        # (q/pi)^{s/2} Gamma(s/2) at s = 400, q = 5 is about e^{770}
+        with pytest.raises(DomainError, match="overflows"):
+            xi_completed_l(400.0, character(5, 1))
+
     def test_removable_points(self):
         # a gamma pole on a trivial zero of L, valued by eps Lambda(1-s, conj chi)
         chars = [c for c in enumerate_characters(5) if c.is_primitive and not c.is_principal]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from critline.errors import ConstraintError, DomainError
+from critline.errors import AccuracyError, ConstraintError, DomainError
 from critline.levinson import (
     THETA_MAX,
     LevinsonParams,
@@ -142,6 +142,11 @@ class TestConstraints:
         with pytest.raises(ConstraintError):
             LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((0.9, -1.0)), 1.0, 0.5)
 
+    def test_r_positive(self):
+        for r in (0.0, -1.0, math.nan):
+            with pytest.raises(ConstraintError, match="R must be positive"):
+                LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), r, 0.5)
+
     def test_theta_range(self):
         with pytest.raises(ConstraintError):
             LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 1.0, 0.7)
@@ -154,9 +159,16 @@ class TestConstraints:
 
 class TestCConstant:
     def test_trivial_collapse(self):
-        params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 0.0, 0.5)
+        # P = x, Q = 1 as R -> 0: c -> 1 + 1/theta (R = 0 itself is refused)
+        params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0,)), 1e-12, 0.5)
         assert c_constant_exact(params) == pytest.approx(3.0)
         assert c_constant_quadrature(params) == pytest.approx(3.0, abs=1e-9)
+
+    def test_quadrature_refuses_a_nan_error_estimate(self):
+        # at R = 354 both tensor rules overflow: inf - inf leaves a nan estimate
+        params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, 5.0)), 354.0, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError, match="nan"):
+            c_constant_quadrature(params)
 
     def test_baseline_value_and_kappa_window(self):
         c = c_constant_exact(BASELINE)

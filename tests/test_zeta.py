@@ -298,6 +298,14 @@ class TestXi:
         for s in (1.0, -2.0, -4.0):
             assert xi_completed(s) == pytest.approx(mpmath_xi(1.0 - s), rel=1e-12)
 
+    def test_overflow_refused(self):
+        # xi(433) ~ 1.5e308 still fits; at 434 the product overflows, at 500
+        # the gamma factor's exponential itself
+        assert math.isfinite(xi_completed(433.0).real)
+        for s in (434.0, 500.0):
+            with pytest.raises(DomainError, match="overflows"):
+                xi_completed(s)
+
 
 class TestHardyZ:
     def test_real_and_modulus(self):
