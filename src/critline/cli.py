@@ -261,7 +261,7 @@ def _run_command(config: RunConfig):
         return {"x": p["x"], "psi": value, "ratio": value / p["x"] if p["x"] else 0.0}, None
     if config.command == "constant":
         c_exact = levinson.c_constant_exact(p["levinson"])
-        kappa = levinson.kappa_lower_bound(c_exact, p["R"])  # an overflowed c is refused before the quadrature
+        kappa = levinson.kappa_lower_bound(c_exact, p["R"])  # a refused c never reaches the quadrature
         report = {
             "c_exact": c_exact,
             "c_quadrature": levinson.c_constant_quadrature(p["levinson"]),

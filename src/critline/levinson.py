@@ -131,11 +131,15 @@ def c_constant_exact(params: LevinsonParams) -> float:
     The inner x-derivative at x=0, R theta P(u)Q(v) + P'(u)Q(v)
     + theta P(u)Q'(v), is P(u)F(v) + P'(u)Q(v); its square against e^{2Rv}
     is alpha int P^2 + 2 beta int P P' + gamma int P'^2 (see q_weights and
-    gram_pieces).
+    gram_pieces).  A c past the double range raises DomainError.
     """
     pp, ppd, pdpd = _p_integrals(params.p_poly)
-    alpha, beta, gamma = q_weights(params.q_poly, params.r_shift, params.theta)
-    return 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / params.theta
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        alpha, beta, gamma = q_weights(params.q_poly, params.r_shift, params.theta)
+    c = 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / params.theta
+    if not math.isfinite(c):
+        raise DomainError(f"c at R = {params.r_shift} overflows a double")
+    return c
 
 
 def c_constant_quadrature(params: LevinsonParams) -> float:

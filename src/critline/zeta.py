@@ -7,8 +7,8 @@ corrections.  Values and derivatives are truncated-Taylor jets in a
 shift x: every zeta, zeta^(k) and Hurwitz zeta value adds the same
 remainder jet (_em_tail) to a head sum, and Re(s) < 0 is reached by
 applying the functional equation to the jets.  Head sums on a grid, and
-the mollifier's Dirichlet polynomial, go through one kernel,
-_dirichlet_jets.
+the mollifier's Dirichlet polynomial, go through one kernel, _dirichlet_jets:
+per block of n, one phase table and one product per fixed group of chunks.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ _BERNOULLI = sps.bernoulli(2 * _EM_TERMS)
 _EM_COEFF = np.array(
     [_BERNOULLI[2 * k] / math.factorial(2 * k) for k in range(1, _EM_TERMS + 1)]
 )
-# Dirichlet-polynomial grid kernel: ordinates per |t|-sorted chunk, terms
-# per block of n, and the byte budget of one group's stacked base weights
+# grid kernel: ordinates per |t|-sorted chunk, terms per block of n, and the
+# byte budget of one group's stacked base weights or of one Hurwitz block
 _CHUNK = 256
 _NBLOCK = 8192
 _STACK_BYTES = 2 << 20
@@ -108,20 +108,6 @@ def _em_cut(t_max: float, factor: float = 1.0) -> int:
     return max(20, int(math.ceil(factor * t_max)))
 
 
-def _stacked_product(table, stack, group, jets, order: int):
-    """One product of the shared phase table with a group's base weights,
-    stacked side by side in stack; each chunk's offset correction is
-    applied to its own columns before its jets are added, and the group
-    is emptied."""
-    m = max(g[2] for g in group)
-    prod = table[:, :m] @ stack[:m]
-    for sel, shift, _, c0, cols in group:
-        sums = prod[: sel.size, c0 : c0 + cols]
-        sums[:, : cols - 1] += 1j * shift[:, None] * np.arange(1, cols) * sums[:, 1:]
-        jets[:, sel] += sums[:, : order + 1].T
-    group.clear()
-
-
 def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     """Jets sum_n coeff_n n^{-sigma-it} (-log n)^j / j! for j <= order.
 
@@ -134,92 +120,73 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     The sum of a chunk with base ordinate t_c and offsets d_k = t_k - t_c
     is the phase table D[k, n] = n^{-i d_k} times the base weights
     W_c[n, j] = w_j(n) n^{-i t_c}, w_j(n) = coeff_n n^{-sigma} (-log n)^j / j!.
-    On a uniform grid every chunk has the same offsets, up to the rounding
-    already in t, so D is built once per block of _NBLOCK terms from the
-    first chunk, and each further chunk costs one exponential per term.
-    Row r a + b of D (r = ceil(sqrt(chunk))) is the product
-    n^{-i d_{ra}} n^{-i d_b}: 2r exponentials per term instead of one per
-    row, and D's offsets are the first chunk's up to the rounding of
-    d_{ra} + d_b, which the shift correction below absorbs.
-    Consecutive chunks that reuse D stack their W_c side by side, each
-    zero past its own cut, and each group of them costs one matrix product
-    D @ [W_c1 | W_c2 | ...].  The stack holds at most _STACK_BYTES, and
-    never more than D, so memory stays flat however long the grid is.
-    A chunk whose offsets differ from D's by more than 4 ulp of its max|t|
-    builds a table for itself, at the cost of one exponential per point and
-    term; irregular and sign-crossing inputs take that path, while a
-    shuffled uniform grid sorts back into uniform chunks.  A call with a
-    single chunk builds only its own table and makes one direct product,
-    with no stack and no extra column.  Within the 4 ulp, the difference
-    e_k of the offsets is corrected to first order,
-    n^{-i e_k} = 1 - i e_k log n, which adds i (j+1) e_k times the
-    order-(j+1) sum to the order-j one; a reused table then agrees with
-    the chunk's own to about 1e-14 relative.
+    On a uniform grid every chunk has the same offsets up to the rounding
+    already in t, so one D, from the first chunk's offsets, serves them all.
+    It is built once per block of _NBLOCK terms, row r a + b
+    (r = ceil(sqrt(chunk))) as n^{-i d_{ra}} n^{-i d_b}: 2r exponentials per
+    term instead of one per row.  A chunk shares D when its offsets are
+    within 4 ulp of its max|t| of D's, and their difference e_k is corrected
+    to first order, n^{-i e_k} = 1 - i e_k log n, by adding i (j+1) e_k times
+    the order-(j+1) sum to the order-j one (to about 1e-14 relative).  The
+    sharing chunks go in fixed groups whose W_c, each zero past its chunk's
+    cut, fill at most _STACK_BYTES side by side and no more columns than D
+    has rows; each group is one product D @ [W_c1 | W_c2 | ...], so memory
+    stays flat however long the grid is.  Any other chunk (irregular,
+    crossing t = 0, or the only one of its call) builds its own table, at
+    one exponential per point and term, and makes one direct product.
     """
     t = np.asarray(t, dtype=float)
     idx = np.argsort(np.abs(t), kind="stable")
     chunks = [idx[c0 : c0 + chunk] for c0 in range(0, t.size, chunk)]
-    cuts = np.zeros(t.size)
-    for sel in chunks:
-        cuts[sel] = cut(np.abs(t[sel]).max())
-    used = np.searchsorted(n, cuts)  # terms below each point's cut
-    ln = np.log(n)
+    tops = np.array([np.abs(t[sel]).max() for sel in chunks])  # max|t| per chunk
+    cuts = np.empty(t.size)
+    cuts[idx] = np.array([cut(top) for top in tops], dtype=float)[np.arange(t.size) // chunk]
+    terms, base_t = np.searchsorted(n, cuts[idx[::chunk]]), t[idx[::chunk]]  # per chunk
     w0 = n**-sigma if coeff is None else coeff * n**-sigma
     jets = np.zeros((order + 1, t.size), dtype=complex)
-    shared = len(chunks) > 1
-    if shared:
-        side = math.isqrt(chunk - 1) + 1
-        table = np.empty((side, side, min(_NBLOCK, n.size)), dtype=complex)
-        flat = table.reshape(side * side, -1)
-        width = max(order + 2, min(chunk, _STACK_BYTES // (16 * flat.shape[1])))
-        stack = np.empty((flat.shape[1], width), dtype=complex)
-        group = []  # (sel, shift, terms, first column, columns) per stacked chunk
-    for b0 in range(0, used.max(initial=0), _NBLOCK):
-        lnb = ln[b0 : b0 + _NBLOCK]
-        # w_j(n) for j <= order, and j = order+1 where a shift may need it
-        w = np.empty((lnb.size, order + 1 + shared))
+    side, cols = math.isqrt(chunk - 1) + 1, order + 2
+    delta = t[idx[:chunk]] - base_t[:1]
+    coarse, fine = delta[::side], delta[:side]
+    ref = (coarse[:, None] + fine).ravel()
+    err = np.array([np.abs(t[sel] - t[sel[0]] - ref[: sel.size]).max() for sel in chunks])
+    share = (err <= 4.0 * np.spacing(tops)) & (len(chunks) > 1)
+    width = min(_NBLOCK, terms[share].max(initial=0))
+    table = np.empty((coarse.size * fine.size, width), dtype=complex)
+    per = max(1, min(chunk, _STACK_BYTES // (16 * max(width, 1))) // cols)  # chunks per group
+    for b0 in range(0, terms.max(initial=0), _NBLOCK):
+        lnb = np.log(n[b0 : b0 + _NBLOCK])
+        w = np.empty((lnb.size, cols))
         w[:, 0] = w0[b0 : b0 + lnb.size]
-        for j in range(1, w.shape[1]):
+        for j in range(1, cols):
             w[:, j] = w[:, j - 1] * (-lnb) / j
-        # the table holds n^{-i ref} for the first chunk that reaches this
-        # block, in columns [0, filled) filled as later chunks need them
-        ref, filled, top = None, 0, 0
-        for sel in chunks:
-            m = min(lnb.size, int(used[sel[0]]) - b0)
-            if m <= 0:
-                continue
-            tc = t[sel]
-            delta = tc - tc[0]
-            phase = np.exp(-1j * tc[0] * lnb[:m])
-            if shared:
-                if ref is None:
-                    coarse, fine = delta[::side], delta[:side]
-                    ref = (coarse[:, None] + fine).ravel()[: delta.size]
-                # only the last chunk is shorter than the one that set ref
-                shift = delta - ref[: delta.size]
-                if np.abs(shift).max() <= 4.0 * np.spacing(np.abs(tc).max()):
-                    if filled < m:
-                        np.multiply(
-                            np.exp(-1j * np.outer(coarse, lnb[filled:m]))[:, None],
-                            np.exp(-1j * np.outer(fine, lnb[filled:m])),
-                            out=table[: coarse.size, : fine.size, filled:m],
-                        )
-                        filled = m
-                    # a nonzero shift is corrected with the order+1 sum, since
-                    # n^{-i shift} = 1 - i shift log n and -log n w_j = (j+1) w_{j+1}
-                    cols = order + 1 + int(shift.any())
-                    if top + cols > width:
-                        _stacked_product(flat[: ref.size], stack[:, :top], group, jets, order)
-                        top = 0
-                    np.multiply(w[:m, :cols], phase[:, None], out=stack[:m, top : top + cols])
-                    stack[m:, top : top + cols] = 0.0
-                    group.append((sel, shift, m, top, cols))
-                    top += cols
-                    continue
-            own = np.exp(-1j * np.outer(delta, lnb[:m]))
-            jets[:, sel] += (own @ (w[:m, : order + 1] * phase[:, None])).T
-        if top:
-            _stacked_product(flat[: ref.size], stack[:, :top], group, jets, order)
+        ms = np.minimum(lnb.size, terms - b0)  # each chunk's terms in this block
+        for c in np.flatnonzero((ms > 0) & ~share):
+            m, tc = ms[c], t[chunks[c]]
+            own = np.exp(-1j * np.outer(tc - tc[0], lnb[:m]))
+            jets[:, chunks[c]] += (own @ (w[:m, : order + 1] * np.exp(-1j * tc[0] * lnb[:m])[:, None])).T
+        live = np.flatnonzero((ms > 0) & share)
+        if live.size:
+            m = ms[live].max()
+            np.multiply(
+                np.exp(-1j * np.outer(coarse, lnb[:m]))[:, None],
+                np.exp(-1j * np.outer(fine, lnb[:m])),
+                out=table.reshape(coarse.size, fine.size, width)[:, :, :m],
+            )
+            # one group's phases and stacked W_c, reused by every group
+            phases, stacks = np.empty(m * per, complex), np.empty(m * per * cols, complex)
+        for g0 in range(0, live.size, per):
+            group = live[g0 : g0 + per]
+            m = ms[group].max()
+            phase = np.multiply.outer(lnb[:m], -1j * base_t[group], out=phases[: m * group.size].reshape(m, -1))
+            np.exp(phase, out=phase)  # n^{-i t_c}
+            phase[np.arange(m)[:, None] >= ms[group]] = 0.0  # past each chunk's cut
+            stack = stacks[: phase.size * cols].reshape(m, -1, cols)
+            np.multiply(w[:m, None, :], phase[:, :, None], out=stack)
+            prod = (table[: delta.size, :m] @ stack.reshape(m, -1)).reshape(delta.size, group.size, cols)
+            for c, sums in zip(group, prod.transpose(1, 0, 2)):
+                sel = chunks[c]
+                shift = (t[sel] - t[sel[0]] - ref[: sel.size])[:, None]  # e_k
+                jets[:, sel] += (sums[: sel.size, :-1] + 1j * shift * np.arange(1, cols) * sums[: sel.size, 1:]).T
     return jets, cuts
 
 
@@ -242,12 +209,11 @@ def zeta_line(
     settable because the perfbench harness passes and reads them.
 
     The head sums are one _dirichlet_jets call.  On a uniform grid every
-    chunk after the first reuses one phase table per block of n, and
-    consecutive reusing chunks stack their base weights, up to a fixed
-    byte budget (_STACK_BYTES, never more than the table), into one
-    matrix product per group; irregular and sign-crossing chunks build
-    their own tables.  A call with a single chunk, such as one point,
-    makes one direct product with its own table and builds no stack.
+    chunk shares one phase table per block of n, built from the first
+    chunk's offsets, and the chunks go in fixed groups, as many as
+    _STACK_BYTES holds, of one matrix product each; irregular and
+    sign-crossing chunks build their own tables.  A call with a single
+    chunk, such as one point, makes one direct product with its own table.
 
     |t| above Z_T_MAX is refused before any term is built.  Near the cap,
     against mpmath at 93 points with t in [99000, 1e5] and sigma in
@@ -267,7 +233,8 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
     """Hurwitz zeta(s, a) = sum over m >= 0 of (m + a)^{-s}, s != 1.
 
     Vectorized over an array of real or complex offsets a with Re(a) > 0:
-    the terms m < N with N ~ max(20, 3|Im s|) plus the Euler-Maclaurin
+    the terms m < N with N ~ max(20, 3|Im s|), summed in blocks of m that
+    hold at most _STACK_BYTES across all offsets, plus the Euler-Maclaurin
     remainder at N + a.  |Im s| above Z_T_MAX is refused before any array
     is built.  Near the cap, against mpmath at 90 points (Im s in
     [99000, 1e5], Re s in {1/4, 1/2, 3/2}, a in {1/7, 1/3, 2/3, 0.9, 1}),
@@ -282,8 +249,11 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
     if np.any(np.real(a) <= 0.0):
         raise DomainError("hurwitz zeta needs Re(a) > 0")
     n_cut = max(20, int(math.ceil(3.0 * abs(s.imag))))
-    m = np.arange(n_cut, dtype=float)
-    head = np.sum(np.exp(-s * np.log(m + a[..., None])), axis=-1)
+    step = max(1, _STACK_BYTES // (16 * max(a.size, 1)))  # terms per block
+    head = np.zeros(a.shape, dtype=complex)
+    for m0 in range(0, n_cut, step):
+        m = np.arange(m0, min(m0 + step, n_cut), dtype=float)
+        head += np.sum(np.exp(-s * np.log(m + a[..., None])), axis=-1)
     return head + _em_tail(s, n_cut + a, 0)[0]
 
 

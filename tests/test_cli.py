@@ -159,6 +159,7 @@ class TestExitCodes:
         assert code == exit_code
         if code == 1:
             assert json.loads(out)["error"] == error
+            assert err == ""  # no numpy warning ahead of the JSON error
         else:
             assert f"error [{error}]" in err
         assert "null" not in out

@@ -339,6 +339,23 @@ class TestLFunction:
                     assert abs(l_function(s, c) - ref) <= 1e-10 * abs(ref)
 
 
+def test_hurwitz_head_is_summed_in_blocks():
+    """L at height 1e4 mod 97 sums 3e4 Hurwitz terms for each of its 96
+    offsets; blocks of m keep that from one dense 96 x 3e4 array (92 MB),
+    and the value is the dense sum's to 1e-13."""
+    chi = character(97, 1)
+    dirichlet._hurwitz_row.cache_clear()
+    tracemalloc.start()
+    try:
+        value = l_function(0.5 + 1e4j, chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    dense = -0.14726030900571352 + 0.043587229769160296j  # the unblocked sum
+    assert abs(value - dense) <= 1e-13 * abs(dense)
+
+
 class TestCompletedL:
     def test_functional_equation(self, rng):
         for q in (3, 4, 5, 7, 11, 13, 16, 19):

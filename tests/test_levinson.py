@@ -170,6 +170,13 @@ class TestCConstant:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError, match="nan"):
             c_constant_quadrature(params)
 
+    def test_exact_refuses_an_overflowed_c(self):
+        # e^{2R} at R = 354 is finite, but alpha times Q's coefficients is not;
+        # the refusal comes without a numpy overflow warning
+        params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, 5.0)), 354.0, 0.5)
+        with pytest.raises(DomainError, match="overflows"):
+            c_constant_exact(params)
+
     def test_baseline_value_and_kappa_window(self):
         c = c_constant_exact(BASELINE)
         assert c == pytest.approx(2.3500677761, abs=1e-9)

@@ -202,6 +202,22 @@ class TestZetaLineGrid:
             want = head + _em_tail(sigma + 1j * np.array([tv]), np.array([float(cut)]), order)[:, 0]
             assert np.array_equal(zeta_line(sigma, np.array([tv]), order)[:, 0], want)
 
+    def test_memory_is_flat_in_the_grid_length(self):
+        """One phase table per block and one group's stack at a time: a grid
+        four times longer at t = 2e4 needs no more working memory, and the
+        table is built in place (a broadcast copy of it adds about 32 MB)."""
+        peaks = []
+        for k in (2048, 8192):
+            t = 2e4 + 0.05 * np.arange(k)
+            tracemalloc.start()
+            try:
+                jets = zeta_line(0.4, t, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - jets.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 48e6
+        assert abs(peaks[1] - peaks[0]) <= 1e6
+
     def test_reordered_and_perturbed_grids(self, moment_grid):
         sigma, t = moment_grid
         jets = zeta_line(sigma, t, 3)
