@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import DomainError
-from .zeta import hurwitz_zeta
+from .zeta import _reflect, hurwitz_zeta
 
 _CACHE_SIZE = 16
 _TABLE_ENTRIES = 1 << 22  # the largest phi(q) * q character table
@@ -264,10 +264,11 @@ def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:
     Entire for primitive non-principal chi, with
     Lambda(s, chi) = epsilon(chi) Lambda(1-s, conj chi).  The gamma and
     (q/pi) factors are taken as one exponential of log-gamma, so neither
-    overflows on its own.  At s = -kappa, -kappa-2, ... the product is a
-    removable 0 * infinity (a gamma pole on a trivial zero of L), and
-    there alone the value is epsilon(chi) Lambda(1-s, conj chi).  A value
-    past the double range is a DomainError.
+    overflows on its own; for Re(s) < 0 they join the exponent of
+    zeta._reflect, so Lambda is finite where L(s, chi) alone is not.  At
+    s = -kappa, -kappa-2, ... the product is a removable 0 * infinity (a
+    gamma pole on a trivial zero of L), and there alone the value is
+    epsilon(chi) Lambda(1-s, conj chi); past the double range, a DomainError.
     """
     s = complex(s)
     if not chi.is_primitive or chi.is_principal:
@@ -276,10 +277,11 @@ def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:
     if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
         return epsilon_factor(chi) * xi_completed_l(1.0 - s, chi.conjugate())
     log_factor = a * math.log(chi.modulus / math.pi) + complex(sps.loggamma(a))
-    try:
-        val = cmath.exp(log_factor) * l_function(s, chi)
-    except OverflowError:  # cmath.exp past Re 709.78; a product overflows to inf instead
-        val = complex(math.inf)
+    if s.real < 0.0:
+        reflected = epsilon_factor(chi) * l_function(1.0 - s, chi.conjugate())
+        return complex(_reflect(s, chi.parity, np.array([reflected]), math.log(chi.modulus), log_factor)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        val = complex(np.exp(log_factor) * l_function(s, chi))
     if not cmath.isfinite(val):
         raise DomainError(f"Lambda(s, chi) at s = {s} overflows a double")
     return val
@@ -291,9 +293,11 @@ def l_function(s: complex, chi: DirichletCharacter) -> complex:
     Re(s) >= 0: q^{-s} sum over the units a in 1..q of chi(a) zeta(s, a/q),
     from the Hurwitz row of (q, s) that every chi mod q shares; at s = 1
     the Hurwitz poles cancel for non-principal chi and their constant
-    terms give -(1/q) sum chi(a) psi(a/q).  Re(s) < 0: the functional equation of the inducing
-    primitive chi* mod f maps onto L(1-s, conj chi*), times the Euler
-    factors 1 - chi*(p) p^{-s} of the primes dividing q but not f.
+    terms give -(1/q) sum chi(a) psi(a/q).  Re(s) < 0: the functional
+    equation L(s, chi*) = epsilon(chi*) X(s) L(1-s, conj chi*) of the
+    inducing primitive chi* mod f (zeta._reflect), times the Euler factors
+    1 - chi*(p) p^{-s} of the primes dividing q but not f, whose logs join
+    X's exponent.
 
     Near s = 1 the Hurwitz poles still cancel, in floating point: the
     relative error grows like 4e-16/|s-1|, to about 4e-12 at
@@ -303,21 +307,11 @@ def l_function(s: complex, chi: DirichletCharacter) -> complex:
     q = chi.modulus
     if s.real < 0.0:
         prim = induced_primitive(chi)
-        f, kappa = prim.modulus, prim.parity
-        if s.imag == 0.0 and s.real == round(s.real) and int(s.real + kappa) % 2 == 0:
-            return 0j  # trivial zero: a pole of Gamma((s+kappa)/2)
-        gamma_ratio = sps.loggamma((1.0 - s + kappa) / 2.0) - sps.loggamma((s + kappa) / 2.0)
-        val = epsilon_factor(prim) * l_function(1.0 - s, prim.conjugate())
-        try:
-            val *= cmath.exp((0.5 - s) * math.log(f / math.pi) + gamma_ratio)
-            for p, _ in _factor(q):
-                if f % p != 0:
-                    val *= 1.0 - prim(p) * cmath.exp(-s * math.log(p))
-        except OverflowError:  # cmath.exp past Re 709.78; a product overflows to inf instead
-            val = complex(math.inf)
-        if not cmath.isfinite(val):
-            raise DomainError(f"L(s, chi) at s = {s} overflows a double")
-        return val
+        # log(1 - chi*(p) p^{-s}) = log(p^s - chi*(p)) - s log p, with |p^s| < 1
+        logs = [(math.log(p), prim(p)) for p, _ in _factor(q) if prim.modulus % p]
+        log_euler = sum(cmath.log(cmath.exp(s * lp) - c) - s * lp for lp, c in logs)
+        reflected = epsilon_factor(prim) * l_function(1.0 - s, prim.conjugate())
+        return complex(_reflect(s, prim.parity, np.array([reflected]), math.log(prim.modulus), log_euler)[0])
     if s == 1.0 and not chi.is_principal:
         residues = np.flatnonzero(chi.phases >= 0)  # q >= 3 here: no unit is q itself
         return complex(-np.sum(chi(residues) * sps.psi(residues / q)) / q)

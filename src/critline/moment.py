@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .levinson import LevinsonParams, c_constant_exact
 from .mollifier import MollifierSpec, _q_operator, mollifier_line
-from .zeta import _em_cut, zeta_line
+from .zeta import GRID_MAX, _em_cut, zeta_line
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,21 @@ def mollified_moment_numeric(
     params: LevinsonParams, t_scale: float, grid_step: float = 0.0
 ) -> MomentReport:
     """Composite trapezoid quadrature of w |V psi|^2 against the main
-    term c(P,Q,R,theta) * what(0)."""
+    term c(P,Q,R,theta) * what(0).  A grid_step of 0 picks min(0.05,
+    delta/20); a negative or non-finite step, or a grid past GRID_MAX
+    points, is refused before the grid is built."""
     if t_scale > 2e4:
         raise DomainError("t_scale capped at 2e4 for desk-scale runtime")
+    if not 0.0 <= grid_step < math.inf:  # refuses nan too
+        raise DomainError("grid step must be finite and >= 0 (0 picks the default)")
     weight = SmoothWeight(t_scale)
     delta = weight.delta
     if grid_step == 0.0:
         grid_step = min(0.05, delta / 20.0)
     warning = grid_step > delta / 10.0
     lo, hi = weight.support
+    if not (hi - lo) / grid_step <= GRID_MAX - 1:
+        raise DomainError(f"a moment grid at step {grid_step:g} exceeds {GRID_MAX} points")
     n_pts = int(math.ceil((hi - lo) / grid_step)) + 1
     t = np.linspace(lo, hi, n_pts)
     integrand = smooth_weight(t, weight) * _v_psi_squared(t, params, t_scale)

@@ -36,6 +36,9 @@ _STACK_BYTES = 2 << 20
 # largest |t| at which zeta, Hurwitz zeta and Hardy's Z, and so a zero
 # scan, are certified
 Z_T_MAX = 1e5
+# most points in one zero scan or moment grid: a scan of [0, Z_T_MAX] at the
+# default step 0.05 has 2,000,001
+GRID_MAX = 2_000_001
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +260,28 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
     return head + _em_tail(s, n_cut + a, 0)[0]
 
 
-def _zeta_jet(s: complex, order: int) -> np.ndarray:
-    """[zeta^{(j)}(s) / j! for j = 0..order] for any s != 1.
+def _reflect(s: complex, kappa: int, reflected: np.ndarray, log_q: float, log_scale: complex = 0.0) -> np.ndarray:
+    """Jets in x of e^{log_scale} X(s+x) F(1-s-x), given those of F(1-s-x).
 
-    Re(s) < 0 applies zeta(s+x) = chi(s+x) zeta(1-s-x) to the jets, with
-    chi(w) = 2^w pi^{w-1} sin(pi w/2) Gamma(1-w).  The sine stays a plain
-    jet scaled by e^{-h}, h = pi |Im s| / 2, and h moves into the
-    exponential of the other factors: nothing overflows at large |Im s|,
-    and the sine's zeros at the trivial zeros are kept.
+    X(w) = q^{1/2-w} 2^w pi^{w-1} sin(pi (w+kappa)/2) Gamma(1-w) is the factor
+    of F(w) = X(w) F(1-w) for zeta (q = 1, kappa = 0) and, with the root number,
+    for L(w, chi), chi primitive mod q of parity kappa.  The sine is a jet scaled
+    by e^{-h}, h = pi |Im s| / 2; h and log_scale join the log of the other
+    factors before one exponential.  Trivial zeros (s real, s + kappa even) give
+    an exact 0; a value past the double range is a DomainError.
     """
-    if s.real >= 0.0:
-        return zeta_line(s.real, np.array([s.imag]), order)[:, 0]
-    sign = (-1.0) ** np.arange(order + 1)
-    reflected = sign * zeta_line(1.0 - s.real, np.array([-s.imag]), order)[:, 0]
-    # log of 2^w pi^{w-1} Gamma(1-w), w = s + x; the x^k coefficient of
+    order = reflected.shape[0] - 1
+    z = 0.5 * math.pi * (s + kappa)
+    h = abs(z.imag)
+    # log of q^{1/2-w} 2^w pi^{w-1} Gamma(1-w), w = s + x; the x^k coefficient of
     # log Gamma(1-s-x) is zeta(k, 1-s)/k for k >= 2
     log_jet = np.zeros(order + 1, dtype=complex)
     log_jet[0] = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + sps.loggamma(1.0 - s)
+    log_jet[0] += (0.5 - s) * log_q + log_scale + h
     if order >= 1:
-        log_jet[1] = math.log(2.0 * math.pi) - sps.psi(1.0 - s)
+        log_jet[1] = math.log(2.0 * math.pi) - log_q - sps.psi(1.0 - s)
     for k in range(2, order + 1):
         log_jet[k] = hurwitz_zeta(k, 1.0 - s) / k
-    z = 0.5 * math.pi * s
-    h = abs(z.imag)
-    log_jet[0] += h
     up, down = cmath.exp(1j * z - h), cmath.exp(-1j * z - h)
     sin_z, cos_z = (up - down) / 2j, (up + down) / 2.0
     cycle = (sin_z, cos_z, -sin_z, -cos_z)  # d^j/dz^j sin z
@@ -289,18 +290,26 @@ def _zeta_jet(s: complex, order: int) -> np.ndarray:
     )
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         jet = _jet_mul(_jet_mul(_jet_exp(log_jet), sine), reflected)
-    if s.imag == 0.0 and s.real == round(s.real) and int(s.real) % 2 == 0:
+    if s.imag == 0.0 and s.real == round(s.real) and int(s.real + kappa) % 2 == 0:
         jet[0] = 0.0  # trivial zeros
     if not np.isfinite(jet).all():
-        raise DomainError(f"zeta jet at s = {s} overflows a double")
+        raise DomainError(f"the functional equation at s = {s} overflows a double")
     return jet
+
+
+def _zeta_jet(s: complex, order: int) -> np.ndarray:
+    """[zeta^{(j)}(s) / j! for j = 0..order] for any s != 1; Re(s) < 0 reflects through _reflect."""
+    if s.real >= 0.0:
+        return zeta_line(s.real, np.array([s.imag]), order)[:, 0]
+    sign = (-1.0) ** np.arange(order + 1)
+    return _reflect(s, 0, sign * zeta_line(1.0 - s.real, np.array([-s.imag]), order)[:, 0], 0.0)
 
 
 def zeta(s: complex) -> complex:
     """zeta(s) for any complex s != 1.
 
     Re(s) >= 0: Euler-Maclaurin with N = max(20, ceil|Im s|), as in the
-    moment; Re(s) < 0: the functional equation zeta(s) = chi(s) zeta(1-s).
+    moment; Re(s) < 0: the functional equation zeta(s) = X(s) zeta(1-s).
     """
     s = complex(s)
     if s == 1.0:
@@ -330,21 +339,22 @@ def xi_completed(s: complex) -> complex:
     """Completed xi(s) = (s-1) pi^{-s/2} Gamma(s/2+1) zeta(s); entire, xi(s) = xi(1-s).
 
     The gamma/pi factor is taken as one exponential of log-gamma, so it
-    neither overflows nor underflows on its own (xi(400) ~ 1.2e278).  At
-    s = 1 and s = -2, -4, ... the product is a removable 0 * infinity
-    (the zeta pole; the gamma poles at the trivial zeros), and there
-    alone the value is xi(1-s).  A value past the double range (from
-    s = 434 on the real axis) is a DomainError.
+    neither overflows nor underflows on its own (xi(400) ~ 1.2e278); for
+    Re(s) < 0 it and s-1 join the exponent of _reflect, so xi(-301) ~ 2.2e192
+    is finite though zeta(-301) is not.  At s = 1 and s = -2, -4, ... the
+    product is a removable 0 * infinity (the zeta pole; the gamma poles at
+    the trivial zeros), and there alone the value is xi(1-s).  A value past
+    the double range (s >= 434 or s <= -433 on the real axis) is a DomainError.
     """
     s = complex(s)
     if s.imag == 0.0 and (s.real == 1.0 or (s.real <= -2.0 and s.real % 2.0 == 0.0)):
         return xi_completed(1.0 - s)
     # s Gamma(s/2)/2 = Gamma(s/2 + 1) absorbs the s=0 pole
     log_factor = complex(sps.loggamma(s / 2.0 + 1.0)) - s / 2.0 * math.log(math.pi)
-    try:
-        val = (s - 1.0) * cmath.exp(log_factor) * zeta(s)
-    except OverflowError:  # cmath.exp past Re 709.78; a product overflows to inf instead
-        val = complex(math.inf)
+    if s.real < 0.0:
+        return complex(_reflect(s, 0, _zeta_jet(1.0 - s, 0), 0.0, log_factor + cmath.log(s - 1.0))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        val = complex((s - 1.0) * np.exp(log_factor) * zeta(s))
     if not cmath.isfinite(val):
         raise DomainError(f"xi(s) at s = {s} overflows a double")
     return val
@@ -394,13 +404,16 @@ class ZeroScanReport:
 def count_critical_zeros(t_min: float, t_max: float, step: float) -> ZeroScanReport:
     """Scan Z(t) on a grid, then bisect all sign changes together to 1e-6.
 
-    The range must lie in [0, Z_T_MAX], where Z is certified; it is
-    checked before the grid is built.  A step above 0.5 risks missing
-    close zero pairs and is flagged in the report rather than rejected.
+    The range must lie in [0, Z_T_MAX], where Z is certified, and the grid
+    must have at most GRID_MAX points; both are checked before the grid is
+    built.  A step above 0.5 risks missing close zero pairs and is flagged
+    in the report rather than rejected.
     """
     # written as not (...) so that a nan bound or step is refused too
-    if not (0 <= t_min <= t_max <= Z_T_MAX and step > 0):
+    if not (0 <= t_min <= t_max <= Z_T_MAX and 0 < step < math.inf):
         raise DomainError(f"need 0 <= t_min <= t_max <= {Z_T_MAX:g} and step > 0")
+    if not (t_max + step * 0.5 - t_min) / step <= GRID_MAX:  # np.arange's length below
+        raise DomainError(f"a scan of [{t_min:g}, {t_max:g}] at step {step:g} exceeds {GRID_MAX} points")
     warning = step > 0.5
     if t_max == t_min:
         return ZeroScanReport(t_min, t_max, step, 0, (), zero_count_estimate(t_max), warning)
@@ -437,12 +450,15 @@ class AfeParams:
     truncation_length: int = 0  # 0 means the default 10 t
 
     def __post_init__(self):
-        if complex(self.alpha).real >= 0.5 or complex(self.beta).real >= 0.5:
-            raise DomainError("shifts must satisfy Re(alpha), Re(beta) < 1/2")
-        if self.t < 10.0:
-            raise DomainError("afe assembly certified only for t >= 10")
-        if self.truncation_length == 0:
-            object.__setattr__(self, "truncation_length", int(10 * self.t))
+        a, b = complex(self.alpha), complex(self.beta)
+        # each check written as not (...) so that a nan is refused too
+        if not (a.real < 0.5 and b.real < 0.5 and cmath.isfinite(a) and cmath.isfinite(b)):
+            raise DomainError("shifts must be finite with Re(alpha), Re(beta) < 1/2")
+        if not 10.0 <= self.t < math.inf:
+            raise DomainError("afe assembly certified only for finite t >= 10")
+        if not (self.truncation_length >= 0 and self.truncation_length % 1 == 0):
+            raise DomainError("truncation_length must be a whole number >= 0 (0 means 10 t)")
+        object.__setattr__(self, "truncation_length", int(self.truncation_length or 10 * self.t))
 
     def _check_shift_sum(self):
         if complex(self.alpha) + complex(self.beta) == 0:

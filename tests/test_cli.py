@@ -150,8 +150,14 @@ class TestExitCodes:
             (("zeta", "--s", "-401"), 1, "domain"),
             (("zeta", "--s", "1e300j"), 1, "domain"),
             (("lfun", "--q", "1", "--s", "0.5+1e300j"), 1, "domain"),
+            (("moment", "--T", "1000", "--step", "-0.1"), 1, "domain"),
+            (("zeros", "--tmax", "100", "--step", "1e-9"), 1, "domain"),
+            (("moment", "--T", "1000", "--step", "1e-7"), 1, "domain"),
         ],
-        ids=["constant-R", "constant-c", "optimize-r-max", "lfun-reflection", "zeta-reflection", "zeta-height", "lfun-height"],
+        ids=[
+            "constant-R", "constant-c", "optimize-r-max", "lfun-reflection", "zeta-reflection", "zeta-height",
+            "lfun-height", "moment-negative-step", "zeros-grid-cap", "moment-grid-cap",
+        ],
     )
     def test_overflow_and_height_refused(self, capsys, argv, exit_code, error):
         # each once ended in a traceback or printed null

@@ -310,6 +310,32 @@ class TestLFunction:
                 ref = mpmath_l(s, c)
                 assert abs(l_function(s, c) - ref) <= 1e-10 * max(1.0, abs(ref))
 
+    def test_reflection_against_mpmath(self):
+        # the functional equation for primitive even and odd chi, and for
+        # imprimitive chi of either parity with their Euler factors, from
+        # Re s = -20 up to |Im s| = 1e3.  At height 1e3 the imaginary part of
+        # log Gamma(1-s), about 6e3, alone rounds at about 5e-13 relative, so
+        # 1e-12 is near what doubles allow there.  Re s = -20 at Im s = 1e3,
+        # mpmath's slowest point, is taken for the primitive pair only
+        chars = [character(5, 2), character(7, 1), character(15, 2), character(15, 4)]
+        assert [(c.conductor, c.parity) for c in chars] == [(5, 0), (7, 1), (5, 0), (3, 1)]
+        points = [-0.5 + 3j, -3.2 + 0.5j, -8.5 - 20j, -20.0 + 1j, -12.5 - 150j, -0.5 - 1000j]
+        for c, s in [(c, s) for c in chars for s in points] + [(c, -20.0 + 1000j) for c in chars[:2]]:
+            ref = mpmath_l(s, c)
+            assert abs(l_function(s, c) - ref) <= 1e-12 * abs(ref)
+
+    def test_trivial_zeros_exact(self):
+        # s + kappa even and negative: an exact 0 for every parity, primitive
+        # or not; the other parity's integers are not zeros
+        for c in (character(5, 2), character(15, 2), enumerate_characters(6)[0]):  # even
+            for s in (-2.0, -4.0, -30.0):
+                assert l_function(s, c) == 0j
+            assert l_function(-3.0, c) != 0j
+        for c in (character(7, 1), character(15, 4)):  # odd
+            for s in (-1.0, -3.0, -31.0):
+                assert l_function(s, c) == 0j
+            assert l_function(-2.0, c) != 0j
+
     def test_overflow_refused(self):
         # |L(-200+0.5i, chi mod 3)| is about 1e396: the reflection overflows
         with pytest.raises(DomainError, match="overflows"):
@@ -379,6 +405,17 @@ class TestCompletedL:
         # (q/pi)^{s/2} Gamma(s/2) at s = 400, q = 5 is about e^{770}
         with pytest.raises(DomainError, match="overflows"):
             xi_completed_l(400.0, character(5, 1))
+
+    def test_finite_far_left(self):
+        # L(s, chi) overflows a double here, Lambda does not: about 6.0e294
+        # and 3.0e178, against epsilon Lambda(1-s, conj chi) in mpmath
+        c = character(5, 1)
+        conj = c.conjugate()
+        for s in (-301.3, -200.5 + 2j):
+            with pytest.raises(DomainError, match="overflows"):
+                l_function(s, c)
+            ref = mpmath_epsilon(c) * mpmath_completed_l(1 - s, conj, mpmath_l(1 - s, conj))
+            assert xi_completed_l(s, c) == pytest.approx(ref, rel=1e-12)
 
     def test_removable_points(self):
         # a gamma pole on a trivial zero of L, valued by eps Lambda(1-s, conj chi)

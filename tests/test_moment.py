@@ -115,6 +115,10 @@ class TestMoment:
     def test_runtime_guard(self):
         with pytest.raises(DomainError):
             mollified_moment_numeric(BASELINE, 1e5)
+        # a negative or non-finite step, or 1.7e8 points at step 1e-7 (58.8 GiB)
+        for step in (-0.1, math.nan, math.inf, 1e-7):
+            with pytest.raises(DomainError):
+                mollified_moment_numeric(BASELINE, 1000.0, step)
 
     def test_coarse_grid_warning(self):
         report = mollified_moment_numeric(BASELINE, 600.0, grid_step=20.0)

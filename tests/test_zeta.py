@@ -92,6 +92,53 @@ class TestZeta:
             zeta_derivative(-401.0, 1)
         assert zeta(-300.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "s, expected",
+        [
+            (
+                -0.5 + 15.3j,
+                [
+                    "(-0.8016000313843578+1.9175745092830154j)",
+                    "(1.7908205047151917-1.3742120575860708j)",
+                    "(-1.8257376804331393+0.888581230440105j)",
+                    "(1.8733280526685563-0.4094742935694138j)",
+                ],
+            ),
+            (
+                -3.2 + 0.5j,
+                [
+                    "(0.008025080788725592+0.004358738497103342j)",
+                    "(0.010843609379017089-0.0038155806617366224j)",
+                    "(-0.005757225726254183-0.012624769174681541j)",
+                    "(-0.02396070725079525-0.010996196314100544j)",
+                ],
+            ),
+            (
+                -7.5 - 20.0j,
+                [
+                    "(8899.575240699742+9367.112526573177j)",
+                    "(-14508.059082371947-8165.921576489423j)",
+                    "(21532.005243591702+4331.347815295347j)",
+                    "(-29381.946603268007+3787.8560687653526j)",
+                ],
+            ),
+            (
+                -1.7 + 100.0j,
+                [
+                    "(491.54651671749093+19.851597070133995j)",
+                    "(-1327.0166530199504-55.1224265562918j)",
+                    "(3606.688070582865+162.12638362983296j)",
+                    "(-9834.938812880338-501.5426839458867j)",
+                ],
+            ),
+        ],
+    )
+    def test_reflection_pinned(self, s, expected):
+        # zeta and its first three derivatives left of the strip, pinned to
+        # the bit: the reflection that also serves L(s, chi) keeps zeta's
+        # sum order (q = 1 adds only zeros to the exponent)
+        assert [repr(zeta(s))] + [repr(zeta_derivative(s, k)) for k in (1, 2, 3)] == expected
+
     def test_height_cap_refused_before_the_terms(self):
         # a height past Z_T_MAX would ask np.arange for ~|t| terms
         # (1e300 raised ValueError; 1e9 would take gigabytes)
@@ -303,8 +350,9 @@ class TestXi:
             assert xi_completed(1.0 - s) == pytest.approx(xi_completed(s), abs=1e-10)
 
     def test_against_mpmath(self):
-        # far up the line xi decays like exp(-pi t / 4); at s = 400 it is ~1e278
-        for s in (0.3 + 5j, -3.3 + 2j, 0.5 + 30j, 0.5 + 60j, 0.5 + 200j, 400.0):
+        # far up the line xi decays like exp(-pi t / 4); at s = 400 it is ~1e278,
+        # and xi(-301) = xi(302) ~ 2.2e192 is finite though zeta(-301) is not
+        for s in (0.3 + 5j, -3.3 + 2j, 0.5 + 30j, 0.5 + 60j, 0.5 + 200j, 400.0, -301.0):
             assert xi_completed(s) == pytest.approx(mpmath_xi(s), rel=1e-12)
 
     def test_special_points(self):
@@ -316,9 +364,9 @@ class TestXi:
 
     def test_overflow_refused(self):
         # xi(433) ~ 1.5e308 still fits; at 434 the product overflows, at 500
-        # the gamma factor's exponential itself
+        # the gamma factor's exponential itself; xi(-433) = xi(434)
         assert math.isfinite(xi_completed(433.0).real)
-        for s in (434.0, 500.0):
+        for s in (434.0, 500.0, -433.0):
             with pytest.raises(DomainError, match="overflows"):
                 xi_completed(s)
 
@@ -393,7 +441,9 @@ class TestZeroScan:
         monkeypatch.setattr(zeta_module, "hardy_z_line", unreachable)
         tracemalloc.start()
         try:
-            for t_min, t_max, step in ((0.0, 1e5 + 1, 0.05), (0.0, math.nan, 0.05), (0.0, 10.0, math.nan)):
+            # a step of 1e-9 over [0, 100] would ask for 1e11 points (745 GiB)
+            cases = [(0.0, 1e5 + 1, 0.05), (0.0, math.nan, 0.05), (0.0, 10.0, math.nan), (0.0, 10.0, math.inf)]
+            for t_min, t_max, step in cases + [(0.0, 100.0, 1e-9)]:
                 with pytest.raises(DomainError):
                     count_critical_zeros(t_min, t_max, step)
             peak = tracemalloc.get_traced_memory()[1]
@@ -413,6 +463,16 @@ class TestAfe:
             AfeParams(0.6, 0.0, 50.0)
         with pytest.raises(DomainError):
             AfeParams(0.1, 0.1, 5.0)
+        # a negative length would sum nothing and 2.5 would be cut to 2; a nan t
+        # or shift would reach numpy as nan
+        bad = [(0.1, 0.1, 50.0, -5), (0.1, 0.1, 50.0, 2.5), (0.1, 0.1, 50.0, math.nan), (0.1, 0.1, math.nan, 0)]
+        bad += [(0.1, 0.1, math.inf, 0), (math.nan, 0.1, 50.0, 0), (0.1, complex(0.0, math.inf), 50.0, 0)]
+        for alpha, beta, t, n in bad:
+            with pytest.raises(DomainError):
+                AfeParams(alpha, beta, t, n)
+        # 0 is the default 10 t; a whole float counts as its integer
+        assert AfeParams(0.1, 0.1, 50.0).truncation_length == 500
+        assert AfeParams(0.1, 0.1, 50.0, 2000.0).truncation_length == 2000
 
     def test_degenerate_shift_sum(self):
         p = AfeParams(1e-3, -1e-3, 50.0)
