@@ -272,9 +272,6 @@ def _run_command(config: RunConfig):
         base = levinson.published_tuples()[0]
         if p["levinson"] == levinson.LevinsonParams(base.p_poly, base.q_poly, base.r_shift, 0.5):
             report["published_claim"] = {"c": base.claimed_c, "kappa": base.claimed_bound}
-            note = levinson.discrepancy_note(c_exact, base.claimed_c)
-            if note:
-                report["discrepancy_note"] = note
         return report, None
     if config.command == "optimize":
         rep = optimizer.optimize_kappa(p["space"])

@@ -8,8 +8,8 @@ in Q.  P's Gram matrices come from gram_pieces, the one builder that
 c_constant_exact, shifted_c and the optimizer share; Q's come from
 hankel_pieces, which c_constant_exact and the optimizer share, from one
 vector of exponential-monomial integrals; that vector comes from a
-recurrence that runs upward for well-separated arguments and downward
-(self-correcting) for small ones.
+recurrence that runs upward for the orders k <= |a| and downward
+(self-correcting) for the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .mollifier import Polynomial
 # the range of Conrey's mean-value theorem (Conrey 1989)
 THETA_MAX = 4.0 / 7.0
 QUADRATURE_BOUND = 1e-8  # see c_constant_quadrature
-CLAIM_WINDOW = 0.005  # see discrepancy_note
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,11 @@ def exp_monomial_integral(a: complex, m: int) -> np.ndarray:
     """I_k(a) = integral over [0,1] of e^{a v} v^k dv for k = 0..m, as one
     vector: real for real a, complex otherwise.
 
-    Upward recurrence I_k = (e^a - k I_{k-1}) / a is stable for |a| not
-    small; below |a| = 1/2 the downward form I_{k-1} = (e^a - a I_k) / k
-    from a crude seed contracts the seed error by k!/(K! a^{k-K}).
+    The upward recurrence I_k = (e^a - k I_{k-1}) / a scales an error by
+    k/|a| and the downward I_{k-1} = (e^a - a I_k) / k by |a|/k, so each
+    runs where its factor is below 1: upward for k <= |a|, and downward
+    above, from a crude seed whose error dies on the way down.  Below
+    |a| = 1/2 all of it is downward, since I_0 = (e^a - 1)/a cancels.
     """
     if m < 0:
         raise DomainError("monomial degree must be nonnegative")
@@ -67,18 +68,16 @@ def exp_monomial_integral(a: complex, m: int) -> np.ndarray:
     except OverflowError:  # Re a past about 709.78
         raise DomainError(f"e^({a}) overflows a double") from None
     out = np.empty(m + 1, dtype=complex if is_complex else float)
-    # upward amplifies rounding by about m!/|a|^m, so it is reserved for
-    # |a| comfortably above the degree
-    if abs(a) >= max(0.5, float(m)):
-        val = (ea - 1.0) / a
-        out[0] = val
-        for k in range(1, m + 1):
-            val = (ea - k * val) / a
-            out[k] = val
+    up = min(m + 1, int(abs(a)) + 1) if abs(a) >= 0.5 else 0  # I_0 .. I_{up-1} upward
+    val = (ea - 1.0) / a
+    for k in range(up):
+        out[k] = val
+        val = (ea - (k + 1) * val) / a
+    if up > m:  # |a| >= m: no order is left for the downward run
         return out
     top = m + 40 + int(2.0 * abs(a))
     val = ea / (top + 1.0)  # any O(1/top) seed works; errors die downward
-    for k in range(top, 0, -1):
+    for k in range(top, up, -1):
         val = (ea - a * val) / k
         if k <= m + 1:
             out[k - 1] = val
@@ -187,11 +186,11 @@ class ShiftedParams:
     t_scale: float
 
     def __post_init__(self):
-        log_t = math.log(self.t_scale)
-        if abs(complex(self.alpha)) > 10.0 / log_t or abs(complex(self.beta)) > 10.0 / log_t:
-            raise DomainError("shifts must stay within 10 / log T")
-        if self.m_length < 1.0 or self.t_scale <= 1.0:
+        if not (self.m_length >= 1.0 and self.t_scale > 1.0):  # refuses nan too, before log T
             raise DomainError("need M >= 1 and T > 1")
+        log_t = math.log(self.t_scale)
+        if not (abs(complex(self.alpha)) <= 10.0 / log_t and abs(complex(self.beta)) <= 10.0 / log_t):
+            raise DomainError("shifts must stay within 10 / log T")
 
 
 def shifted_c(shift: ShiftedParams, p_poly: Polynomial, theta: float) -> complex:
@@ -290,17 +289,3 @@ def published_tuples() -> list[PublishedTuple]:
         ),
     )
     return [baseline, kappa_tuple, star_tuple]
-
-
-def discrepancy_note(computed_c: float, claimed_c: float) -> str | None:
-    """Flag a computed constant that misses a claim by more than
-    CLAIM_WINDOW, half a unit in the last digit of a claim quoted to two
-    decimals."""
-    gap = abs(computed_c - claimed_c)
-    if gap <= CLAIM_WINDOW:
-        return None
-    return (
-        f"computed c={computed_c:.9f} differs from the published claim "
-        f"{claimed_c} by {gap:.4f} (> {CLAIM_WINDOW}); the published value likely "
-        "tracks a variant normalization and is reported, not patched"
-    )

@@ -21,27 +21,27 @@ from .zeta import GRID_MAX, _em_cut, zeta_line
 
 @dataclass(frozen=True)
 class SmoothWeight:
-    """C-infinity plateau weight: 1 on the plateau, exp(-1/x) ramps of
-    width delta on both sides, 0 outside the support."""
+    """The paper's C-infinity plateau weight at scale T: 1 on (T/2, T),
+    exp(-1/x) ramps of width delta = T / log T on both sides, 0 outside
+    the support.  T must exceed 1, and the support must lie in [T/4, 2T],
+    which refuses every T below e^4 (about 54.6)."""
 
     t_scale: float
-    delta: float = 0.0
-    plateau: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.t_scale <= 1.0:
+        if not self.t_scale > 1.0:  # refuses nan too
             raise DomainError("t_scale must exceed 1")
-        if self.delta == 0.0:
-            object.__setattr__(self, "delta", self.t_scale / math.log(self.t_scale))
-        if self.delta <= 0.0:
-            raise DomainError("ramp width must be positive")
-        if self.plateau == (0.0, 0.0):
-            object.__setattr__(self, "plateau", (self.t_scale / 2.0, self.t_scale))
-        lo, hi = self.plateau
-        if not lo < hi:
-            raise DomainError("plateau must be a nonempty interval")
-        if lo - self.delta < self.t_scale / 4.0 or hi + self.delta > 2.0 * self.t_scale:
+        lo, hi = self.support
+        if not (lo >= self.t_scale / 4.0 and hi <= 2.0 * self.t_scale):
             raise DomainError("support must stay inside [T/4, 2T]")
+
+    @property
+    def delta(self) -> float:
+        return self.t_scale / math.log(self.t_scale)
+
+    @property
+    def plateau(self) -> tuple[float, float]:
+        return (self.t_scale / 2.0, self.t_scale)
 
     @property
     def support(self) -> tuple[float, float]:

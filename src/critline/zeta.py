@@ -239,9 +239,10 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
     the terms m < N with N ~ max(20, 3|Im s|), summed in blocks of m that
     hold at most _STACK_BYTES across all offsets, plus the Euler-Maclaurin
     remainder at N + a.  |Im s| above Z_T_MAX is refused before any array
-    is built.  Near the cap, against mpmath at 90 points (Im s in
-    [99000, 1e5], Re s in {1/4, 1/2, 3/2}, a in {1/7, 1/3, 2/3, 0.9, 1}),
-    the relative error is at most 5.4e-10.
+    is built; a value past the double range, such as (1/5)^{-s} at
+    s = 451.5, is refused after.  Near the cap, against mpmath at 90
+    points (Im s in [99000, 1e5], Re s in {1/4, 1/2, 3/2}, a in {1/7, 1/3,
+    2/3, 0.9, 1}), the relative error is at most 5.4e-10.
     """
     s = complex(s)
     if s == 1.0:
@@ -254,10 +255,14 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
     n_cut = max(20, int(math.ceil(3.0 * abs(s.imag))))
     step = max(1, _STACK_BYTES // (16 * max(a.size, 1)))  # terms per block
     head = np.zeros(a.shape, dtype=complex)
-    for m0 in range(0, n_cut, step):
-        m = np.arange(m0, min(m0 + step, n_cut), dtype=float)
-        head += np.sum(np.exp(-s * np.log(m + a[..., None])), axis=-1)
-    return head + _em_tail(s, n_cut + a, 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for m0 in range(0, n_cut, step):
+            m = np.arange(m0, min(m0 + step, n_cut), dtype=float)
+            head += np.sum(np.exp(-s * np.log(m + a[..., None])), axis=-1)
+        val = head + _em_tail(s, n_cut + a, 0)[0]
+    if not np.isfinite(val).all():
+        raise DomainError(f"hurwitz zeta at s = {s} overflows a double")
+    return val
 
 
 def _reflect(s: complex, kappa: int, reflected: np.ndarray, log_q: float, log_scale: complex = 0.0) -> np.ndarray:
@@ -458,7 +463,12 @@ class AfeParams:
             raise DomainError("afe assembly certified only for finite t >= 10")
         if not (self.truncation_length >= 0 and self.truncation_length % 1 == 0):
             raise DomainError("truncation_length must be a whole number >= 0 (0 means 10 t)")
-        object.__setattr__(self, "truncation_length", int(self.truncation_length or 10 * self.t))
+        n = int(self.truncation_length or 10 * self.t)
+        # afe_pair's (m, n) pairs with mn <= N number sum_m N // m, counted in O(sqrt N)
+        root = math.isqrt(n)
+        if 2 * sum(n // m for m in range(1, root + 1)) - root * root > GRID_MAX:
+            raise DomainError(f"truncation length {n} gives more than {GRID_MAX} (m, n) pairs")
+        object.__setattr__(self, "truncation_length", n)
 
     def _check_shift_sum(self):
         if complex(self.alpha) + complex(self.beta) == 0:
@@ -521,7 +531,10 @@ def afe_pair(params: AfeParams) -> complex:
     """Assemble the shifted approximate functional equation.
 
     Returns the truncated two-sum right-hand side approximating
-    zeta(1/2+alpha+it) zeta(1/2+beta-it).
+    zeta(1/2+alpha+it) zeta(1/2+beta-it).  It sums the pairs mn <= N,
+    about N log N of them; AfeParams refuses an N with more than GRID_MAX
+    (N = 164,414 is the largest, a 145 MiB peak), so t above about 1.6e4
+    needs an explicit shorter truncation_length.
     """
     params._check_shift_sum()
     a, b, t = complex(params.alpha), complex(params.beta), params.t

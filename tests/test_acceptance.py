@@ -22,7 +22,6 @@ from critline.levinson import (
     LevinsonParams,
     c_constant_exact,
     c_constant_quadrature,
-    discrepancy_note,
     kappa_lower_bound,
     published_tuples,
 )
@@ -50,7 +49,6 @@ def test_criterion_1_levinson_pipeline():
     c_quad = c_constant_quadrature(BASELINE)
     elapsed = time.perf_counter() - start
     kappa = kappa_lower_bound(c_exact, BASELINE.r_shift)
-    note = discrepancy_note(c_exact, 2.35)
 
     agree = abs(c_exact - c_quad) < 1e-9
     in_window = 0.30 < kappa < 0.36
@@ -58,8 +56,7 @@ def test_criterion_1_levinson_pipeline():
     ok = agree and in_window and fast
     detail = (
         f"c={c_exact:.9f} (paths agree to {abs(c_exact - c_quad):.1e}), "
-        f"kappa={kappa:.6f}, claims c=2.35 kappa>=0.35, "
-        f"discrepancy note: {'yes' if note else 'none'}, {elapsed:.2f}s"
+        f"kappa={kappa:.6f}, claims c=2.35 kappa>=0.35, {elapsed:.2f}s"
     )
     record_criterion(1, ok, detail)
     assert agree

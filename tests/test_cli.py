@@ -153,10 +153,13 @@ class TestExitCodes:
             (("moment", "--T", "1000", "--step", "-0.1"), 1, "domain"),
             (("zeros", "--tmax", "100", "--step", "1e-9"), 1, "domain"),
             (("moment", "--T", "1000", "--step", "1e-7"), 1, "domain"),
+            (("lfun", "--q", "5", "--index", "1", "--s", "451.5"), 1, "domain"),
+            (("lfun", "--q", "5", "--index", "1", "--s", "-450.5"), 1, "domain"),
         ],
         ids=[
             "constant-R", "constant-c", "optimize-r-max", "lfun-reflection", "zeta-reflection", "zeta-height",
-            "lfun-height", "moment-negative-step", "zeros-grid-cap", "moment-grid-cap",
+            "lfun-height", "moment-negative-step", "zeros-grid-cap", "moment-grid-cap", "lfun-hurwitz-overflow",
+            "lfun-reflected-overflow",
         ],
     )
     def test_overflow_and_height_refused(self, capsys, argv, exit_code, error):
@@ -291,7 +294,6 @@ class TestCommands:
         assert payload["published_claim"]["c"] == 2.35
         assert payload["params"] == {"P": [0, 1], "Q": [1, -1], "R": 1.3, "theta": 0.5}
         assert abs(payload["c_exact"] - payload["c_quadrature"]) < 1e-9
-        assert "discrepancy_note" not in payload
 
     def test_constant_claim_only_for_baseline(self, capsys):
         # 2.35 is the baseline's claim: other inputs are not compared with it
@@ -300,7 +302,6 @@ class TestCommands:
             assert code == 0
             payload = json.loads(out)
             assert "published_claim" not in payload
-            assert "discrepancy_note" not in payload
 
     def test_lfun_index_bounds(self, capsys):
         for index in ("9", "4", "-1"):

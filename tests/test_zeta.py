@@ -301,6 +301,12 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, [0.0])
 
+    def test_overflow_refused(self):
+        # (1/5)^{-451.5} is about 1e315; it once came back inf and made L nan
+        with pytest.raises(DomainError, match="overflows"):
+            hurwitz_zeta(451.5, np.array([0.2, 0.4]))
+        assert np.isfinite(hurwitz_zeta(400.0, np.array([0.2, 0.4]))).all()
+
 
 class TestZetaDerivative:
     def test_against_mpmath(self):
@@ -473,6 +479,22 @@ class TestAfe:
         # 0 is the default 10 t; a whole float counts as its integer
         assert AfeParams(0.1, 0.1, 50.0).truncation_length == 500
         assert AfeParams(0.1, 0.1, 50.0, 2000.0).truncation_length == 2000
+
+    def test_pair_cap_refused_before_the_arrays(self):
+        # the default N = 10 t = 1e6 has about 1.4e7 (m, n) pairs; t = 1e4
+        # once peaked at 88.9 MB in afe_pair
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="pairs"):
+                AfeParams(1e-3, 2e-3, 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # 164,414 is the largest N with at most GRID_MAX pairs
+        assert AfeParams(1e-3, 2e-3, 50.0, 164_414).truncation_length == 164_414
+        with pytest.raises(DomainError, match="pairs"):
+            AfeParams(1e-3, 2e-3, 50.0, 164_415)
 
     def test_degenerate_shift_sum(self):
         p = AfeParams(1e-3, -1e-3, 50.0)
