@@ -310,7 +310,10 @@ def l_function(s: complex, chi: DirichletCharacter) -> complex:
         # log(1 - chi*(p) p^{-s}) = log(p^s - chi*(p)) - s log p, with |p^s| < 1
         logs = [(math.log(p), prim(p)) for p, _ in _factor(q) if prim.modulus % p]
         log_euler = sum(cmath.log(cmath.exp(s * lp) - c) - s * lp for lp, c in logs)
-        reflected = epsilon_factor(prim) * l_function(1.0 - s, prim.conjugate())
+        try:
+            reflected = epsilon_factor(prim) * l_function(1.0 - s, prim.conjugate())
+        except DomainError as exc:  # it names 1 - s; the caller gave s
+            raise DomainError(f"L(s, chi) at s = {s}, reflected to 1 - s: {exc}") from None
         return complex(_reflect(s, prim.parity, np.array([reflected]), math.log(prim.modulus), log_euler)[0])
     if s == 1.0 and not chi.is_principal:
         residues = np.flatnonzero(chi.phases >= 0)  # q >= 3 here: no unit is q itself

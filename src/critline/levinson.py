@@ -2,19 +2,15 @@
 its shifted two-variable generalization, and the registry of published
 polynomial tuples.
 
-c is Conrey's functional, with the inner x-derivative squared.  For fixed
-(Q, R, theta) it is a quadratic form in P, and for fixed (P, R, theta) one
-in Q.  P's Gram matrices come from gram_pieces, the one builder that
-c_constant_exact, shifted_c and the optimizer share; Q's come from
-hankel_pieces, which c_constant_exact and the optimizer share, from one
-vector of exponential-monomial integrals; that vector comes from a
-recurrence that runs upward for the orders k <= |a| and downward
-(self-correcting) for the rest.
+c is Conrey's functional, with the inner x-derivative squared.  Every
+integral over [0,1] in c, and the v-integral of the shifted constant, is
+one sum over the same 80-node Gauss-Legendre rule (NODES, WEIGHTS), with
+the polynomials evaluated on the nodes; the optimizer builds its forms in
+P and Q on that rule too.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,6 +22,13 @@ from .mollifier import Polynomial
 # the range of Conrey's mean-value theorem (Conrey 1989)
 THETA_MAX = 4.0 / 7.0
 QUADRATURE_BOUND = 1e-8  # see c_constant_quadrature
+# the one Gauss-Legendre rule on [0, 1] for c's integrals, exact for
+# polynomials of degree below 160.  The nodes t are leggauss's; the weights
+# 2 / ((1 - t^2) P_80'(t)^2) are taken at them, to 3e-14 relative, where
+# leggauss's own miss by up to 1e-12 at the ends, which e^{2Rx} weighs most
+_T = np.polynomial.legendre.leggauss(80)[0]
+NODES = 0.5 * (_T + 1.0)
+WEIGHTS = 1.0 / ((1.0 - _T**2) * np.polynomial.Legendre.basis(80).deriv()(_T) ** 2)  # on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -48,96 +51,31 @@ class LevinsonParams:
             raise ConstraintError("theta must lie in (0, 4/7]")
 
 
-def exp_monomial_integral(a: complex, m: int) -> np.ndarray:
-    """I_k(a) = integral over [0,1] of e^{a v} v^k dv for k = 0..m, as one
-    vector: real for real a, complex otherwise.
-
-    The upward recurrence I_k = (e^a - k I_{k-1}) / a scales an error by
-    k/|a| and the downward I_{k-1} = (e^a - a I_k) / k by |a|/k, so each
-    runs where its factor is below 1: upward for k <= |a|, and downward
-    above, from a crude seed whose error dies on the way down.  Below
-    |a| = 1/2 all of it is downward, since I_0 = (e^a - 1)/a cancels.
-    """
-    if m < 0:
-        raise DomainError("monomial degree must be nonnegative")
-    if a == 0:
-        return 1.0 / np.arange(1.0, m + 2.0)
-    is_complex = isinstance(a, complex)
-    try:
-        ea = cmath.exp(a) if is_complex else math.exp(a)
-    except OverflowError:  # Re a past about 709.78
-        raise DomainError(f"e^({a}) overflows a double") from None
-    out = np.empty(m + 1, dtype=complex if is_complex else float)
-    up = min(m + 1, int(abs(a)) + 1) if abs(a) >= 0.5 else 0  # I_0 .. I_{up-1} upward
-    val = (ea - 1.0) / a
-    for k in range(up):
-        out[k] = val
-        val = (ea - (k + 1) * val) / a
-    if up > m:  # |a| >= m: no order is left for the downward run
-        return out
-    top = m + 40 + int(2.0 * abs(a))
-    val = ea / (top + 1.0)  # any O(1/top) seed works; errors die downward
-    for k in range(top, up, -1):
-        val = (ea - a * val) / k
-        if k <= m + 1:
-            out[k - 1] = val
-    return out
-
-
-def gram_pieces(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrices of c's quadratic form in P = sum p_i x^i:
-    A_ij = int x^{i+j} and B_ij = int (x^i)'(x^j)' = ij / (i+j-1) over
-    [0,1], for i, j = 0..degree."""
-    i = np.arange(degree + 1.0)
-    k = i[1:]  # row and column 0 of B vanish
-    return 1.0 / (i[:, None] + i + 1.0), np.pad(np.outer(k, k) / (k[:, None] + k - 1.0), (1, 0))
-
-
 def _p_integrals(p: Polynomial) -> tuple[float, float, float]:
-    """int P^2, int P P' = (P(1)^2 - P(0)^2) / 2 and int P'^2 over [0,1]."""
-    coeffs = np.array(p.coefficients)
-    gram_a, gram_b = gram_pieces(p.degree)
-    return float(coeffs @ gram_a @ coeffs), 0.5 * (p(1.0) ** 2 - p(0.0) ** 2), float(coeffs @ gram_b @ coeffs)
-
-
-def hankel_pieces(size: int, r_shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """(H, M) for c's quadratic form in Q = sum q_i x^i, i < size, at R:
-    H_ij = I_{i+j} of e^{2Rv}, and M = R + d/dx acting on coefficient rows,
-    so that f = theta q M holds the coefficients of F = theta (R Q + Q')."""
-    hankel = exp_monomial_integral(2.0 * r_shift, 2 * size - 2)[np.add.outer(np.arange(size), np.arange(size))]
-    return hankel, r_shift * np.eye(size) + np.diag(np.arange(1.0, size), -1)
-
-
-def hankel_weights(q: np.ndarray, hankel: np.ndarray, m: np.ndarray, theta: float):
-    """(alpha, beta, gamma) = fHf, fHq and qHq, the integrals over [0,1] of
-    e^{2Rv} times F^2, F Q and Q^2, for Q's coefficients q and hankel_pieces'
-    (H, M)."""
-    f = theta * (q @ m)
-    hq = hankel @ q
-    return f @ hankel @ f, f @ hq, q @ hq
-
-
-def q_weights(q_poly: Polynomial, r_shift: float, theta: float) -> tuple[float, float, float]:
-    """hankel_weights for a Polynomial Q: all three from one moment vector
-    I_0..I_{2 deg Q} of e^{2Rv}."""
-    q = np.asarray(q_poly.coefficients, dtype=float)
-    return tuple(float(w) for w in hankel_weights(q, *hankel_pieces(q.size, float(r_shift)), theta))
+    """int P^2, int P P' and int P'^2 over [0,1], from P and P' on the nodes."""
+    values, slopes = p(NODES), p.derivative()(NODES)
+    return WEIGHTS @ (values * values), WEIGHTS @ (values * slopes), WEIGHTS @ (slopes * slopes)
 
 
 def c_constant_exact(params: LevinsonParams) -> float:
-    """Closed-form c(P,Q,R,theta), Conrey's functional.
+    """c(P,Q,R,theta), Conrey's functional, on the Gauss-Legendre nodes.
 
     The inner x-derivative at x=0, R theta P(u)Q(v) + P'(u)Q(v)
-    + theta P(u)Q'(v), is P(u)F(v) + P'(u)Q(v); its square against e^{2Rv}
-    is alpha int P^2 + 2 beta int P P' + gamma int P'^2 (see q_weights and
-    gram_pieces).  A c past the double range raises DomainError.
+    + theta P(u)Q'(v), is P(u)F(v) + P'(u)Q(v) with F = theta (R Q + Q');
+    its square against e^{2Rv} is the node sum of w e^{2Rv} (F^2 int P^2
+    + 2 F Q int P P' + Q^2 int P'^2), with the P integrals from the same
+    nodes.  A c past the double range, or an R above about 354.9, where
+    e^{2Rv} on the nodes overflows, raises DomainError.
     """
-    pp, ppd, pdpd = _p_integrals(params.p_poly)
+    p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
+    pp, ppd, pdpd = _p_integrals(p)
+    values = q(NODES)
+    f = theta * (r * values + q.derivative()(NODES))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        alpha, beta, gamma = q_weights(params.q_poly, params.r_shift, params.theta)
-    c = 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / params.theta
+        weighted = WEIGHTS * np.exp(2.0 * r * NODES)
+        c = 1.0 + float(weighted @ (pp * f * f + 2.0 * ppd * f * values + pdpd * values * values)) / theta
     if not math.isfinite(c):
-        raise DomainError(f"c at R = {params.r_shift} overflows a double")
+        raise DomainError(f"the node sum of c at R = {r} overflows a double")
     return c
 
 
@@ -207,7 +145,7 @@ def shifted_c(shift: ShiftedParams, p_poly: Polynomial, theta: float) -> complex
     a, b = complex(shift.alpha), complex(shift.beta)
     log_m = math.log(shift.m_length)
     log_t = math.log(shift.t_scale)
-    iv = exp_monomial_integral(-(a + b) * log_t, 0)[0]
+    iv = WEIGHTS @ np.exp(-(a + b) * log_t * NODES)
     pp, ppd, pdpd = _p_integrals(p_poly)
     return 1.0 + (iv / theta) * (a * b * log_m**2 * pp - (a + b) * log_m * ppd + pdpd)
 

@@ -1,14 +1,16 @@
 """Maximization of the kappa lower bound over the shaping polynomials and
 the shift R, at fixed theta.
 
-Q is searched over Q = 1 + sum b_j ((1-2x)^{2j-1} - 1), j <= ceil(q_degree/2):
-Q(0) = 1 exactly and Q(x) + Q(1-x) is constant.  At fixed R, c is a
-quadratic form in P for fixed Q and in Q for fixed P, so one small linear
-solve gives each exactly; from Q = 1 - x they alternate until c stops
-falling.  kappa at the best (P, Q) is then a function of R alone, taken on a
-fixed grid and refined by golden section around the best node.  R = 1.3,
-clamped into the range, is always evaluated, so the result is never below
-P = x, Q = 1 - x there.  Nothing is random.
+P = sum p_i x^i (i <= p_degree) and Q = 1 + sum b_j ((1-2x)^{2j+1} - 1)
+(j < ceil(q_degree/2)): P(0) = 0, Q(0) = 1 and Q(x) + Q(1-x) is constant.
+Their values on levinson's Gauss-Legendre nodes are built once per space,
+and give three small forms in Q's coordinates (1, b) per R.  At fixed R, c
+is a quadratic form in P for fixed Q and in Q for fixed P, so one small
+linear solve gives each exactly; from Q = 1 - x they alternate until c
+stops falling.  kappa at the best (P, Q) is then a function of R alone,
+taken on a fixed grid and refined by golden section around the best node.
+R = 1.3, clamped into the range, is always evaluated, so the result is
+never below P = x, Q = 1 - x there.  Nothing is random.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .levinson import THETA_MAX, LevinsonParams, c_constant_exact, kappa_lower_bound
-from .levinson import gram_pieces, hankel_pieces, hankel_weights
+from .levinson import NODES, THETA_MAX, WEIGHTS, LevinsonParams, c_constant_exact, kappa_lower_bound
 from .mollifier import Polynomial
 
-# largest R searched: e^{2R} stays below 1e261, so the Q weights and the P
-# solve stay well inside the double range (e^{2R} itself overflows past 354.9)
+# largest R searched: the weights w e^{2Rx} of the forms stay below e^600,
+# far inside the double range, which e^{2Rx} leaves near R = 355
 R_SEARCH_MAX = 300.0
 R_GRID = 17  # nodes of the fixed R grid
 R_TOL = 1e-8  # width at which golden section stops
@@ -73,67 +74,76 @@ def _q_basis(q_terms: int) -> np.ndarray:
 
 
 class _Objective:
-    """The best (P, Q) and kappa at each R, from arrays built once per space."""
+    """The best (P, Q) and kappa at each R, from node values built once per space."""
 
     def __init__(self, space: SearchSpace):
         self.space = space
         self.evaluations = 0
-        self.basis = _q_basis(space.q_terms)
-        self.start = np.zeros(self.basis.shape[1])
-        self.start[:2] = 1.0, -1.0  # Q = 1 - x, the baseline's
-        self.gram = np.array([g[1:, 1:] for g in gram_pieces(space.p_degree)])  # P(0) = 0: no constant term
-        self.found: dict[float, tuple] = {}  # R -> (kappa, q, y, converged)
+        self.basis = _q_basis(space.q_terms)  # b @ basis: Q's monomials, for the report
+        self.start = 0.5 * np.eye(space.q_terms)[0]  # Q = 1 - x, the baseline's
+        k = np.arange(1.0, space.p_degree + 1.0)[:, None]  # P(0) = 0: int x^i x^j, int (x^i)'(x^j)'
+        self.gram = np.array([v @ (WEIGHTS * v).T for v in (NODES**k, k * NODES ** (k - 1.0))])
+        odd, line = 2.0 * np.arange(space.q_terms)[:, None] + 1.0, 1.0 - 2.0 * NODES
+        self.q_values = np.vstack([np.ones_like(NODES), line**odd - 1.0])  # Q's coordinates (1, b)
+        self.q_slopes = np.vstack([np.zeros_like(NODES), -2.0 * odd * line ** (odd - 1.0)])
+        self.found: dict[float, tuple] = {}  # R -> (kappa, b, y, converged)
 
-    def solve(self, q: np.ndarray, hankel: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float]:
-        """(y, minimal c) for Q's coefficients q, with hankel_pieces' (H, M) at R.
+    def forms(self, r: float) -> np.ndarray:
+        """int e^{2Rx} F F, sym int e^{2Rx} F Q and int e^{2Rx} Q Q over Q's
+        coordinates (1, b) at R, with F = theta (R Q + Q')."""
+        f = self.space.theta * (r * self.q_values + self.q_slopes)
+        weighted = WEIGHTS * np.exp(2.0 * r * NODES)
+        fq = f @ (weighted * self.q_values).T
+        return np.array([f @ (weighted * f).T, 0.5 * (fq + fq.T), self.q_values @ (weighted * self.q_values).T])
 
-        With P = sum p_i x^i and P(1) = 1, int P P' = 1/2, so c - 1 is
-        (p'(alpha A + gamma B)p + beta) / theta on gram_pieces' P(0) = 0 block;
-        the best P is y / sum y, y = (alpha A + gamma B)^{-1} 1, and the
-        minimal c is 1 + (1/sum y + beta) / theta.
+    def solve(self, b: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, float]:
+        """(y, minimal c) for Q's weights b, with forms(R).
+
+        With P(1) = 1, int P P' = 1/2, so c - 1 is (p'(alpha A + gamma B)p
+        + beta) / theta for the forms (alpha, beta, gamma) at (1, b) and the
+        Gram matrices (A, B): the best P is y / sum y, y = (alpha A + gamma
+        B)^{-1} 1, and the minimal c is 1 + (1/sum y + beta) / theta.
         """
-        alpha, beta, gamma = hankel_weights(q, hankel, m, self.space.theta)
+        u = np.concatenate(([1.0], b))
+        alpha, beta, gamma = forms @ u @ u
         gram_a, gram_b = self.gram
         y = np.linalg.solve(alpha * gram_a + gamma * gram_b, np.ones(len(gram_a)))
         return y, 1.0 + (1.0 / float(y.sum()) + beta) / self.space.theta
 
-    def solve_q(self, y: np.ndarray, hankel: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """The best admissible Q's coefficients for P = y / sum y.
+    def solve_q(self, y: np.ndarray, forms: np.ndarray) -> np.ndarray:
+        """The best admissible Q's weights b for P = y / sum y, with forms(R).
 
-        c - 1 = q K q / theta with K = theta^2 (int P^2) M H M^T
-        + theta sym(M H) + (int P'^2) H; over q = e_0 + b @ basis its minimum
-        is the solution of (basis K basis^T) b = -basis K e_0.
+        c - 1 = u K u / theta over u = (1, b), with K = (int P^2) FF + FQ
+        + (int P'^2) QQ; its minimum is the solution of K_bb b = -K_b1.
         """
-        theta = self.space.theta
         p = y / y.sum()
         pp, pdpd = self.gram @ p @ p
-        mh = m @ hankel
-        form = self.basis @ (theta**2 * pp * mh @ m.T + 0.5 * theta * (mh + mh.T) + pdpd * hankel)
-        q = np.linalg.solve(form @ self.basis.T, -form[:, 0]) @ self.basis
-        q[0] = 1.0
-        return q
+        form = pp * forms[0] + forms[1] + pdpd * forms[2]
+        return np.linalg.solve(form[1:, 1:], -form[1:, 0])
 
     def kappa(self, r: float) -> float:
         """kappa at the best (P, Q) for R: P and Q solves alternate from
         Q = 1 - x until c stops falling."""
         if r not in self.found:
-            pieces = hankel_pieces(self.basis.shape[1], r)
-            q = self.start
-            y, c = self.solve(q, *pieces)
+            forms = self.forms(r)
+            b = self.start
+            y, c = self.solve(b, forms)
             converged = False
             for _ in range(MAX_SWEEPS):
                 self.evaluations += 1
-                q_next = self.solve_q(y, *pieces)
-                y_next, c_next = self.solve(q_next, *pieces)
+                b_next = self.solve_q(y, forms)
+                y_next, c_next = self.solve(b_next, forms)
                 if not c_next < c * (1.0 - SWEEP_TOL):
                     converged = True
                     break
-                q, y, c = q_next, y_next, c_next
-            self.found[r] = (kappa_lower_bound(c, r), q, y, converged)
+                b, y, c = b_next, y_next, c_next
+            self.found[r] = (kappa_lower_bound(c, r), b, y, converged)
         return self.found[r][0]
 
-    def params(self, q: np.ndarray, y: np.ndarray, r: float) -> LevinsonParams:
-        """(P, Q, R) for Q's coefficients q and the solved y, with P(1) = 1 exact."""
+    def params(self, b: np.ndarray, y: np.ndarray, r: float) -> LevinsonParams:
+        """(P, Q, R) for Q's weights b and the solved y, with P(1) = 1 and Q(0) = 1 exact."""
+        q = b @ self.basis
+        q[0] = 1.0
         p = y / y.sum()
         # higher coefficients on a 2^-40 grid: below 2^12 in size, their sum and
         # p_1 = 1 - sum are then exact, so P(1) = 1 holds in floating point too
@@ -161,8 +171,8 @@ def optimize_kappa(space: SearchSpace) -> OptimizationReport:
             lo, a = a, b
             b = lo + shrink * (hi - lo)
     r = max(objective.found, key=objective.kappa)
-    _, q, y, _ = objective.found[r]
-    params = objective.params(q, y, r)
+    _, b, y, _ = objective.found[r]
+    params = objective.params(b, y, r)
     # report kappa recomputed from the exact pipeline, not the cached value
     kappa = kappa_lower_bound(c_constant_exact(params), r)
     converged = all(found[3] for found in objective.found.values())

@@ -111,6 +111,28 @@ def _em_cut(t_max: float, factor: float = 1.0) -> int:
     return max(20, int(math.ceil(factor * t_max)))
 
 
+def _log_weights(w0: np.ndarray, lnb: np.ndarray, cols: int) -> np.ndarray:
+    """Columns w0 (-log n)^j / j! for j < cols, given log n."""
+    w = np.empty((lnb.size, cols))
+    w[:, 0] = w0
+    for j in range(1, cols):
+        w[:, j] = w[:, j - 1] * (-lnb) / j
+    return w
+
+
+def _direct_jets(tc: np.ndarray, n: np.ndarray, w0: np.ndarray, order: int, terms: int) -> np.ndarray:
+    """One chunk's jets at the ordinates tc over its first `terms` n, from
+    its own phase table: one exponential per point and term, and one
+    product per block of _NBLOCK terms."""
+    jets = np.zeros((order + 1, tc.size), dtype=complex)
+    for b0 in range(0, terms, _NBLOCK):
+        lnb = np.log(n[b0 : min(b0 + _NBLOCK, terms)])
+        own = np.exp(-1j * np.outer(tc - tc[0], lnb))
+        w = _log_weights(w0[b0 : b0 + lnb.size], lnb, order + 1)
+        jets += (own @ (w * np.exp(-1j * tc[0] * lnb)[:, None])).T
+    return jets
+
+
 def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     """Jets sum_n coeff_n n^{-sigma-it} (-log n)^j / j! for j <= order.
 
@@ -134,9 +156,9 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     sharing chunks go in fixed groups whose W_c, each zero past its chunk's
     cut, fill at most _STACK_BYTES side by side and no more columns than D
     has rows; each group is one product D @ [W_c1 | W_c2 | ...], so memory
-    stays flat however long the grid is.  Any other chunk (irregular,
-    crossing t = 0, or the only one of its call) builds its own table, at
-    one exponential per point and term, and makes one direct product.
+    stays flat however long the grid is.  Any other chunk (irregular or
+    crossing t = 0) goes through _direct_jets, and a call of one chunk
+    returns from there before any of the sharing set-up is built.
     """
     t = np.asarray(t, dtype=float)
     idx = np.argsort(np.abs(t), kind="stable")
@@ -147,36 +169,33 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     terms, base_t = np.searchsorted(n, cuts[idx[::chunk]]), t[idx[::chunk]]  # per chunk
     w0 = n**-sigma if coeff is None else coeff * n**-sigma
     jets = np.zeros((order + 1, t.size), dtype=complex)
+    if len(chunks) == 1:  # nothing to share
+        jets[:, idx] = _direct_jets(t[idx], n, w0, order, int(terms[0]))
+        return jets, cuts
     side, cols = math.isqrt(chunk - 1) + 1, order + 2
     delta = t[idx[:chunk]] - base_t[:1]
     coarse, fine = delta[::side], delta[:side]
     ref = (coarse[:, None] + fine).ravel()
     err = np.array([np.abs(t[sel] - t[sel[0]] - ref[: sel.size]).max() for sel in chunks])
-    share = (err <= 4.0 * np.spacing(tops)) & (len(chunks) > 1)
+    share = err <= 4.0 * np.spacing(tops)
+    for c in np.flatnonzero(~share):
+        jets[:, chunks[c]] = _direct_jets(t[chunks[c]], n, w0, order, int(terms[c]))
     width = min(_NBLOCK, terms[share].max(initial=0))
     table = np.empty((coarse.size * fine.size, width), dtype=complex)
     per = max(1, min(chunk, _STACK_BYTES // (16 * max(width, 1))) // cols)  # chunks per group
-    for b0 in range(0, terms.max(initial=0), _NBLOCK):
+    for b0 in range(0, terms[share].max(initial=0), _NBLOCK):
         lnb = np.log(n[b0 : b0 + _NBLOCK])
-        w = np.empty((lnb.size, cols))
-        w[:, 0] = w0[b0 : b0 + lnb.size]
-        for j in range(1, cols):
-            w[:, j] = w[:, j - 1] * (-lnb) / j
+        w = _log_weights(w0[b0 : b0 + lnb.size], lnb, cols)
         ms = np.minimum(lnb.size, terms - b0)  # each chunk's terms in this block
-        for c in np.flatnonzero((ms > 0) & ~share):
-            m, tc = ms[c], t[chunks[c]]
-            own = np.exp(-1j * np.outer(tc - tc[0], lnb[:m]))
-            jets[:, chunks[c]] += (own @ (w[:m, : order + 1] * np.exp(-1j * tc[0] * lnb[:m])[:, None])).T
-        live = np.flatnonzero((ms > 0) & share)
-        if live.size:
-            m = ms[live].max()
-            np.multiply(
-                np.exp(-1j * np.outer(coarse, lnb[:m]))[:, None],
-                np.exp(-1j * np.outer(fine, lnb[:m])),
-                out=table.reshape(coarse.size, fine.size, width)[:, :, :m],
-            )
-            # one group's phases and stacked W_c, reused by every group
-            phases, stacks = np.empty(m * per, complex), np.empty(m * per * cols, complex)
+        live = np.flatnonzero((ms > 0) & share)  # never empty below the largest shared cut
+        m = ms[live].max()
+        np.multiply(
+            np.exp(-1j * np.outer(coarse, lnb[:m]))[:, None],
+            np.exp(-1j * np.outer(fine, lnb[:m])),
+            out=table.reshape(coarse.size, fine.size, width)[:, :, :m],
+        )
+        # one group's phases and stacked W_c, reused by every group
+        phases, stacks = np.empty(m * per, complex), np.empty(m * per * cols, complex)
         for g0 in range(0, live.size, per):
             group = live[g0 : g0 + per]
             m = ms[group].max()

@@ -173,6 +173,13 @@ class TestExitCodes:
             assert f"error [{error}]" in err
         assert "null" not in out
 
+    def test_reflected_refusal_names_the_given_s(self, capsys):
+        # L at Re s < 0 is refused from the Hurwitz row at 1 - s, and the
+        # message once named only that reflected point
+        code, out, _ = run_cli(capsys, "lfun", "--q", "5", "--index", "1", "--s", "-450.5")
+        assert code == 1
+        assert json.loads(out)["message"].startswith("L(s, chi) at s = (-450.5+0j)")
+
     @pytest.mark.parametrize("command", ["constant", "moment"])
     def test_zero_r_is_a_usage_error(self, capsys, command):
         # LevinsonParams refuses R = 0 while parsing, before anything is computed

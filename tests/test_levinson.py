@@ -1,8 +1,8 @@
 """The Levinson constant, kappa bound, shifted constant, operator
 application, and the published-tuple registry."""
 
-import cmath
 import math
+from itertools import zip_longest
 
 import mpmath as mp
 import numpy as np
@@ -16,10 +16,8 @@ from critline.levinson import (
     ShiftedParams,
     c_constant_exact,
     c_constant_quadrature,
-    exp_monomial_integral,
     kappa_lower_bound,
     published_tuples,
-    q_weights,
     shifted_c,
 )
 from critline.mollifier import Polynomial
@@ -85,58 +83,129 @@ def p_integrals_by_products(p: Polynomial) -> tuple[float, float, float]:
     return _poly_product_integral(p, p), _poly_product_integral(p, dp), _poly_product_integral(dp, dp)
 
 
-class TestExpMonomialIntegral:
-    def test_against_quadrature(self):
-        for a in (0.0, 1e-9, 0.3, -0.45, 0.49, 2.6, -5.0, 0.002 + 0.001j):
-            for m in (0, 1, 4, 9):
-                got = exp_monomial_integral(a, m)
-                assert got.shape == (m + 1,)
-                for k in range(m + 1):
-                    ref, _ = integrate.quad(
-                        lambda v: (cmath.exp(a * v) * v**k).real, 0.0, 1.0, epsabs=1e-14
-                    )
-                    if isinstance(a, complex):
-                        ref_im, _ = integrate.quad(
-                            lambda v: (cmath.exp(a * v) * v**k).imag, 0.0, 1.0, epsabs=1e-14
-                        )
-                        ref = complex(ref, ref_im)
-                    assert got[k] == pytest.approx(ref, abs=1e-13)
+# the exact oracle: int_0^1 e^{a v} v^k dv = sum_n a^n / (n! (n + k + 1)),
+# summed at 40 digits; its terms are positive for a > 0, and for |a| <= 20
+# the alternating ones cancel at most 9 of the 40 digits
+def exp_moments(a, m: int) -> list:
+    with mp.workdps(40):
+        a = mp.mpmathify(a)
+        total, term, n = [mp.mpf(0)] * (m + 1), mp.mpf(1), 0
+        while n <= abs(a) or abs(term) > mp.eps * abs(total[m]):
+            total = [t + term / (n + k + 1) for k, t in enumerate(total)]
+            n += 1
+            term *= a / n
+        return total
 
-    def test_against_mpmath_below_the_degree(self):
-        # 1/2 <= |a| < m: upward below k = |a| and downward above; a
-        # downward run all the way to k = 0 lost 1e-13 at a = 9.9, m = 10
-        for a in (0.7, 2.6, 9.9, -9.9, 11.9, 19.9, 3.0 + 4.0j):
-            with mp.workdps(30):
-                ref = np.array([complex(mp.quad(lambda v: mp.exp(a * v) * v**k, [0, 1])) for k in range(21)])
-            for m in (10, 12, 20):
-                got = exp_monomial_integral(a, m)
-                assert np.all(np.abs(got - ref[: m + 1]) <= 1e-15 * np.abs(ref[: m + 1]))
+
+def exact_c(params: LevinsonParams) -> float:
+    """c from the polynomials' exact products and exp_moments, at 40 digits."""
+    with mp.workdps(40):
+        p, q = ([mp.mpf(c) for c in poly.coefficients] for poly in (params.p_poly, params.q_poly))
+        r, theta = mp.mpf(params.r_shift), mp.mpf(params.theta)
+        dp, dq = ([k * c for k, c in enumerate(g)][1:] for g in (p, q))
+        f = [theta * (r * a + b) for a, b in zip_longest(q, dq, fillvalue=0)]
+        moments = exp_moments(2 * r, 2 * len(q))
+
+        def mul(g, h):
+            out = [mp.mpf(0)] * (len(g) + len(h) - 1)
+            for i, a in enumerate(g):
+                for j, b in enumerate(h):
+                    out[i + j] += a * b
+            return out
+
+        def integral(g, weights):
+            return sum(c * w for c, w in zip(g, weights))
+
+        plain = [mp.mpf(1) / (k + 1) for k in range(2 * len(p))]
+        square = integral(mul(f, f), moments) * integral(mul(p, p), plain)
+        square += 2 * integral(mul(f, q), moments) * integral(mul(p, dp), plain)
+        square += integral(mul(q, q), moments) * integral(mul(dp, dp), plain)
+        return float(1 + square / theta)
+
+
+def random_tuple(rng, p_degree: int, q_degree: int, r: float, theta: float = 0.5) -> LevinsonParams:
+    """P(0) = 0, P(1) = 1 and Q(0) = 1, with the other coefficients uniform in [-1, 1)."""
+    p = [0.0, *rng.uniform(-1, 1, p_degree)]
+    p[-1] += 1.0 - sum(p)
+    return LevinsonParams(Polynomial(p), Polynomial([1.0, *rng.uniform(-1, 1, q_degree)]), r, theta)
+
+
+def check_c(params: LevinsonParams):
+    assert c_constant_exact(params) == pytest.approx(exact_c(params), rel=1e-14, abs=0.0)
+
+
+def check_shifted(shift: ShiftedParams, p: Polynomial, theta: float):
+    """shifted_c against the convolution oracle's P integrals and exp_moments' v-integral."""
+    pp, ppd, pdpd = p_integrals_by_products(p)
+    a, b = complex(shift.alpha), complex(shift.beta)
+    log_m, log_t = math.log(shift.m_length), math.log(shift.t_scale)
+    iv = complex(exp_moments(-(a + b) * log_t, 0)[0])
+    want = 1.0 + (iv / theta) * (a * b * log_m**2 * pp - (a + b) * log_m * ppd + pdpd)
+    assert abs(shifted_c(shift, p, theta) - want) <= 1e-14 * abs(want)
+
+
+def shifted_for(z: complex) -> ShiftedParams:
+    """Equal shifts alpha = beta with -(alpha + beta) log T = z, at M = 1e4, T = 1e8."""
+    alpha = -z / (2.0 * math.log(1e8))
+    return ShiftedParams(alpha, alpha, 1e4, 1e8)
+
+
+SHIFT_P = Polynomial((0.0, 0.4, 0.6))
+
+
+class TestExpMonomialIntegral:
+    # c's integrals of e^{2Rv} v^k and the shifted constant's of e^{zv} on the
+    # node rule, against exp_moments: the cases of the recurrence the rule
+    # replaced (a = 2R or z, up to degree 20 in v), and larger R
+    def test_against_the_exact_series(self, rng):
+        for a in (1e-9, 0.3, 0.49, 2.6):
+            for q_degree in (0, 1, 2, 5):
+                params = random_tuple(rng, max(1, q_degree), q_degree, a / 2.0)
+                check_c(params)
+        for z in (1e-9, 0.3, -0.45, 0.49, 2.6, -5.0, 0.002 + 0.001j):
+            check_shifted(shifted_for(z), SHIFT_P, 0.5)
+
+    def test_against_mpmath_below_the_degree(self, rng):
+        # 2R below the degree 2 deg Q of e^{2Rv} Q^2 and above
+        for a in (0.7, 2.6, 9.9, 11.9, 19.9):
+            for q_degree in (5, 6, 10):
+                params = random_tuple(rng, q_degree, q_degree, a / 2.0, THETA_MAX)
+                check_c(params)
+        for z in (0.7, 9.9, -9.9, 11.9, 19.9, -19.9, 3.0 + 4.0j, 19.9j):
+            check_shifted(shifted_for(z), SHIFT_P, 0.5)
 
     def test_zero_argument_limit(self):
-        assert exp_monomial_integral(0.0, 5) == pytest.approx(1.0 / np.arange(1, 7))
+        # z = 0: the v-integral is 1 to rounding; R -> 0 is test_trivial_collapse
+        check_shifted(shifted_for(0.0), SHIFT_P, 0.5)
+        check_c(LevinsonParams(SHIFT_P, Polynomial((1.0, -0.7, 0.3)), 5e-10, 0.5))
 
-    def test_accuracy_across_branch_switch(self):
-        # downward recurrence just below |a| = 1/2, upward just above;
-        # both must track quadrature at every order
-        for a in (0.4999999, 0.5000001, -0.4999999, -0.5000001):
-            for m in (0, 3, 7):
-                got = exp_monomial_integral(a, m)
-                for k in range(m + 1):
-                    ref, _ = integrate.quad(
-                        lambda v: math.exp(a * v) * v**k, 0.0, 1.0, epsabs=1e-14
-                    )
-                    assert got[k] == pytest.approx(ref, abs=1e-13)
+    def test_accuracy_across_branch_switch(self, rng):
+        # where the recurrence switched direction, |a| = 1/2
+        for a in (0.4999999, 0.5000001):
+            for q_degree in (0, 2, 4):
+                params = random_tuple(rng, 3, q_degree, a / 2.0)
+                check_c(params)
+        for z in (0.4999999, 0.5000001, -0.4999999, -0.5000001):
+            check_shifted(shifted_for(z), SHIFT_P, 0.5)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            exp_monomial_integral(1.0, -1)
+    def test_large_r(self, rng):
+        # Q(1) = 1/4 and theta = 1/20 keep c inside the double range up to
+        # R = 354, where the nodes' own rounding, times 2R, sets the accuracy
+        for r in (50.0, 100.0, 300.0, 354.0):
+            for q_degree in (1, 3, 5):
+                params = random_tuple(rng, 3, q_degree, r)
+                q = np.array(params.q_poly.coefficients)
+                q[-1] += 0.25 - params.q_poly(1.0)
+                params = LevinsonParams(params.p_poly, Polynomial(q), r, 0.05)
+                assert c_constant_exact(params) == pytest.approx(exact_c(params), rel=5e-13, abs=0.0)
 
     def test_overflow_refused(self):
-        # e^a overflows a double past a = 709.78; 2R = 800 is constant --R 400
-        for a in (800.0, 710.0 + 0.5j):
+        # e^{2Rv} on the nodes overflows a double past R = 354.9; R = 400 is
+        # constant --R 400; neither writes a numpy warning
+        for r in (355.0, 400.0):
+            params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), r, 0.5)
             with pytest.raises(DomainError, match="overflows"):
-                exp_monomial_integral(a, 4)
-        assert np.isfinite(exp_monomial_integral(709.0, 4)).all()
+                c_constant_exact(params)
 
 
 class TestConstraints:
@@ -181,8 +250,8 @@ class TestCConstant:
             c_constant_quadrature(params)
 
     def test_exact_refuses_an_overflowed_c(self):
-        # e^{2R} at R = 354 is finite, but alpha times Q's coefficients is not;
-        # the refusal comes without a numpy overflow warning
+        # e^{2Rv} at R = 354 is finite on the nodes, but c with Q(1) = 6 is
+        # not; the refusal comes without a numpy overflow warning
         params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, 5.0)), 354.0, 0.5)
         with pytest.raises(DomainError, match="overflows"):
             c_constant_exact(params)
@@ -194,8 +263,9 @@ class TestCConstant:
         assert 0.30 < kappa < 0.36
 
     def test_weights_against_quadrature(self, rng):
-        # alpha, beta, gamma are the e^{2Rv}-weighted integrals of F^2, FQ
-        # and Q^2 with F = R theta Q + theta Q'
+        # alpha, beta, gamma, the e^{2Rv}-weighted integrals of F^2, FQ and
+        # Q^2 with F = R theta Q + theta Q', by adaptive quadrature, with the
+        # convolution oracle's P integrals give c_constant_exact
         for _ in range(5):
             params = random_params(rng)
             q, r, theta = params.q_poly, params.r_shift, params.theta
@@ -204,11 +274,13 @@ class TestCConstant:
             def f(v):
                 return r * theta * q(v) + theta * dq(v)
 
-            want = [
+            alpha, beta, gamma = (
                 integrate.quad(lambda v: math.exp(2 * r * v) * g(v), 0.0, 1.0, epsabs=1e-14)[0]
                 for g in (lambda v: f(v) ** 2, lambda v: f(v) * q(v), lambda v: q(v) ** 2)
-            ]
-            assert q_weights(q, r, theta) == pytest.approx(want, rel=1e-12, abs=1e-13)
+            )
+            pp, ppd, pdpd = p_integrals_by_products(params.p_poly)
+            want = 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / theta
+            assert c_constant_exact(params) == pytest.approx(want, rel=1e-12)
 
     def test_cross_path_agreement(self, rng):
         for _ in range(25):
@@ -227,16 +299,17 @@ class TestCConstant:
 
 class TestGramPiecesAgainstProducts:
     # c_constant_exact and shifted_c read int P^2, int P P', int P'^2 from
-    # gram_pieces; the convolution oracle must give the same c to 1e-14
+    # the node rule; with them from the convolution oracle and the Q side
+    # from exp_moments, c must agree to 1e-14
     def test_registry_tuples(self):
         shift = ShiftedParams(-0.05 + 0.01j, -0.05 - 0.02j, 1e4, 1e8)
         for t in published_tuples():
             # the two-piece tuples meet P(0)=0, P(1)=1 through P1 only
             p = t.p1_poly if t.p1_poly is not None else t.p_poly
-            self._check_c(LevinsonParams(p, t.q_poly, t.r_shift, 0.5))
+            check_c(LevinsonParams(p, t.q_poly, t.r_shift, 0.5))
             for piece in (t.p_poly, t.p1_poly, t.p2_poly):
                 if piece is not None:
-                    self._check_shifted(shift, piece, 0.5)
+                    check_shifted(shift, piece, 0.5)
 
     def test_random_c_constant_exact(self, rng):
         for _ in range(120):
@@ -245,7 +318,7 @@ class TestGramPiecesAgainstProducts:
             p[-1] += 1.0 - sum(p)  # P(1)=1
             q = Polynomial([1.0] + list(rng.uniform(-1, 1, q_deg)))
             r, theta = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, THETA_MAX))
-            self._check_c(LevinsonParams(Polynomial(p), q, r, theta))
+            check_c(LevinsonParams(Polynomial(p), q, r, theta))
 
     def test_random_shifted_c(self, rng):
         # any P, P(0) = 0 or not, degree 0 included
@@ -253,24 +326,7 @@ class TestGramPiecesAgainstProducts:
             for _ in range(12):
                 p = Polynomial(rng.uniform(-1, 1, degree + 1))
                 a, b = rng.uniform(-0.2, 0.2, 4).view(complex)
-                self._check_shifted(ShiftedParams(a, b, 1e4, 1e8), p, float(rng.uniform(0.1, 0.5)))
-
-    @staticmethod
-    def _check_c(params):
-        pp, ppd, pdpd = p_integrals_by_products(params.p_poly)
-        alpha, beta, gamma = q_weights(params.q_poly, params.r_shift, params.theta)
-        want = 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / params.theta
-        assert c_constant_exact(params) == pytest.approx(want, rel=1e-14, abs=0.0)
-
-    @staticmethod
-    def _check_shifted(shift, p, theta):
-        pp, ppd, pdpd = p_integrals_by_products(p)
-        a, b = complex(shift.alpha), complex(shift.beta)
-        log_m, log_t = math.log(shift.m_length), math.log(shift.t_scale)
-        iv = exp_monomial_integral(-(a + b) * log_t, 0)[0]
-        want = 1.0 + (iv / theta) * (a * b * log_m**2 * pp - (a + b) * log_m * ppd + pdpd)
-        assert abs(shifted_c(shift, p, theta) - want) <= 1e-14 * abs(want)
-
+                check_shifted(ShiftedParams(a, b, 1e4, 1e8), p, float(rng.uniform(0.1, 0.5)))
 
 class TestKappaBound:
     def test_trivial_values(self):

@@ -9,7 +9,7 @@ import pytest
 
 from critline.errors import ConfigError
 import critline.optimizer as optimizer_module
-from critline.levinson import THETA_MAX, LevinsonParams, c_constant_exact, hankel_pieces, kappa_lower_bound
+from critline.levinson import THETA_MAX, LevinsonParams, c_constant_exact, kappa_lower_bound
 from critline.mollifier import Polynomial
 from critline.optimizer import SearchSpace, _Objective, grid_scan_r, optimize_kappa
 
@@ -40,13 +40,6 @@ PARENT_KAPPA = {
         (0.4021932121548597, 0.4021932121548597, 0.4086211499254859, 0.4086211499254859, 0.4089530896409507, 0.4089530896409507),
     ),
 }
-
-
-def decode(objective, b, r):
-    """Q's coefficients for the odd-symmetric weights b, and the Q form's pieces at R."""
-    q = np.asarray(b, dtype=float) @ objective.basis
-    q[0] = 1.0
-    return q, hankel_pieces(objective.basis.shape[1], float(r))
 
 
 class TestSearchSpace:
@@ -152,8 +145,7 @@ class TestOptimizer:
         # least as good as P = x
         space = SearchSpace(3, 3, (0.5, 2.5), 0.5)
         objective = _Objective(space)
-        assert Polynomial(objective.start).coefficients == (1.0, -1.0)
-        y, c = objective.solve(objective.start, *hankel_pieces(objective.start.size, 1.3))
+        y, c = objective.solve(objective.start, objective.forms(1.3))
         params = objective.params(objective.start, y, 1.3)
         assert params.q_poly.coefficients == (1.0, -1.0)
         assert c == pytest.approx(c_constant_exact(params), rel=1e-13)
@@ -164,9 +156,9 @@ class TestOptimizer:
         # perturbing the solved P along P(0)=0, P(1)=1 never lowers c
         space = SearchSpace(4, 3, (0.5, 2.5), 0.5)
         objective = _Objective(space)
-        q, pieces = decode(objective, [0.4, 0.2], 1.1)
-        y, c = objective.solve(q, *pieces)
-        params = objective.params(q, y, 1.1)
+        b = np.array([0.4, 0.2])
+        y, c = objective.solve(b, objective.forms(1.1))
+        params = objective.params(b, y, 1.1)
         p_poly, q_poly, r = params.p_poly, params.q_poly, params.r_shift
         for _ in range(20):
             bump = rng.uniform(-0.1, 0.1, 3)
@@ -184,26 +176,24 @@ class TestOptimizer:
             space = SearchSpace(p_degree, q_degree, (0.5, 2.5), theta)
             objective = _Objective(space)
             r = float(rng.uniform(0.5, 2.5))
-            _, pieces = decode(objective, rng.uniform(-1.0, 1.5, space.q_terms), r)
             y = rng.uniform(0.1, 1.0, p_degree)
             p_poly = Polynomial((0.0, *(y / y.sum())))
-            q = objective.solve_q(y, *pieces)
-            best = c_constant_exact(LevinsonParams(p_poly, Polynomial(q), r, theta))
+            b = objective.solve_q(y, objective.forms(r))
+            best = c_constant_exact(LevinsonParams(p_poly, objective.params(b, y, r).q_poly, r, theta))
             for _ in range(10):
-                other = q + rng.uniform(-0.05, 0.05, space.q_terms) @ objective.basis
-                assert c_constant_exact(LevinsonParams(p_poly, Polynomial(other), r, theta)) >= best - 1e-12
+                other = objective.params(b + rng.uniform(-0.05, 0.05, space.q_terms), y, r).q_poly
+                assert c_constant_exact(LevinsonParams(p_poly, other, r, theta)) >= best - 1e-12
 
     def test_sweeps_never_raise_c(self, rng):
-        # each solve is exact, so c falls from sweep to sweep, to rounding: the
-        # Hankel form of a degree-5 Q evaluates c to about 1e-13
+        # each solve is exact, so c falls from sweep to sweep, to rounding
         for p_degree, q_degree in ((2, 1), (3, 5), (6, 6)):
             space = SearchSpace(p_degree, q_degree, (0.5, 2.5), THETA_MAX)
             objective = _Objective(space)
-            pieces = hankel_pieces(objective.start.size, float(rng.uniform(0.5, 2.5)))
-            y, c = objective.solve(objective.start, *pieces)
+            forms = objective.forms(float(rng.uniform(0.5, 2.5)))
+            y, c = objective.solve(objective.start, forms)
             for _ in range(12):
-                y, c_next = objective.solve(objective.solve_q(y, *pieces), *pieces)
-                assert c_next <= c * (1.0 + 1e-12)
+                y, c_next = objective.solve(objective.solve_q(y, forms), forms)
+                assert c_next <= c * (1.0 + 1e-13)
                 c = c_next
 
     def test_solved_p_sums_to_one_exactly(self, rng):
@@ -214,8 +204,8 @@ class TestOptimizer:
             objective = _Objective(space)
             for _ in range(60):
                 r = float(rng.uniform(0.5, 2.5))
-                q, pieces = decode(objective, rng.uniform(-1.0, 1.5, space.q_terms), r)
-                p_poly = objective.params(q, objective.solve(q, *pieces)[0], r).p_poly
+                b = rng.uniform(-1.0, 1.5, space.q_terms)
+                p_poly = objective.params(b, objective.solve(b, objective.forms(r))[0], r).p_poly
                 assert p_poly.coefficients[0] == 0.0
                 assert math.fsum(p_poly.coefficients) == 1.0
 
@@ -225,8 +215,8 @@ class TestOptimizer:
         for q_degree in range(1, 7):
             space = SearchSpace(3, q_degree, (0.5, 2.5), 0.5)
             objective = _Objective(space)
-            pieces = hankel_pieces(objective.start.size, float(rng.uniform(0.5, 2.5)))
-            q_poly = Polynomial(objective.solve_q(rng.uniform(0.1, 1.0, 3), *pieces))
+            r, y = float(rng.uniform(0.5, 2.5)), rng.uniform(0.1, 1.0, 3)
+            q_poly = objective.params(objective.solve_q(y, objective.forms(r)), y, r).q_poly
             assert q_poly.coefficients[0] == 1.0
             assert q_poly.degree <= q_degree
             total = q_poly(x) + q_poly(1.0 - x)
@@ -263,9 +253,9 @@ class TestOptimizer:
                 space = SearchSpace(p_degree, q_degree, (0.5, 2.5), theta)
                 objective = _Objective(space)
                 r = float(rng.uniform(0.5, 2.5))
-                q, pieces = decode(objective, rng.uniform(-1.0, 1.5, space.q_terms), r)
-                y, solved = objective.solve(q, *pieces)
-                exact = c_constant_exact(objective.params(q, y, r))
+                b = rng.uniform(-1.0, 1.5, space.q_terms)
+                y, solved = objective.solve(b, objective.forms(r))
+                exact = c_constant_exact(objective.params(b, y, r))
                 assert exact == pytest.approx(solved, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [0.5, THETA_MAX])

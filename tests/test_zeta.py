@@ -249,6 +249,38 @@ class TestZetaLineGrid:
             want = head + _em_tail(sigma + 1j * np.array([tv]), np.array([float(cut)]), order)[:, 0]
             assert np.array_equal(zeta_line(sigma, np.array([tv]), order)[:, 0], want)
 
+    def test_one_chunk_calls_are_pinned(self):
+        """Scalar zeta, zeta_derivative and one-chunk zeta_line calls return
+        right after their direct product, with the bits of the kernel that
+        still built the grid's sharing set-up for them (pinned on x86-64
+        with numpy's OpenBLAS), over one block of n and over seven
+        (t = 5e4)."""
+        got = [
+            zeta(0.5 + 14.134725j),
+            zeta(0.5 + 5e4j),
+            zeta(-3.5 + 20j),
+            zeta_derivative(0.3 + 7.3j, 6),
+            *zeta_line(0.5, np.array([1e4 + 0.3]))[:, 0],
+            *zeta_line(0.25, np.array([100.0, -100.5, 101.0]), order=2).ravel(),
+        ]
+        pinned = [
+            ("0x1.2fa4627000000p-26", "-0x1.dcd4193700000p-24"),
+            ("0x1.45344e008f95bp+1", "0x1.89cab3cb9b793p+0"),
+            ("-0x1.2ba75cb9cf050p+5", "-0x1.8bf81f5c2f10fp+6"),
+            ("-0x1.6e85d8e98b800p-7", "-0x1.dea1e8af7fc00p-6"),
+            ("0x1.29c947d02da07p-2", "-0x1.ccbd147337b5dp-2"),
+            ("0x1.001e57b697cfcp+2", "0x1.93e38490d9188p-5"),
+            ("0x1.13892f86e501fp+1", "0x1.5683e3826cde7p+1"),
+            ("-0x1.a607cc1efd01bp-1", "-0x1.a45cc57829eebp+0"),
+            ("-0x1.c7b3f67cf0defp+2", "-0x1.8595202e73aa8p-2"),
+            ("-0x1.1839efdd9e67fp+1", "-0x1.a7d5110943789p+2"),
+            ("0x1.63f5cc532cabbp+2", "0x1.c1549c4702480p+1"),
+            ("0x1.297d0c4ab21c3p+3", "0x1.f12934a80fa90p-2"),
+            ("0x1.4ac8f92dea9a7p+1", "0x1.18b45b792eab8p+3"),
+            ("-0x1.ef4027071b6a8p+2", "-0x1.1627e31eff3afp+2"),
+        ]
+        assert [(v.real.hex(), v.imag.hex()) for v in map(complex, got)] == pinned
+
     def test_memory_is_flat_in_the_grid_length(self):
         """One phase table per block and one group's stack at a time: a grid
         four times longer at t = 2e4 needs no more working memory, and the
