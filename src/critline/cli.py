@@ -7,6 +7,7 @@ ignored.  Every range check is the library's.  Exit codes: 0 success;
 --config or unwritable --output, csv for a command without a table, a
 LevinsonParams or SearchSpace refusal);
 1 anything else the library refuses, with its own error code and message.
+Each command imports what it runs when it runs; parsing needs levinson alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-from . import arithmetic, dirichlet, levinson, moment, mollifier, optimizer, zeta
+from . import levinson
 from .errors import ConfigError, ConstraintError, CritlineError
 
 
@@ -43,9 +44,9 @@ def _parse_real(text: str) -> float:
     return value
 
 
-def _parse_poly(text: str) -> mollifier.Polynomial:
+def _parse_poly(text: str) -> levinson.Polynomial:
     """Ascending coefficients separated by commas, brackets optional."""
-    return mollifier.Polynomial(_parse_real(tok) for tok in text.replace("[", "").replace("]", "").split(","))
+    return levinson.Polynomial(_parse_real(tok) for tok in text.replace("[", "").replace("]", "").split(","))
 
 
 def _parse_complex(text: str) -> complex:
@@ -173,6 +174,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         # LevinsonParams enforces P(0)=0, P(1)=1, Q(0)=1, R > 0 and 0 < theta <= 4/7
         params["levinson"] = levinson.LevinsonParams(params["P"], params["Q"], params["R"], params["theta"])
     elif known.command == "optimize":
+        from . import optimizer
         # SearchSpace checks the degrees, the R range and theta
         params["space"] = optimizer.SearchSpace(
             params["p-degree"], params["q-degree"], (params["r-min"], params["r-max"]), params["theta"])
@@ -190,7 +192,7 @@ def _fmt_number(x) -> str:
 def _to_jsonable(obj):
     if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
         return obj
-    if isinstance(obj, mollifier.Polynomial):
+    if isinstance(obj, levinson.Polynomial):
         return list(obj.coefficients)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -234,16 +236,19 @@ def _dump_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
 
 
 def _run_command(config: RunConfig):
-    """Returns (report_object, csv_rows or None)."""
+    """Returns (report_object, csv_rows or None); each branch imports its module."""
     p = config.parameters
     if config.command == "zeta":
+        from . import zeta
         value = zeta.zeta(p["s"])
         return {"s": p["s"], "zeta": value}, None
     if config.command == "zeros":
+        from . import zeta
         rep = zeta.count_critical_zeros(p["tmin"], p["tmax"], p["step"])
         rows = [{"zero": z} for z in rep.zeros]
         return rep, rows
     if config.command == "chars":
+        from . import dirichlet
         table = dirichlet.character_table(p["q"])
         rows = [
             {"index": index, "conductor": f, "parity": parity, "primitive": f == p["q"]}
@@ -253,10 +258,12 @@ def _run_command(config: RunConfig):
         ]
         return {"modulus": p["q"], "count": len(rows), "characters": rows}, rows
     if config.command == "lfun":
+        from . import dirichlet
         chi = dirichlet.character(p["q"], p["index"])
         value = dirichlet.l_function(p["s"], chi)
         return {"q": p["q"], "index": p["index"], "s": p["s"], "l": value}, None
     if config.command == "psi":
+        from . import arithmetic
         value = arithmetic.chebyshev_psi(p["x"])
         return {"x": p["x"], "psi": value, "ratio": value / p["x"] if p["x"] else 0.0}, None
     if config.command == "constant":
@@ -274,6 +281,7 @@ def _run_command(config: RunConfig):
             report["published_claim"] = {"c": base.claimed_c, "kappa": base.claimed_bound}
         return report, None
     if config.command == "optimize":
+        from . import optimizer
         rep = optimizer.optimize_kappa(p["space"])
         return {
             "best_kappa": rep.best_kappa,
@@ -287,6 +295,7 @@ def _run_command(config: RunConfig):
             "converged": rep.converged,
         }, None
     if config.command == "moment":
+        from . import moment
         return moment.mollified_moment_numeric(p["levinson"], p["T"], p["step"]), None
     if config.command == "registry":
         return {"tuples": levinson.published_tuples()}, None

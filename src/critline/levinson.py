@@ -1,6 +1,6 @@
 """The mollified-moment constant c(P,Q,R,theta), the kappa lower bound,
-its shifted two-variable generalization, and the registry of published
-polynomial tuples.
+its shifted two-variable generalization, the registry of published
+polynomial tuples, and Polynomial, the type of P and Q; numpy alone.
 
 c is Conrey's functional, with the inner x-derivative squared.  Every
 integral over [0,1] in c, and the v-integral of the shifted constant, is
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConstraintError, DomainError
-from .mollifier import Polynomial
 
 # the range of Conrey's mean-value theorem (Conrey 1989)
 THETA_MAX = 4.0 / 7.0
@@ -29,6 +28,37 @@ QUADRATURE_BOUND = 1e-8  # see c_constant_quadrature
 _T = np.polynomial.legendre.leggauss(80)[0]
 NODES = 0.5 * (_T + 1.0)
 WEIGHTS = 1.0 / ((1.0 - _T**2) * np.polynomial.Legendre.basis(80).deriv()(_T) ** 2)  # on [0, 1]
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """Real polynomial with ascending coefficients in canonical form."""
+
+    coefficients: tuple[float, ...]
+
+    def __init__(self, coefficients):
+        coeffs = [float(c) for c in coefficients]
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs.pop()
+        if not coeffs:
+            coeffs = [0.0]
+        object.__setattr__(self, "coefficients", tuple(coeffs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
+
+    def __call__(self, x):
+        x = np.asarray(x) if np.ndim(x) else x
+        acc = np.zeros(np.shape(x), dtype=np.result_type(x, float)) if np.ndim(x) else 0.0
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "Polynomial":
+        if self.degree == 0:
+            return Polynomial((0.0,))
+        return Polynomial(tuple(k * c for k, c in enumerate(self.coefficients) if k > 0))
 
 
 @dataclass(frozen=True)
@@ -64,18 +94,21 @@ def c_constant_exact(params: LevinsonParams) -> float:
     + theta P(u)Q'(v), is P(u)F(v) + P'(u)Q(v) with F = theta (R Q + Q');
     its square against e^{2Rv} is the node sum of w e^{2Rv} (F^2 int P^2
     + 2 F Q int P P' + Q^2 int P'^2), with the P integrals from the same
-    nodes.  A c past the double range, or an R above about 354.9, where
-    e^{2Rv} on the nodes overflows, raises DomainError.
+    nodes.  The weights are e^{2Rv - h}, h = max(0, 2R - 709), which stay
+    inside the double range, and the sum is multiplied by e^h, so only a c
+    past the double range raises DomainError; h = 0 up to R = 354.5.
     """
     p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
     pp, ppd, pdpd = _p_integrals(p)
     values = q(NODES)
     f = theta * (r * values + q.derivative()(NODES))
+    shift = max(0.0, 2.0 * r - 709.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        weighted = WEIGHTS * np.exp(2.0 * r * NODES)
-        c = 1.0 + float(weighted @ (pp * f * f + 2.0 * ppd * f * values + pdpd * values * values)) / theta
+        weighted = WEIGHTS * np.exp(2.0 * r * NODES - shift)
+        total = float(weighted @ (pp * f * f + 2.0 * ppd * f * values + pdpd * values * values)) / theta
+        c = 1.0 + float(np.exp(shift)) * total
     if not math.isfinite(c):
-        raise DomainError(f"the node sum of c at R = {r} overflows a double")
+        raise DomainError(f"c at R = {r} overflows a double")
     return c
 
 

@@ -20,38 +20,8 @@ import numpy as np
 from .arithmetic import mobius_table, primes_upto
 from .dirichlet import character
 from .errors import ConstraintError, DomainError
+from .levinson import Polynomial
 from .zeta import _dirichlet_jets
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial with ascending coefficients in canonical form."""
-
-    coefficients: tuple[float, ...]
-
-    def __init__(self, coefficients):
-        coeffs = [float(c) for c in coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [0.0]
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        x = np.asarray(x) if np.ndim(x) else x
-        acc = np.zeros(np.shape(x), dtype=np.result_type(x, float)) if np.ndim(x) else 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coefficients) if k > 0))
 
 
 def _require(cond: bool, message: str):

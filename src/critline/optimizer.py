@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .levinson import NODES, THETA_MAX, WEIGHTS, LevinsonParams, c_constant_exact, kappa_lower_bound
-from .mollifier import Polynomial
+from .levinson import NODES, THETA_MAX, WEIGHTS, LevinsonParams, Polynomial, c_constant_exact, kappa_lower_bound
 
 # largest R searched: the weights w e^{2Rx} of the forms stay below e^600,
 # far inside the double range, which e^{2Rx} leaves near R = 355

@@ -3,12 +3,15 @@ Hardy's Z, critical-line zero scanning, and the shifted approximate
 functional equation for the product of two zeta values.
 
 The single zeta engine is Euler-Maclaurin summation with Bernoulli
-corrections.  Values and derivatives are truncated-Taylor jets in a
+corrections, whose coefficients B_2k/(2k)! are rounded once from exact
+rationals.  Values and derivatives are truncated-Taylor jets in a
 shift x: every zeta, zeta^(k) and Hurwitz zeta value adds the same
 remainder jet (_em_tail) to a head sum, and Re(s) < 0 is reached by
 applying the functional equation to the jets.  Head sums on a grid, and
 the mollifier's Dirichlet polynomial, go through one kernel, _dirichlet_jets:
 per block of n, one phase table and one product per fixed group of chunks.
+Complex log Gamma and psi are scipy.special's, imported on first use
+(_special): only the reflection, xi, Hardy's Z and the AFE load scipy.
 """
 
 from __future__ import annotations
@@ -16,18 +19,31 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-from scipy import special as sps
 
 from .errors import ConditioningError, DomainError, PoleError
 
+
+def _em_coefficients(terms: int) -> np.ndarray:
+    """B_2k/(2k)! for k = 1 .. terms, each rounded once from the exact
+    Bernoulli numbers of sum_{k <= m} C(m+1, k) B_k = 0 (m >= 1, B_0 = 1)."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * terms + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return np.array([float(b[2 * k] / math.factorial(2 * k)) for k in range(1, terms + 1)])
+
+
+def _special():
+    """scipy.special, imported on the first complex log Gamma or psi rather
+    than at load: the import takes about 0.3 s, which most commands never need."""
+    from scipy import special
+    return special
+
+
 _EM_TERMS = 14
-_BERNOULLI = sps.bernoulli(2 * _EM_TERMS)
-# B_{2k} / (2k)! for k = 1 .. _EM_TERMS
-_EM_COEFF = np.array(
-    [_BERNOULLI[2 * k] / math.factorial(2 * k) for k in range(1, _EM_TERMS + 1)]
-)
+_EM_COEFF = _em_coefficients(_EM_TERMS)
 # grid kernel: ordinates per |t|-sorted chunk, terms per block of n, and the
 # byte budget of one group's stacked base weights or of one Hurwitz block
 _CHUNK = 256
@@ -294,6 +310,7 @@ def _reflect(s: complex, kappa: int, reflected: np.ndarray, log_q: float, log_sc
     factors before one exponential.  Trivial zeros (s real, s + kappa even) give
     an exact 0; a value past the double range is a DomainError.
     """
+    sps = _special()
     order = reflected.shape[0] - 1
     z = 0.5 * math.pi * (s + kappa)
     h = abs(z.imag)
@@ -374,7 +391,7 @@ def xi_completed(s: complex) -> complex:
     if s.imag == 0.0 and (s.real == 1.0 or (s.real <= -2.0 and s.real % 2.0 == 0.0)):
         return xi_completed(1.0 - s)
     # s Gamma(s/2)/2 = Gamma(s/2 + 1) absorbs the s=0 pole
-    log_factor = complex(sps.loggamma(s / 2.0 + 1.0)) - s / 2.0 * math.log(math.pi)
+    log_factor = complex(_special().loggamma(s / 2.0 + 1.0)) - s / 2.0 * math.log(math.pi)
     if s.real < 0.0:
         return complex(_reflect(s, 0, _zeta_jet(1.0 - s, 0), 0.0, log_factor + cmath.log(s - 1.0))[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -387,7 +404,7 @@ def xi_completed(s: complex) -> complex:
 def _hardy_phase(t: np.ndarray) -> np.ndarray:
     """e^{i theta(t)}, the phase of pi^{-s/2} Gamma(s/2) at s = 1/2+it."""
     s = 0.5 + 1j * np.asarray(t, dtype=float)
-    return np.exp(1j * np.imag(sps.loggamma(s / 2.0) - s / 2.0 * math.log(math.pi)))
+    return np.exp(1j * np.imag(_special().loggamma(s / 2.0) - s / 2.0 * math.log(math.pi)))
 
 
 def hardy_z(t: float) -> float:
@@ -498,6 +515,7 @@ class AfeParams:
 
 
 def _gamma_ratio_weight(s, a: complex, b: complex, t: float):
+    sps = _special()
     return np.exp(
         -s * math.log(math.pi)
         + sps.loggamma((0.5 + a + s + 1j * t) / 2.0)

@@ -1,5 +1,6 @@
 """The prime sieve tables against trial-division oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -106,11 +107,45 @@ class TestFactorSieve:
 
 
 def test_import_leaves_scipy_out():
-    """The sieve module needs numpy only: importing it in a fresh
-    interpreter loads no scipy."""
+    """Each command imports only what it runs, and scipy.special loads on the
+    first complex log Gamma or psi: in a fresh interpreter, no scipy module is
+    loaded by the sieve module or by the CLI commands below, which never
+    evaluate either; the reflected zeta then loads it, with the value pinned
+    in test_zeta.py::TestZetaLineGrid::test_one_chunk_calls_are_pinned."""
     import critline
+    import critline.levinson
+    import critline.mollifier
 
+    assert critline.mollifier.Polynomial is critline.levinson.Polynomial
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
-    code = "import sys, critline.arithmetic; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    commands = [
+        ["constant"],
+        ["optimize", "--p-degree", "2", "--q-degree", "2"],
+        ["moment", "--T", "200"],
+        ["psi", "--x", "1000"],
+        ["chars", "--q", "12"],
+        ["registry"],
+        ["lfun", "--q", "5", "--index", "1", "--s", "0.5+10j"],
+        ["zeta", "--s", "-3.5+20j"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import critline.arithmetic\n"
+        "print(json.dumps(['import', 0, scipy_loaded(), '']))\n"
+        "import critline.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        status = critline.cli.main(argv)\n"
+        "    print(json.dumps([argv[0], status, scipy_loaded(), out.getvalue()]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [name for name, *_ in runs] == ["import"] + [argv[0] for argv in commands]
+    for name, status, loaded, _ in runs[:-1]:
+        assert (status, loaded) == (0, []), name
+    name, status, loaded, out = runs[-1]
+    assert status == 0 and "scipy.special" in loaded
+    assert json.loads(out)["zeta"] == {"re": -37.456719829206691, "im": -98.992307129261675}

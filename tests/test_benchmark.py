@@ -1,18 +1,21 @@
-"""The benchmark harness end to end: one short traced run of the kappa
-workload, so that a change to src/ that breaks what perfbench/ reads of it
-(a name, a default, an output key) fails here and not only in a benchmark
-run."""
+"""The benchmark harness end to end: one short traced run of the kappa and
+of the moment workload, so that a change to src/ that breaks what perfbench/
+reads of it (a name, a default such as zeta_line's chunk, an output key, or
+mollifier.Polynomial) fails here and not only in a benchmark run."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_kappa_workload_runs_and_checks_out():
-    argv = ["--workload", "kappa", "--seed", "0", "--seconds", "1", "--trace", "1"]
+@pytest.mark.parametrize("workload", ["kappa", "moment"])
+def test_workload_runs_and_checks_out(workload):
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300,

@@ -13,6 +13,7 @@ from critline.errors import AccuracyError, ConstraintError, DomainError
 from critline.levinson import (
     THETA_MAX,
     LevinsonParams,
+    Polynomial,
     ShiftedParams,
     c_constant_exact,
     c_constant_quadrature,
@@ -20,7 +21,6 @@ from critline.levinson import (
     published_tuples,
     shifted_c,
 )
-from critline.mollifier import Polynomial
 
 from conftest import fornberg_weights
 
@@ -190,8 +190,9 @@ class TestExpMonomialIntegral:
 
     def test_large_r(self, rng):
         # Q(1) = 1/4 and theta = 1/20 keep c inside the double range up to
-        # R = 354, where the nodes' own rounding, times 2R, sets the accuracy
-        for r in (50.0, 100.0, 300.0, 354.0):
+        # R = 355, where the nodes' own rounding, times 2R, sets the accuracy;
+        # past R = 354.5 the node sum carries e^{2R - 709} outside
+        for r in (50.0, 100.0, 300.0, 354.0, 355.0):
             for q_degree in (1, 3, 5):
                 params = random_tuple(rng, 3, q_degree, r)
                 q = np.array(params.q_poly.coefficients)
@@ -200,12 +201,11 @@ class TestExpMonomialIntegral:
                 assert c_constant_exact(params) == pytest.approx(exact_c(params), rel=5e-13, abs=0.0)
 
     def test_overflow_refused(self):
-        # e^{2Rv} on the nodes overflows a double past R = 354.9; R = 400 is
-        # constant --R 400; neither writes a numpy warning
-        for r in (355.0, 400.0):
-            params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), r, 0.5)
-            with pytest.raises(DomainError, match="overflows"):
-                c_constant_exact(params)
+        # c of constant --R 400 is about 2.8e343, past the double range; the
+        # refusal writes no numpy warning
+        params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 400.0, 0.5)
+        with pytest.raises(DomainError, match="overflows"):
+            c_constant_exact(params)
 
 
 class TestConstraints:

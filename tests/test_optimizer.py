@@ -9,8 +9,7 @@ import pytest
 
 from critline.errors import ConfigError
 import critline.optimizer as optimizer_module
-from critline.levinson import THETA_MAX, LevinsonParams, c_constant_exact, kappa_lower_bound
-from critline.mollifier import Polynomial
+from critline.levinson import THETA_MAX, LevinsonParams, Polynomial, c_constant_exact, kappa_lower_bound
 from critline.optimizer import SearchSpace, _Objective, grid_scan_r, optimize_kappa
 
 BASELINE_KAPPA = kappa_lower_bound(
