@@ -235,6 +235,10 @@ def _dump_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     return buf.getvalue()
 
 
+def _params_json(params: levinson.LevinsonParams) -> dict:
+    return {"P": params.p_poly, "Q": params.q_poly, "R": params.r_shift, "theta": params.theta}
+
+
 def _run_command(config: RunConfig):
     """Returns (report_object, csv_rows or None); each branch imports its module."""
     p = config.parameters
@@ -273,7 +277,7 @@ def _run_command(config: RunConfig):
             "c_exact": c_exact,
             "c_quadrature": levinson.c_constant_quadrature(p["levinson"]),
             "kappa_bound": kappa,
-            "params": {"P": p["P"], "Q": p["Q"], "R": p["R"], "theta": p["theta"]},
+            "params": _params_json(p["levinson"]),
         }
         # the published claim belongs to the baseline tuple (at theta = 1/2) only
         base = levinson.published_tuples()[0]
@@ -285,12 +289,7 @@ def _run_command(config: RunConfig):
         rep = optimizer.optimize_kappa(p["space"])
         return {
             "best_kappa": rep.best_kappa,
-            "best_params": {
-                "P": rep.best_params.p_poly,
-                "Q": rep.best_params.q_poly,
-                "R": rep.best_params.r_shift,
-                "theta": rep.best_params.theta,
-            },
+            "best_params": _params_json(rep.best_params),
             "evaluations": rep.evaluations,
             "converged": rep.converged,
         }, None

@@ -3,11 +3,11 @@
 Both mollifiers are coefficient tables (n, a_n) over the squarefree
 n <= y from one builder, with x_n = log(y/n)/log y: the classical one
 of length M = T^theta has a_n = mu(n) P(x_n), and Wu's two-piece one adds
-a second shape carried by the small prime divisors of n.  b_polynomial
-sums a table at one point, psi_mollifier is that sum for the classical
-table, and mollifier_line sums it on an ordinate grid through the zeta
-grid kernel.  _q_operator applies Q(-(1/L) d/ds) to zeta jets, the
-smoothed combination V zeta that the moment multiplies by psi.
+a second shape carried by the small prime divisors of n.  mollifier_line
+sums the classical table on an ordinate grid, psi_mollifier at one point,
+and b_polynomial a table twisted by a character at one point, each as one
+zeta grid-kernel call that keeps every term.  _q_operator applies
+Q(-(1/L) d/ds) to zeta jets, the smoothed V zeta the moment multiplies by psi.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import mobius_table, primes_upto
-from .dirichlet import character
 from .errors import ConstraintError, DomainError
 from .levinson import Polynomial
 from .zeta import _dirichlet_jets
@@ -123,23 +122,23 @@ def wu_coefficient_table(spec: WuCoefficientSpec, mode: str = "literal"):
     return _coefficient_table(spec.y_length, spec.p1, spec.p2, spec.p, mode)
 
 
+def _finite_line(sigma: float, t: np.ndarray, n: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum coeff_n n^{-sigma-it} on an ordinate grid: one grid-kernel call
+    whose cut keeps every term of the finite sum."""
+    return _dirichlet_jets(sigma, t, n, coeff, 0, lambda t_max: math.inf)[0][0]
+
+
 def b_polynomial(s: complex, chi, table) -> complex:
     """B(s, chi) = sum of chi(n) a_n n^{-s} over a coefficient table (n, a_n), an exact finite sum."""
-    n, a_n = table
-    return complex(np.sum(chi(n.astype(np.int64)) * a_n * np.exp(-complex(s) * np.log(n))))
+    s, (n, a_n) = complex(s), table
+    return complex(_finite_line(s.real, np.array([s.imag]), n, chi(n.astype(np.int64)) * a_n)[0])
 
 
 def psi_mollifier(s: complex, spec: MollifierSpec) -> complex:
-    """psi(s) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - s} P(log(M/h)/log M).
-
-    B(s + 1/2 - sigma0) of the Moebius table at the principal character mod 1.
-    """
-    return b_polynomial(complex(s) + (0.5 - spec.sigma0), character(1, 0), mollifier_coefficients(spec))
-
-
-def _all_terms(t_max: float) -> float:
-    """Cut for the grid kernel past every term: psi is a finite sum."""
-    return math.inf
+    """psi(s) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - s} P(log(M/h)/log M):
+    mollifier_line at the one ordinate Im s."""
+    s = complex(s)
+    return complex(mollifier_line(s.real, np.array([s.imag]), spec)[0])
 
 
 def mollifier_line(sigma: float, t: np.ndarray, spec: MollifierSpec) -> np.ndarray:
@@ -147,7 +146,7 @@ def mollifier_line(sigma: float, t: np.ndarray, spec: MollifierSpec) -> np.ndarr
     polynomial with coefficients mu(h) P(.) h^{sigma0 - 1/2}, summed by the
     grid kernel that zeta_line uses."""
     h, coeff = mollifier_coefficients(spec)
-    return _dirichlet_jets(sigma - spec.sigma0 + 0.5, t, h, coeff, 0, _all_terms)[0][0]
+    return _finite_line(sigma - spec.sigma0 + 0.5, t, h, coeff)
 
 
 def _q_operator(jets: np.ndarray, q_poly: Polynomial, log_scale: float) -> np.ndarray:

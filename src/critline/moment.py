@@ -93,12 +93,10 @@ def _v_psi_squared(
 ) -> np.ndarray:
     """|V psi(sigma0 + i t)|^2 on a grid, via jet evaluation of the zeta
     derivatives and a blocked mollifier sum."""
-    log_t = math.log(t_scale)
-    sigma0 = 0.5 - params.r_shift / log_t
-    jets = zeta_line(sigma0, t, order=params.q_poly.degree)
-    v = _q_operator(jets, params.q_poly, log_t)
     spec = MollifierSpec(t_scale, params.theta, params.r_shift, params.p_poly)
-    psi = mollifier_line(sigma0, t, spec)
+    jets = zeta_line(spec.sigma0, t, order=params.q_poly.degree)
+    v = _q_operator(jets, params.q_poly, spec.log_scale)
+    psi = mollifier_line(spec.sigma0, t, spec)
     return np.abs(v * psi) ** 2
 
 

@@ -6,10 +6,11 @@ The single zeta engine is Euler-Maclaurin summation with Bernoulli
 corrections, whose coefficients B_2k/(2k)! are rounded once from exact
 rationals.  Values and derivatives are truncated-Taylor jets in a
 shift x: every zeta, zeta^(k) and Hurwitz zeta value adds the same
-remainder jet (_em_tail) to a head sum, and Re(s) < 0 is reached by
-applying the functional equation to the jets.  Head sums on a grid, and
-the mollifier's Dirichlet polynomial, go through one kernel, _dirichlet_jets:
-per block of n, one phase table and one product per fixed group of chunks.
+remainder jet (_em_tail) to a head sum cut at _em_cut, and Re(s) < 0 is
+reached by applying the functional equation to the jets.  Every finite
+Dirichlet sum, zeta's heads and the mollifier's psi and B(s, chi), is one
+_dirichlet_jets call, real or complex coefficients alike: per block of n,
+one phase table and one product per fixed group of chunks.
 Complex log Gamma and psi are scipy.special's, imported on first use
 (_special): only the reflection, xi, Hardy's Z and the AFE load scipy.
 """
@@ -128,8 +129,8 @@ def _em_cut(t_max: float, factor: float = 1.0) -> int:
 
 
 def _log_weights(w0: np.ndarray, lnb: np.ndarray, cols: int) -> np.ndarray:
-    """Columns w0 (-log n)^j / j! for j < cols, given log n."""
-    w = np.empty((lnb.size, cols))
+    """Columns w0 (-log n)^j / j! for j < cols, given log n, in w0's dtype."""
+    w = np.empty((lnb.size, cols), dtype=w0.dtype)
     w[:, 0] = w0
     for j in range(1, cols):
         w[:, j] = w[:, j - 1] * (-lnb) / j
@@ -271,13 +272,13 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
     """Hurwitz zeta(s, a) = sum over m >= 0 of (m + a)^{-s}, s != 1.
 
     Vectorized over an array of real or complex offsets a with Re(a) > 0:
-    the terms m < N with N ~ max(20, 3|Im s|), summed in blocks of m that
-    hold at most _STACK_BYTES across all offsets, plus the Euler-Maclaurin
-    remainder at N + a.  |Im s| above Z_T_MAX is refused before any array
-    is built; a value past the double range, such as (1/5)^{-s} at
-    s = 451.5, is refused after.  Near the cap, against mpmath at 90
-    points (Im s in [99000, 1e5], Re s in {1/4, 1/2, 3/2}, a in {1/7, 1/3,
-    2/3, 0.9, 1}), the relative error is at most 5.4e-10.
+    the terms m < N = _em_cut(|Im s|), zeta's cut, summed in blocks of m
+    that hold at most _STACK_BYTES across all offsets, plus the remainder
+    at N + a.  |Im s| above Z_T_MAX is refused before any array is built;
+    a value past the double range, such as (1/5)^{-s} at s = 451.5, is
+    refused after.  Near the cap, against mpmath at 90 points (Im s in
+    [99000, 1e5], Re s in {1/4, 1/2, 3/2}, a in {1/7, 1/3, 2/3, 0.9, 1}),
+    the relative error is at most 5.4e-10.
     """
     s = complex(s)
     if s == 1.0:
@@ -287,7 +288,7 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
     a = np.asarray(a)
     if np.any(np.real(a) <= 0.0):
         raise DomainError("hurwitz zeta needs Re(a) > 0")
-    n_cut = max(20, int(math.ceil(3.0 * abs(s.imag))))
+    n_cut = _em_cut(abs(s.imag))
     step = max(1, _STACK_BYTES // (16 * max(a.size, 1)))  # terms per block
     head = np.zeros(a.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below

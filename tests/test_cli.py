@@ -342,7 +342,7 @@ class TestCommands:
             (
                 ["lfun", "--q", "12", "--index", "3", "--s", "0.5+10j"],
                 '{"q": 12, "index": 3, "s": {"re": 0.5, "im": 10}, '
-                '"l": {"re": 2.2303028871398376, "im": 0.15036922072388753}}\n',
+                '"l": {"re": 2.2303028871398367, "im": 0.1503692207238867}}\n',
             ),
         ],
     )

@@ -21,6 +21,7 @@ from critline.levinson import (
     published_tuples,
     shifted_c,
 )
+from critline.optimizer import R_SEARCH_MAX
 
 from conftest import fornberg_weights
 
@@ -199,6 +200,13 @@ class TestExpMonomialIntegral:
                 q[-1] += 0.25 - params.q_poly(1.0)
                 params = LevinsonParams(params.p_poly, Polynomial(q), r, 0.05)
                 assert c_constant_exact(params) == pytest.approx(exact_c(params), rel=5e-13, abs=0.0)
+
+    def test_large_r_with_q_vanishing_at_one(self):
+        # P = x, Q = 1 - x loses more of c to the nodes' rounding than the
+        # Q(1) = 1/4 tuples above: 7.4e-14 at the optimizer's largest R
+        for r in (50.0, 100.0, 200.0, R_SEARCH_MAX):
+            params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), r, 0.5)
+            assert c_constant_exact(params) == pytest.approx(exact_c(params), rel=1e-13, abs=0.0)
 
     def test_overflow_refused(self):
         # c of constant --R 400 is about 2.8e343, past the double range; the

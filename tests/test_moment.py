@@ -1,10 +1,14 @@
 """Smooth plateau weight and the desk-scale mollified moment."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import critline
 from critline.errors import DomainError
 from critline.levinson import LevinsonParams
 from critline.moment import (
@@ -143,3 +147,12 @@ class TestMoment:
         params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 1.3, 0.05)
         report = mollified_moment_numeric(params, 600.0)
         assert report.ratio > 0.0 and math.isfinite(report.ratio)
+
+
+def test_moment_loads_no_character_code():
+    """The mollifier's sums go through the zeta grid kernel alone, so the
+    moment never imports the Dirichlet character module."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.__file__)))
+    code = "import sys, critline.moment; print('critline.dirichlet' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
