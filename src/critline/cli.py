@@ -1,6 +1,11 @@
 """Command-line front door: subcommands over the numeric modules, a flat
 key=value config format, and deterministic JSON/CSV/text output.
 
+Each request makes one document: the report written as JSON in one walk
+(_dump_json).  --format text and csv are layouts of that document, read
+back with every number kept as its JSON text, so all three print the same
+digits; csv takes a tabular command's rows from the list _COLUMNS names.
+
 Flags override config-file values; unknown keys are rejected rather than
 ignored.  Every range check is the library's.  Exit codes: 0 success;
 2 usage error (text that does not parse, a missing key, an unreadable
@@ -90,8 +95,9 @@ _SCHEMAS: dict[str, dict] = {
     },
     "registry": {},
 }
-# the columns of the tabular commands, the only ones with csv output
-_COLUMNS = {"zeros": ("zero",), "chars": ("index", "conductor", "parity", "primitive")}
+# the tabular commands, the only ones with csv output: the list in the
+# document that holds the rows, and the columns
+_COLUMNS = {"zeros": ("zeros", ("zero",)), "chars": ("characters", ("index", "conductor", "parity", "primitive"))}
 
 
 def _read_config_file(path: str) -> dict:
@@ -189,49 +195,42 @@ def _fmt_number(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _to_jsonable(obj):
-    if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
-        return obj
-    if isinstance(obj, levinson.Polynomial):
-        return list(obj.coefficients)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    return obj
+_quote = json.encoder.encode_basestring_ascii  # the C encoder behind json.dumps(str)
 
 
 def _dump_json(obj) -> str:
-    """JSON text with every float at 17 significant digits; JSON has no
-    nan or inf, so non-finite floats are written as null."""
-    quote = json.encoder.encode_basestring_ascii  # the C encoder behind json.dumps(str)
+    """The one converter of a report: JSON text in one walk, with every float
+    at 17 significant digits; JSON has no nan or inf, so non-finite floats
+    are written as null."""
+    if obj is None or (isinstance(obj, float) and not math.isfinite(obj)):
+        return "null"
+    if isinstance(obj, (int, float)):  # bool included
+        return _fmt_number(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, complex):
+        return f'{{"re": {_dump_json(obj.real)}, "im": {_dump_json(obj.imag)}}}'
+    if isinstance(obj, levinson.Polynomial):
+        obj = obj.coefficients
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_dump_json, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_quote(str(k))}: {_dump_json(v)}" for k, v in obj.items()) + "}"
+    raise TypeError(f"unserializable {type(obj)}")
 
-    def emit(o) -> str:
-        if o is None or (isinstance(o, float) and not math.isfinite(o)):
-            return "null"
-        if isinstance(o, (int, float)):  # bool included
-            return _fmt_number(o)
-        if isinstance(o, str):
-            return quote(o)
-        if isinstance(o, list):
-            return "[" + ", ".join(emit(v) for v in o) + "]"
-        if isinstance(o, dict):
-            return "{" + ", ".join(f"{quote(k)}: {emit(v)}" for k, v in o.items()) + "}"
-        raise TypeError(f"unserializable {type(o)}")
 
-    return emit(_to_jsonable(obj))
-
-
-def _dump_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+def _dump_csv(doc: dict, command: str) -> str:
+    """The rows of a tabular command's document; a row is an object or a
+    number that fills the one column."""
+    key, columns = _COLUMNS[command]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, quoting=csv.QUOTE_MINIMAL)
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt_number(v) if isinstance(v, (int, float)) else v for k, v in row.items()})
+    for row in doc[key]:
+        row = row if isinstance(row, dict) else {columns[0]: row}
+        writer.writerow({k: _fmt_number(v) if isinstance(v, bool) else v for k, v in row.items()})
     return buf.getvalue()
 
 
@@ -240,17 +239,14 @@ def _params_json(params: levinson.LevinsonParams) -> dict:
 
 
 def _run_command(config: RunConfig):
-    """Returns (report_object, csv_rows or None); each branch imports its module."""
+    """The report of one request; each branch imports its module."""
     p = config.parameters
     if config.command == "zeta":
         from . import zeta
-        value = zeta.zeta(p["s"])
-        return {"s": p["s"], "zeta": value}, None
+        return {"s": p["s"], "zeta": zeta.zeta(p["s"])}
     if config.command == "zeros":
         from . import zeta
-        rep = zeta.count_critical_zeros(p["tmin"], p["tmax"], p["step"])
-        rows = [{"zero": z} for z in rep.zeros]
-        return rep, rows
+        return zeta.count_critical_zeros(p["tmin"], p["tmax"], p["step"])
     if config.command == "chars":
         from . import dirichlet
         table = dirichlet.character_table(p["q"])
@@ -260,16 +256,15 @@ def _run_command(config: RunConfig):
                 zip(table.conductors.tolist(), table.parities.tolist())
             )
         ]
-        return {"modulus": p["q"], "count": len(rows), "characters": rows}, rows
+        return {"modulus": p["q"], "count": len(rows), "characters": rows}
     if config.command == "lfun":
         from . import dirichlet
         chi = dirichlet.character(p["q"], p["index"])
-        value = dirichlet.l_function(p["s"], chi)
-        return {"q": p["q"], "index": p["index"], "s": p["s"], "l": value}, None
+        return {"q": p["q"], "index": p["index"], "s": p["s"], "l": dirichlet.l_function(p["s"], chi)}
     if config.command == "psi":
         from . import arithmetic
         value = arithmetic.chebyshev_psi(p["x"])
-        return {"x": p["x"], "psi": value, "ratio": value / p["x"] if p["x"] else 0.0}, None
+        return {"x": p["x"], "psi": value, "ratio": value / p["x"] if p["x"] else 0.0}
     if config.command == "constant":
         c_exact = levinson.c_constant_exact(p["levinson"])
         kappa = levinson.kappa_lower_bound(c_exact, p["R"])  # a refused c never reaches the quadrature
@@ -283,7 +278,7 @@ def _run_command(config: RunConfig):
         base = levinson.published_tuples()[0]
         if p["levinson"] == levinson.LevinsonParams(base.p_poly, base.q_poly, base.r_shift, 0.5):
             report["published_claim"] = {"c": base.claimed_c, "kappa": base.claimed_bound}
-        return report, None
+        return report
     if config.command == "optimize":
         from . import optimizer
         rep = optimizer.optimize_kappa(p["space"])
@@ -292,32 +287,33 @@ def _run_command(config: RunConfig):
             "best_params": _params_json(rep.best_params),
             "evaluations": rep.evaluations,
             "converged": rep.converged,
-        }, None
+        }
     if config.command == "moment":
         from . import moment
-        return moment.mollified_moment_numeric(p["levinson"], p["T"], p["step"]), None
+        return moment.mollified_moment_numeric(p["levinson"], p["T"], p["step"])
     if config.command == "registry":
-        return {"tuples": levinson.published_tuples()}, None
+        return {"tuples": levinson.published_tuples()}
 
 
-def _render_text(obj) -> str:
-    data = _to_jsonable(obj)
-
-    def walk(o, indent=0):
-        pad = "  " * indent
-        if isinstance(o, dict):
-            return "\n".join(f"{pad}{k}: " + walk(v, indent + 1).lstrip() if not isinstance(v, (dict, list))
-                             else f"{pad}{k}:\n" + walk(v, indent + 1) for k, v in o.items())
-        if isinstance(o, list):
-            return "\n".join(walk(v, indent) for v in o) or f"{pad}(empty)"
-        return f"{pad}{_fmt_number(o) if isinstance(o, (int, float)) and not isinstance(o, bool) else o}"
-
-    return walk(data)
+def _render_text(o, indent: int = 0) -> str:
+    """The loaded document as indented key: value lines.  Each number prints
+    as its JSON text, so a non-finite float would print None (JSON null);
+    no report holds one, since c, kappa and the moment are refused before
+    they overflow and psi at x = 0 has ratio 0."""
+    pad = "  " * indent
+    if isinstance(o, dict):
+        return "\n".join(f"{pad}{k}: " + _render_text(v, indent + 1).lstrip() if not isinstance(v, (dict, list))
+                         else f"{pad}{k}:\n" + _render_text(v, indent + 1) for k, v in o.items())
+    if isinstance(o, list):
+        return "\n".join(_render_text(v, indent) for v in o) or f"{pad}(empty)"
+    return f"{pad}{o}"
 
 
 def _write_output(text: str, path: str | None):
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
-        sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
+        sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".critline-")
@@ -333,19 +329,18 @@ def _write_output(text: str, path: str | None):
 
 def run(config: RunConfig) -> int:
     try:
-        report, rows = _run_command(config)
+        report = _run_command(config)
     except CritlineError as exc:
         if config.output_format == "json":
             _write_output(_dump_json({"error": exc.code, "message": str(exc)}), config.output_path)
         else:
             sys.stderr.write(f"error [{exc.code}]: {exc}\n")
         return 1
-    if config.output_format == "csv":
-        _write_output(_dump_csv(rows, _COLUMNS[config.command]), config.output_path)
-    elif config.output_format == "text":
-        _write_output(_render_text(report), config.output_path)
-    else:
-        _write_output(_dump_json(report), config.output_path)
+    text = _dump_json(report)
+    if config.output_format != "json":
+        doc = json.loads(text, parse_int=str, parse_float=str)  # each number keeps its JSON text
+        text = _dump_csv(doc, config.command) if config.output_format == "csv" else _render_text(doc)
+    _write_output(text, config.output_path)
     return 0
 
 

@@ -62,11 +62,8 @@ def smooth_weight(t, spec: SmoothWeight):
     t_arr = np.asarray(t, dtype=float)
     lo, hi = spec.plateau
     d = spec.delta
-    out = np.ones_like(t_arr)
-    left = t_arr < lo
-    right = t_arr > hi
-    out[left] = _ramp(t_arr[left] - (lo - d), d)
-    out[right] = _ramp((hi + d) - t_arr[right], d)
+    # each ramp is exactly 1 past its width and 0 at or below 0
+    out = _ramp(t_arr - (lo - d), d) * _ramp((hi + d) - t_arr, d)
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -1,8 +1,9 @@
 """The benchmark harness end to end: one short traced run of each workload,
-so that a change to src/ that breaks what perfbench/ reads of it (a name, a
-default such as zeta_line's chunk, an output key, or mollifier.Polynomial),
-or a value its mpmath checks compare (an L-value, a character, a Gauss sum,
-the AFE pair), fails here and not only in a benchmark run."""
+zeros included although BENCHMARK.json does not run it, so that a change to
+src/ that breaks what perfbench/ reads of it (a name, a default such as
+zeta_line's chunk, an output key, or mollifier.Polynomial), or a value its
+mpmath checks compare (an L-value, a character, a Gauss sum, the AFE pair,
+a zero count or a sign change of Z), fails here and not only in a benchmark run."""
 
 import json
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["kappa", "moment", "pointwise"])
+@pytest.mark.parametrize("workload", ["kappa", "moment", "pointwise", "zeros"])
 def test_workload_runs_and_checks_out(workload):
     argv = ["--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(

@@ -285,6 +285,16 @@ class TestOutput:
         assert payload["zeta"]["re"] == pytest.approx(1.6449340668482264)
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".critline-")]
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_output_file_ends_like_stdout(self, capsys, tmp_path, fmt):
+        # the json and text files once lacked the final newline that stdout has
+        argv = ["zeros", "--tmax", "20", "--format", fmt]
+        _, out, _ = run_cli(capsys, *argv)
+        target = tmp_path / "out"
+        code, _, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert target.read_bytes() == out.encode()
+
 
 class TestCommands:
     def test_registry(self, capsys):
@@ -344,6 +354,75 @@ class TestCommands:
                 '{"q": 12, "index": 3, "s": {"re": 0.5, "im": 10}, '
                 '"l": {"re": 2.2303028871398367, "im": 0.1503692207238867}}\n',
             ),
+            (
+                ["registry"],
+                '{"tuples": [{"name": "baseline", "q_poly": [1, -1], "r_shift": 1.3, '
+                '"claimed_bound": 0.34999999999999998, "source": "P(x)=x, Q(x)=1-x, R=1.3, theta=0.5", '
+                '"p_poly": [0, 1], "p1_poly": null, "p2_poly": null, "claimed_c": 2.3500000000000001, '
+                '"not_reproducible_here": false}, {"name": "two-piece-kappa", "q_poly": [1, '
+                "-0.64200000000000002, -0.61350000000000005, -1.3169999999999999, 2.589, "
+                '-1.0356000000000001], "r_shift": 1.3, "claimed_bound": 0.41720000000000002, '
+                '"source": "Q(x)=1-0.642x-1.227(x^2/2-x^3/3)-5.178(x^3/3-x^4/2+x^5/5), '
+                "P1(x)=x-0.617x(1-x)-0.125x^2(1-x)-0.148x^3(1-x), P2(x)=x, P(x)=1.55x-1.564x^2+0.177x^3, "
+                'R=1.3", "p_poly": [0, 1.55, -1.5640000000000001, 0.17699999999999999], "p1_poly": [0, '
+                "0.38300000000000001, 0.49199999999999999, -0.022999999999999993, 0.14799999999999999], "
+                '"p2_poly": [0, 1], "claimed_c": null, "not_reproducible_here": true}, '
+                '{"name": "two-piece-kappa-star", "q_poly": [1, -1.032], "r_shift": 1.1160000000000001, '
+                '"claimed_bound": 0.40739999999999998, "source": "Q(x)=1-1.032x, '
+                "P1(x)=x-0.525x(1-x)-0.183x^2(1-x)-0.085x^3(1-x), P2(x)=x, P(x)=0.838x-0.938x^2-0.084x^3, "
+                'R=1.116", "p_poly": [0, 0.83799999999999997, -0.93799999999999994, -0.084000000000000005], '
+                '"p1_poly": [0, 0.47499999999999998, 0.34200000000000003, 0.09799999999999999, '
+                '0.085000000000000006], "p2_poly": [0, 1], "claimed_c": null, '
+                '"not_reproducible_here": true}]}\n',
+            ),
+            (
+                ["registry", "--format", "text"],
+                "tuples:\n  name: baseline\n  q_poly:\n    1\n    -1\n  r_shift: 1.3\n"
+                "  claimed_bound: 0.34999999999999998\n  source: P(x)=x, Q(x)=1-x, R=1.3, theta=0.5\n  p_poly:\n"
+                "    0\n    1\n  p1_poly: None\n  p2_poly: None\n  claimed_c: 2.3500000000000001\n"
+                "  not_reproducible_here: False\n  name: two-piece-kappa\n  q_poly:\n    1\n"
+                "    -0.64200000000000002\n    -0.61350000000000005\n    -1.3169999999999999\n    2.589\n"
+                "    -1.0356000000000001\n  r_shift: 1.3\n  claimed_bound: 0.41720000000000002\n"
+                "  source: Q(x)=1-0.642x-1.227(x^2/2-x^3/3)-5.178(x^3/3-x^4/2+x^5/5), "
+                "P1(x)=x-0.617x(1-x)-0.125x^2(1-x)-0.148x^3(1-x), P2(x)=x, P(x)=1.55x-1.564x^2+0.177x^3, "
+                "R=1.3\n  p_poly:\n    0\n    1.55\n    -1.5640000000000001\n    0.17699999999999999\n  p1_poly:\n"
+                "    0\n    0.38300000000000001\n    0.49199999999999999\n    -0.022999999999999993\n"
+                "    0.14799999999999999\n  p2_poly:\n    0\n    1\n  claimed_c: None\n"
+                "  not_reproducible_here: True\n  name: two-piece-kappa-star\n  q_poly:\n    1\n    -1.032\n"
+                "  r_shift: 1.1160000000000001\n  claimed_bound: 0.40739999999999998\n  source: Q(x)=1-1.032x, "
+                "P1(x)=x-0.525x(1-x)-0.183x^2(1-x)-0.085x^3(1-x), P2(x)=x, P(x)=0.838x-0.938x^2-0.084x^3, "
+                "R=1.116\n  p_poly:\n    0\n    0.83799999999999997\n    -0.93799999999999994\n"
+                "    -0.084000000000000005\n  p1_poly:\n    0\n    0.47499999999999998\n    0.34200000000000003\n"
+                "    0.09799999999999999\n    0.085000000000000006\n  p2_poly:\n    0\n    1\n  claimed_c: None\n"
+                "  not_reproducible_here: True\n",
+            ),
+            (
+                ["zeros", "--tmax", "30"],
+                '{"t_min": 0, "t_max": 30, "step": 0.050000000000000003, "zero_count": 3, '
+                '"zeros": [14.134724807739255, 21.022039413452148, 25.010857772827151], '
+                '"estimate_n_t": 2.6896563814970849, "step_warning": false}\n',
+            ),
+            (
+                ["zeros", "--tmax", "30", "--format", "text"],
+                "t_min: 0\nt_max: 30\nstep: 0.050000000000000003\nzero_count: 3\nzeros:\n  14.134724807739255\n"
+                "  21.022039413452148\n  25.010857772827151\nestimate_n_t: 2.6896563814970849\n"
+                "step_warning: False\n",
+            ),
+            (
+                ["chars", "--q", "7", "--format", "text"],
+                "modulus: 7\ncount: 6\ncharacters:\n  index: 0\n  conductor: 1\n  parity: 0\n  primitive: False\n"
+                "  index: 1\n  conductor: 7\n  parity: 1\n  primitive: True\n  index: 2\n  conductor: 7\n"
+                "  parity: 0\n  primitive: True\n  index: 3\n  conductor: 7\n  parity: 1\n  primitive: True\n"
+                "  index: 4\n  conductor: 7\n  parity: 0\n  primitive: True\n  index: 5\n  conductor: 7\n"
+                "  parity: 1\n  primitive: True\n",
+            ),
+            (
+                ["constant", "--format", "text"],
+                "c_exact: 2.3500677761184425\nc_quadrature: 2.3500677761186131\n"
+                "kappa_bound: 0.34273525489104484\nparams:\n  P:\n    0\n    1\n  Q:\n    1\n    -1\n  R: 1.3\n"
+                "  theta: 0.5\npublished_claim:\n  c: 2.3500000000000001\n  kappa: 0.34999999999999998\n",
+            ),
+            (["psi", "--x", "-0", "--format", "text"], "x: -0\npsi: 0\nratio: 0\n"),
         ],
     )
     def test_pinned_output(self, capsys, argv, expected):
