@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .levinson import LevinsonParams, c_constant_exact
 from .mollifier import MollifierSpec, _q_operator, mollifier_line
-from .zeta import GRID_MAX, _em_cut, zeta_line
+from .zeta import GRID_MAX, _em_cut, _em_tail_bound, zeta_line
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,13 @@ class MomentReport:
     t_scale: float
     grid_step: float
     truncation_n: int  # the largest Euler-Maclaurin cut N of the zeta head sums
+    tail_bound: float  # Backlund's bound on zeta's tail at sigma0, the top ordinate and N
     refinement_warning: bool = False
 
 
-def _v_psi_squared(
-    t: np.ndarray, params: LevinsonParams, t_scale: float
-) -> np.ndarray:
+def _v_psi_squared(t: np.ndarray, params: LevinsonParams, spec: MollifierSpec) -> np.ndarray:
     """|V psi(sigma0 + i t)|^2 on a grid, via jet evaluation of the zeta
     derivatives and a blocked mollifier sum."""
-    spec = MollifierSpec(t_scale, params.theta, params.r_shift, params.p_poly)
     jets = zeta_line(spec.sigma0, t, order=params.q_poly.degree)
     v = _q_operator(jets, params.q_poly, spec.log_scale)
     psi = mollifier_line(spec.sigma0, t, spec)
@@ -118,7 +116,8 @@ def mollified_moment_numeric(
         raise DomainError(f"a moment grid at step {grid_step:g} exceeds {GRID_MAX} points")
     n_pts = int(math.ceil((hi - lo) / grid_step)) + 1
     t = np.linspace(lo, hi, n_pts)
-    integrand = smooth_weight(t, weight) * _v_psi_squared(t, params, t_scale)
+    spec = MollifierSpec(t_scale, params.theta, params.r_shift, params.p_poly)
+    integrand = smooth_weight(t, weight) * _v_psi_squared(t, params, spec)
     # numpy's pairwise reduction keeps the sum deterministic
     step = t[1] - t[0]
     numeric = step * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))
@@ -131,5 +130,6 @@ def mollified_moment_numeric(
         t_scale=t_scale,
         grid_step=float(step),
         truncation_n=_em_cut(hi),
+        tail_bound=_em_tail_bound(spec.sigma0, hi, _em_cut(hi)),
         refinement_warning=warning,
     )

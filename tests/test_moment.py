@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,9 +109,22 @@ class TestMoment:
         assert report.main_term > 0.0
         assert report.ratio == pytest.approx(report.numeric_moment / report.main_term)
         assert not report.refinement_warning
-        # the largest Euler-Maclaurin cut, N = ceil(max t) at the top of the support
-        assert report.truncation_n == math.ceil(SmoothWeight(600.0).support[1])
+        # the largest Euler-Maclaurin cut, N = ceil(max t / 2) at the top of the support
+        assert report.truncation_n == math.ceil(SmoothWeight(600.0).support[1] / 2) == 347
+        assert 0.0 < report.tail_bound < 1e-13
         assert mollified_moment_numeric(BASELINE, 600.0) == report
+
+    def test_peak_memory(self):
+        """At T = 2000 the grid kernel's shared phase table is 256 x N
+        complex, N = 1132 (4.6 MB); the run's peak is 10.4 MB, and was
+        14.6 MB when N was ceil(max t)."""
+        tracemalloc.start()
+        try:
+            mollified_moment_numeric(BASELINE, 2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_runtime_guard(self):
         with pytest.raises(DomainError):
