@@ -304,8 +304,8 @@ def _render_text(o, indent: int = 0) -> str:
     if isinstance(o, dict):
         return "\n".join(f"{pad}{k}: " + _render_text(v, indent + 1).lstrip() if not isinstance(v, (dict, list))
                          else f"{pad}{k}:\n" + _render_text(v, indent + 1) for k, v in o.items())
-    if isinstance(o, list):
-        return "\n".join(_render_text(v, indent) for v in o) or f"{pad}(empty)"
+    if isinstance(o, list):  # YAML-style items: "- " in place of each item's first indent
+        return "\n".join(f"{pad}- " + _render_text(v, indent + 1).lstrip() for v in o) or f"{pad}(empty)"
     return f"{pad}{o}"
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite
 from .zeta import _reflect, _special, hurwitz_zeta
 
 _CACHE_SIZE = 16
@@ -280,10 +280,7 @@ def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:
         reflected = epsilon_factor(chi) * l_function(1.0 - s, chi.conjugate())
         return complex(_reflect(s, chi.parity, np.array([reflected]), math.log(chi.modulus), log_factor)[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        val = complex(np.exp(log_factor) * l_function(s, chi))
-    if not cmath.isfinite(val):
-        raise DomainError(f"Lambda(s, chi) at s = {s} overflows a double")
-    return val
+        return finite(complex(np.exp(log_factor) * l_function(s, chi)), f"Lambda(s, chi) at s = {s}")
 
 
 def l_function(s: complex, chi: DirichletCharacter) -> complex:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all critline modules."""
+"""Exception hierarchy shared by all critline modules, and the one overflow refusal."""
+
+import numpy as np
 
 
 class CritlineError(Exception):
@@ -47,3 +49,10 @@ class ConfigError(CritlineError, ValueError):
     """Invalid run configuration."""
 
     code = "config"
+
+
+def finite(value, what: str):
+    """value itself when every entry is finite; else DomainError "{what} overflows a double"."""
+    if not np.isfinite(value).all():
+        raise DomainError(f"{what} overflows a double")
+    return value

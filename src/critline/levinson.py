@@ -5,8 +5,9 @@ polynomial tuples, and Polynomial, the type of P and Q; numpy alone.
 c is Conrey's functional, with the inner x-derivative squared.  Every
 integral over [0,1] in c, and the v-integral of the shifted constant, is
 one sum over the same 80-node Gauss-Legendre rule (NODES, WEIGHTS), with
-the polynomials evaluated on the nodes; the optimizer builds its forms in
-P and Q on that rule too.
+the polynomials evaluated on the nodes.  c_forms alone builds c's three
+node forms in Q: c_constant_exact reads c from them at one Q, and the
+optimizer's sweeps at every Q of its basis.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConstraintError, DomainError
+from .errors import AccuracyError, ConstraintError, DomainError, finite
 
 # the range of Conrey's mean-value theorem (Conrey 1989)
 THETA_MAX = 4.0 / 7.0
@@ -87,29 +88,33 @@ def _p_integrals(p: Polynomial) -> tuple[float, float, float]:
     return WEIGHTS @ (values * values), WEIGHTS @ (values * slopes), WEIGHTS @ (slopes * slopes)
 
 
-def c_constant_exact(params: LevinsonParams) -> float:
-    """c(P,Q,R,theta), Conrey's functional, on the Gauss-Legendre nodes.
+def _weight_shift(r: float) -> float:
+    return max(0.0, 2.0 * r - 709.0)  # h: e^{2Rv - h} stays inside the double range up to v = 1
 
-    The inner x-derivative at x=0, R theta P(u)Q(v) + P'(u)Q(v)
-    + theta P(u)Q'(v), is P(u)F(v) + P'(u)Q(v) with F = theta (R Q + Q');
-    its square against e^{2Rv} is the node sum of w e^{2Rv} (F^2 int P^2
-    + 2 F Q int P P' + Q^2 int P'^2), with the P integrals from the same
-    nodes.  The weights are e^{2Rv - h}, h = max(0, 2R - 709), which stay
-    inside the double range, and the sum is multiplied by e^h, so only a c
-    past the double range raises DomainError; h = 0 up to R = 354.5.
+
+def c_forms(q_values: np.ndarray, q_slopes: np.ndarray, r: float, theta: float) -> np.ndarray:
+    """Conrey's node forms (A, B, G), stacked, over the rows of Q's node values and slopes.
+
+    The inner x-derivative at x=0, R theta P(u)Q(v) + P'(u)Q(v) + theta P(u)Q'(v),
+    is P(u)F(v) + P'(u)Q(v) with F = theta (R Q + Q'); A, B and G are the node
+    sums of w e^{2Rv - h} F F, F Q (symmetrized) and Q Q, h = max(0, 2R - 709).
     """
+    f = theta * (r * q_values + q_slopes)
+    weighted = WEIGHTS * np.exp(2.0 * r * NODES - _weight_shift(r))
+    fq = f @ (weighted * q_values).T
+    return np.array([f @ (weighted * f).T, 0.5 * (fq + fq.T), q_values @ (weighted * q_values).T])
+
+
+def c_constant_exact(params: LevinsonParams) -> float:
+    """c(P,Q,R,theta) = 1 + e^h (A int P^2 + 2 B int P P' + G int P'^2) / theta, Conrey's
+    functional, from c_forms at the one row Q; h = 0 up to R = 354.5, and only a c
+    past the double range is refused."""
     p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
     pp, ppd, pdpd = _p_integrals(p)
-    values = q(NODES)
-    f = theta * (r * values + q.derivative()(NODES))
-    shift = max(0.0, 2.0 * r - 709.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        weighted = WEIGHTS * np.exp(2.0 * r * NODES - shift)
-        total = float(weighted @ (pp * f * f + 2.0 * ppd * f * values + pdpd * values * values)) / theta
-        c = 1.0 + float(np.exp(shift)) * total
-    if not math.isfinite(c):
-        raise DomainError(f"c at R = {r} overflows a double")
-    return c
+        a, b, g = c_forms(q(NODES)[None], q.derivative()(NODES)[None], r, theta).ravel()
+        c = 1.0 + float(np.exp(_weight_shift(r))) * (float(pp * a + 2.0 * ppd * b + pdpd * g) / theta)
+    return finite(c, f"c at R = {r}")
 
 
 def c_constant_quadrature(params: LevinsonParams) -> float:

@@ -4,8 +4,8 @@ Both mollifiers are coefficient tables (n, a_n) over the squarefree
 n <= y from one builder, with x_n = log(y/n)/log y: the classical one
 of length M = T^theta has a_n = mu(n) P(x_n), and Wu's two-piece one adds
 a second shape carried by the small prime divisors of n.  mollifier_line
-sums the classical table on an ordinate grid, psi_mollifier at one point,
-and b_polynomial a table twisted by a character at one point, each as one
+sums the classical table on an ordinate grid, one point included, and
+b_polynomial a table twisted by a character at one point, each as one
 zeta grid-kernel call that keeps every term.  _q_operator applies
 Q(-(1/L) d/ds) to zeta jets, the smoothed V zeta the moment multiplies by psi.
 """
@@ -134,17 +134,10 @@ def b_polynomial(s: complex, chi, table) -> complex:
     return complex(_finite_line(s.real, np.array([s.imag]), n, chi(n.astype(np.int64)) * a_n)[0])
 
 
-def psi_mollifier(s: complex, spec: MollifierSpec) -> complex:
-    """psi(s) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - s} P(log(M/h)/log M):
-    mollifier_line at the one ordinate Im s."""
-    s = complex(s)
-    return complex(mollifier_line(s.real, np.array([s.imag]), spec)[0])
-
-
 def mollifier_line(sigma: float, t: np.ndarray, spec: MollifierSpec) -> np.ndarray:
-    """Vectorized psi(sigma + i t) over an ordinate grid: the Dirichlet
-    polynomial with coefficients mu(h) P(.) h^{sigma0 - 1/2}, summed by the
-    grid kernel that zeta_line uses."""
+    """psi(sigma + i t) = sum over squarefree h <= M of mu(h) h^{sigma0 - 1/2 - sigma - it}
+    P(log(M/h)/log M) over an ordinate grid, summed by the grid kernel that
+    zeta_line uses."""
     h, coeff = mollifier_coefficients(spec)
     return _finite_line(sigma - spec.sigma0 + 0.5, t, h, coeff)
 

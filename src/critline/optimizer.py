@@ -3,14 +3,15 @@ the shift R, at fixed theta.
 
 P = sum p_i x^i (i <= p_degree) and Q = 1 + sum b_j ((1-2x)^{2j+1} - 1)
 (j < ceil(q_degree/2)): P(0) = 0, Q(0) = 1 and Q(x) + Q(1-x) is constant.
-Their values on levinson's Gauss-Legendre nodes are built once per space,
-and give three small forms in Q's coordinates (1, b) per R.  At fixed R, c
-is a quadratic form in P for fixed Q and in Q for fixed P, so one small
-linear solve gives each exactly; from Q = 1 - x they alternate until c
-stops falling.  kappa at the best (P, Q) is then a function of R alone,
-taken on a fixed grid and refined by golden section around the best node.
-R = 1.3, clamped into the range, is always evaluated, so the result is
-never below P = x, Q = 1 - x there.  Nothing is random.
+Their values on levinson's Gauss-Legendre nodes are built once per space;
+c_forms turns Q's into three small forms in Q's coordinates (1, b) per R.
+At fixed R, c is a quadratic form in P for fixed Q and in Q for fixed P,
+so one small linear solve gives each exactly; from Q = 1 - x they
+alternate until c stops falling.  kappa at the best (P, Q) is then a
+function of R alone, taken on a fixed grid and refined by golden section
+around the best node.  R = 1.3, clamped into the range, is always
+evaluated, so the result is never below P = x, Q = 1 - x there.  Nothing
+is random.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .levinson import NODES, THETA_MAX, WEIGHTS, LevinsonParams, Polynomial, c_constant_exact, kappa_lower_bound
+from .levinson import (
+    NODES, THETA_MAX, WEIGHTS, LevinsonParams, Polynomial, c_constant_exact, c_forms, kappa_lower_bound)
 
 # largest R searched: the weights w e^{2Rx} of the forms stay below e^600,
 # far inside the double range, which e^{2Rx} leaves near R = 355
@@ -87,16 +89,8 @@ class _Objective:
         self.q_slopes = np.vstack([np.zeros_like(NODES), -2.0 * odd * line ** (odd - 1.0)])
         self.found: dict[float, tuple] = {}  # R -> (kappa, b, y, converged)
 
-    def forms(self, r: float) -> np.ndarray:
-        """int e^{2Rx} F F, sym int e^{2Rx} F Q and int e^{2Rx} Q Q over Q's
-        coordinates (1, b) at R, with F = theta (R Q + Q')."""
-        f = self.space.theta * (r * self.q_values + self.q_slopes)
-        weighted = WEIGHTS * np.exp(2.0 * r * NODES)
-        fq = f @ (weighted * self.q_values).T
-        return np.array([f @ (weighted * f).T, 0.5 * (fq + fq.T), self.q_values @ (weighted * self.q_values).T])
-
     def solve(self, b: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, float]:
-        """(y, minimal c) for Q's weights b, with forms(R).
+        """(y, minimal c) for Q's weights b, with the c_forms of R.
 
         With P(1) = 1, int P P' = 1/2, so c - 1 is (p'(alpha A + gamma B)p
         + beta) / theta for the forms (alpha, beta, gamma) at (1, b) and the
@@ -110,7 +104,7 @@ class _Objective:
         return y, 1.0 + (1.0 / float(y.sum()) + beta) / self.space.theta
 
     def solve_q(self, y: np.ndarray, forms: np.ndarray) -> np.ndarray:
-        """The best admissible Q's weights b for P = y / sum y, with forms(R).
+        """The best admissible Q's weights b for P = y / sum y, with the c_forms of R.
 
         c - 1 = u K u / theta over u = (1, b), with K = (int P^2) FF + FQ
         + (int P'^2) QQ; its minimum is the solution of K_bb b = -K_b1.
@@ -124,7 +118,7 @@ class _Objective:
         """kappa at the best (P, Q) for R: P and Q solves alternate from
         Q = 1 - x until c stops falling."""
         if r not in self.found:
-            forms = self.forms(r)
+            forms = c_forms(self.q_values, self.q_slopes, r, self.space.theta)
             b = self.start
             y, c = self.solve(b, forms)
             converged = False

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, PoleError
+from .errors import ConditioningError, DomainError, PoleError, finite
 
 
 def _em_coefficients(terms: int) -> np.ndarray:
@@ -48,8 +48,8 @@ _EM_TERMS = 14
 # B_2k/(2k)! of the _EM_TERMS corrections, and B_30/30! of the first omitted one
 _EM_COEFF, (_EM_OMITTED,) = np.split(_em_coefficients(_EM_TERMS + 1), [_EM_TERMS])
 _EM_FACTOR = 0.5  # head terms per unit of max|t| (_em_cut)
-# grid kernel: ordinates per |t|-sorted chunk, terms per block of n, and the
-# byte budget of one group's stacked base weights or of one Hurwitz block
+# grid kernel: ordinates per |t|-sorted chunk, most terms per block of a phase table,
+# and the byte budget of a group's stacked base weights, a direct table or a Hurwitz block
 _CHUNK = 256
 _NBLOCK = 8192
 _STACK_BYTES = 2 << 20
@@ -152,12 +152,13 @@ def _log_weights(w0: np.ndarray, lnb: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _direct_jets(tc: np.ndarray, n: np.ndarray, w0: np.ndarray, order: int, terms: int) -> np.ndarray:
-    """One chunk's jets at the ordinates tc over its first `terms` n, from
-    its own phase table: one exponential per point and term, and one
-    product per block of _NBLOCK terms."""
+    """One chunk's jets at the ordinates tc over its first `terms` n, from its
+    own phase table: one exponential per point and term, one product per block
+    of at most _NBLOCK terms and _STACK_BYTES (larger ones fall out of cache)."""
     jets = np.zeros((order + 1, tc.size), dtype=complex)
-    for b0 in range(0, terms, _NBLOCK):
-        lnb = np.log(n[b0 : min(b0 + _NBLOCK, terms)])
+    step = max(1, min(_NBLOCK, _STACK_BYTES // (16 * tc.size)))  # terms per block
+    for b0 in range(0, terms, step):
+        lnb = np.log(n[b0 : min(b0 + step, terms)])
         own = np.exp(-1j * np.outer(tc - tc[0], lnb))
         w = _log_weights(w0[b0 : b0 + lnb.size], lnb, order + 1)
         jets += (own @ (w * np.exp(-1j * tc[0] * lnb)[:, None])).T
@@ -266,8 +267,8 @@ def zeta_line(
     chunk shares one phase table per block of n, built from the first
     chunk's offsets, and the chunks go in fixed groups, as many as
     _STACK_BYTES holds, of one matrix product each; irregular and
-    sign-crossing chunks build their own tables.  A call with a single
-    chunk, such as one point, makes one direct product with its own table.
+    sign-crossing chunks, and a call of one chunk such as one point, build
+    their own tables, at most _STACK_BYTES at a time.
 
     |t| above Z_T_MAX is refused before any term is built.  Near the cap,
     against mpmath at 93 points (31 evenly spaced t in [99000, 1e5] at each
@@ -310,10 +311,7 @@ def hurwitz_zeta(s: complex, a) -> np.ndarray:
         for m0 in range(0, n_cut, step):
             m = np.arange(m0, min(m0 + step, n_cut), dtype=float)
             head += np.sum(np.exp(-s * np.log(m + a[..., None])), axis=-1)
-        val = head + _em_tail(s, n_cut + a, 0)[0]
-    if not np.isfinite(val).all():
-        raise DomainError(f"hurwitz zeta at s = {s} overflows a double")
-    return val
+        return finite(head + _em_tail(s, n_cut + a, 0)[0], f"hurwitz zeta at s = {s}")
 
 
 def _reflect(s: complex, kappa: int, reflected: np.ndarray, log_q: float, log_scale: complex = 0.0) -> np.ndarray:
@@ -349,9 +347,7 @@ def _reflect(s: complex, kappa: int, reflected: np.ndarray, log_q: float, log_sc
         jet = _jet_mul(_jet_mul(_jet_exp(log_jet), sine), reflected)
     if s.imag == 0.0 and s.real == round(s.real) and int(s.real + kappa) % 2 == 0:
         jet[0] = 0.0  # trivial zeros
-    if not np.isfinite(jet).all():
-        raise DomainError(f"the functional equation at s = {s} overflows a double")
-    return jet
+    return finite(jet, f"the functional equation at s = {s}")
 
 
 def _zeta_jet(s: complex, order: int) -> np.ndarray:
@@ -411,10 +407,7 @@ def xi_completed(s: complex) -> complex:
     if s.real < 0.0:
         return complex(_reflect(s, 0, _zeta_jet(1.0 - s, 0), 0.0, log_factor + cmath.log(s - 1.0))[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        val = complex((s - 1.0) * np.exp(log_factor) * zeta(s))
-    if not cmath.isfinite(val):
-        raise DomainError(f"xi(s) at s = {s} overflows a double")
-    return val
+        return finite(complex((s - 1.0) * np.exp(log_factor) * zeta(s)), f"xi(s) at s = {s}")
 
 
 def _hardy_phase(t: np.ndarray) -> np.ndarray:
@@ -423,14 +416,8 @@ def _hardy_phase(t: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.imag(_special().loggamma(s / 2.0) - s / 2.0 * math.log(math.pi)))
 
 
-def hardy_z(t: float) -> float:
-    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2+it): real, with the sign of zeta(1/2) at 0;
-    |t| above Z_T_MAX is refused by zeta_line."""
-    return float(hardy_z_line(np.array([float(t)]))[0])
-
-
 def hardy_z_line(t: np.ndarray) -> np.ndarray:
-    """Vectorized Z(t) for a grid of ordinates."""
+    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2+it) over an ordinate grid: real, with zeta(1/2)'s sign at 0."""
     t = np.asarray(t, dtype=float)
     vals = _hardy_phase(t) * zeta_line(0.5, t, 0)[0]
     residual = np.abs(vals.imag).max(initial=0.0)
@@ -511,6 +498,9 @@ class AfeParams:
         # each check written as not (...) so that a nan is refused too
         if not (a.real < 0.5 and b.real < 0.5 and cmath.isfinite(a) and cmath.isfinite(b)):
             raise DomainError("shifts must be finite with Re(alpha), Re(beta) < 1/2")
+        if a + b == 0:
+            raise DomainError("alpha + beta = 0 degenerates the smoothing prefactor; "
+                              "use a small offset such as alpha + beta = 1e-6")
         if not 10.0 <= self.t < math.inf:
             raise DomainError("afe assembly certified only for finite t >= 10")
         if not (self.truncation_length >= 0 and self.truncation_length % 1 == 0):
@@ -521,13 +511,6 @@ class AfeParams:
         if 2 * sum(n // m for m in range(1, root + 1)) - root * root > GRID_MAX:
             raise DomainError(f"truncation length {n} gives more than {GRID_MAX} (m, n) pairs")
         object.__setattr__(self, "truncation_length", n)
-
-    def _check_shift_sum(self):
-        if complex(self.alpha) + complex(self.beta) == 0:
-            raise DomainError(
-                "alpha + beta = 0 degenerates the smoothing prefactor; "
-                "use a small offset such as alpha + beta = 1e-6"
-            )
 
 
 def _gamma_ratio_weight(s, a: complex, b: complex, t: float):
@@ -589,7 +572,6 @@ def afe_pair(params: AfeParams) -> complex:
     (N = 164,414 is the largest, a 145 MiB peak), so t above about 1.6e4
     needs an explicit shorter truncation_length.
     """
-    params._check_shift_sum()
     a, b, t = complex(params.alpha), complex(params.beta), params.t
     n_max = int(params.truncation_length)
     x = np.arange(1, n_max + 1, dtype=float)

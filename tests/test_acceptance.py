@@ -32,7 +32,7 @@ from critline.zeta import (
     AfeParams,
     afe_pair,
     count_critical_zeros,
-    hardy_z,
+    hardy_z_line,
     xi_completed,
     zero_count_estimate,
     zeta,
@@ -69,7 +69,7 @@ def test_criterion_2_zero_scan():
     report = count_critical_zeros(0.0, 100.0, 0.05)
     elapsed = time.perf_counter() - start
 
-    refined = all(abs(hardy_z(rho)) < 1e-4 for rho in report.zeros)
+    refined = bool(np.all(np.abs(hardy_z_line(np.array(report.zeros))) < 1e-4))
     estimate = zero_count_estimate(100.0)
     close = abs(report.zero_count - estimate) <= 3.0
     proportion = report.zero_count / estimate

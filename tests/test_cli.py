@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import critline.cli
 import critline.moment as moment_module
 from critline.cli import _SCHEMAS, _dump_json, main, parse_config
 from critline.errors import ConfigError, ConstraintError
@@ -377,24 +380,27 @@ class TestCommands:
             ),
             (
                 ["registry", "--format", "text"],
-                "tuples:\n  name: baseline\n  q_poly:\n    1\n    -1\n  r_shift: 1.3\n"
-                "  claimed_bound: 0.34999999999999998\n  source: P(x)=x, Q(x)=1-x, R=1.3, theta=0.5\n  p_poly:\n"
-                "    0\n    1\n  p1_poly: None\n  p2_poly: None\n  claimed_c: 2.3500000000000001\n"
-                "  not_reproducible_here: False\n  name: two-piece-kappa\n  q_poly:\n    1\n"
-                "    -0.64200000000000002\n    -0.61350000000000005\n    -1.3169999999999999\n    2.589\n"
-                "    -1.0356000000000001\n  r_shift: 1.3\n  claimed_bound: 0.41720000000000002\n"
-                "  source: Q(x)=1-0.642x-1.227(x^2/2-x^3/3)-5.178(x^3/3-x^4/2+x^5/5), "
-                "P1(x)=x-0.617x(1-x)-0.125x^2(1-x)-0.148x^3(1-x), P2(x)=x, P(x)=1.55x-1.564x^2+0.177x^3, "
-                "R=1.3\n  p_poly:\n    0\n    1.55\n    -1.5640000000000001\n    0.17699999999999999\n  p1_poly:\n"
-                "    0\n    0.38300000000000001\n    0.49199999999999999\n    -0.022999999999999993\n"
-                "    0.14799999999999999\n  p2_poly:\n    0\n    1\n  claimed_c: None\n"
-                "  not_reproducible_here: True\n  name: two-piece-kappa-star\n  q_poly:\n    1\n    -1.032\n"
-                "  r_shift: 1.1160000000000001\n  claimed_bound: 0.40739999999999998\n  source: Q(x)=1-1.032x, "
-                "P1(x)=x-0.525x(1-x)-0.183x^2(1-x)-0.085x^3(1-x), P2(x)=x, P(x)=0.838x-0.938x^2-0.084x^3, "
-                "R=1.116\n  p_poly:\n    0\n    0.83799999999999997\n    -0.93799999999999994\n"
-                "    -0.084000000000000005\n  p1_poly:\n    0\n    0.47499999999999998\n    0.34200000000000003\n"
-                "    0.09799999999999999\n    0.085000000000000006\n  p2_poly:\n    0\n    1\n  claimed_c: None\n"
-                "  not_reproducible_here: True\n",
+                "tuples:\n  - name: baseline\n    q_poly:\n      - 1\n      - -1\n    r_shift: 1.3\n"
+                "    claimed_bound: 0.34999999999999998\n    source: P(x)=x, Q(x)=1-x, R=1.3, theta=0.5\n"
+                "    p_poly:\n      - 0\n      - 1\n    p1_poly: None\n    p2_poly: None\n"
+                "    claimed_c: 2.3500000000000001\n    not_reproducible_here: False\n  - name: two-piece-kappa\n"
+                "    q_poly:\n      - 1\n      - -0.64200000000000002\n      - -0.61350000000000005\n"
+                "      - -1.3169999999999999\n      - 2.589\n      - -1.0356000000000001\n    r_shift: 1.3\n"
+                "    claimed_bound: 0.41720000000000002\n"
+                "    source: Q(x)=1-0.642x-1.227(x^2/2-x^3/3)-5.178(x^3/3-x^4/2+x^5/5), "
+                "P1(x)=x-0.617x(1-x)-0.125x^2(1-x)-0.148x^3(1-x), P2(x)=x, P(x)=1.55x-1.564x^2+0.177x^3, R=1.3\n"
+                "    p_poly:\n      - 0\n      - 1.55\n      - -1.5640000000000001\n      - 0.17699999999999999\n"
+                "    p1_poly:\n      - 0\n      - 0.38300000000000001\n      - 0.49199999999999999\n"
+                "      - -0.022999999999999993\n      - 0.14799999999999999\n    p2_poly:\n      - 0\n      - 1\n"
+                "    claimed_c: None\n    not_reproducible_here: True\n  - name: two-piece-kappa-star\n"
+                "    q_poly:\n      - 1\n      - -1.032\n    r_shift: 1.1160000000000001\n"
+                "    claimed_bound: 0.40739999999999998\n"
+                "    source: Q(x)=1-1.032x, P1(x)=x-0.525x(1-x)-0.183x^2(1-x)-0.085x^3(1-x), P2(x)=x, "
+                "P(x)=0.838x-0.938x^2-0.084x^3, R=1.116\n    p_poly:\n      - 0\n      - 0.83799999999999997\n"
+                "      - -0.93799999999999994\n      - -0.084000000000000005\n    p1_poly:\n      - 0\n"
+                "      - 0.47499999999999998\n      - 0.34200000000000003\n      - 0.09799999999999999\n"
+                "      - 0.085000000000000006\n    p2_poly:\n      - 0\n      - 1\n    claimed_c: None\n"
+                "    not_reproducible_here: True\n",
             ),
             (
                 ["zeros", "--tmax", "30"],
@@ -404,23 +410,24 @@ class TestCommands:
             ),
             (
                 ["zeros", "--tmax", "30", "--format", "text"],
-                "t_min: 0\nt_max: 30\nstep: 0.050000000000000003\nzero_count: 3\nzeros:\n  14.134724807739255\n"
-                "  21.022039413452148\n  25.010857772827151\nestimate_n_t: 2.6896563814970849\n"
+                "t_min: 0\nt_max: 30\nstep: 0.050000000000000003\nzero_count: 3\nzeros:\n  - 14.134724807739255\n"
+                "  - 21.022039413452148\n  - 25.010857772827151\nestimate_n_t: 2.6896563814970849\n"
                 "step_warning: False\n",
             ),
             (
                 ["chars", "--q", "7", "--format", "text"],
-                "modulus: 7\ncount: 6\ncharacters:\n  index: 0\n  conductor: 1\n  parity: 0\n  primitive: False\n"
-                "  index: 1\n  conductor: 7\n  parity: 1\n  primitive: True\n  index: 2\n  conductor: 7\n"
-                "  parity: 0\n  primitive: True\n  index: 3\n  conductor: 7\n  parity: 1\n  primitive: True\n"
-                "  index: 4\n  conductor: 7\n  parity: 0\n  primitive: True\n  index: 5\n  conductor: 7\n"
-                "  parity: 1\n  primitive: True\n",
+                "modulus: 7\ncount: 6\ncharacters:\n  - index: 0\n    conductor: 1\n    parity: 0\n"
+                "    primitive: False\n  - index: 1\n    conductor: 7\n    parity: 1\n    primitive: True\n"
+                "  - index: 2\n    conductor: 7\n    parity: 0\n    primitive: True\n  - index: 3\n"
+                "    conductor: 7\n    parity: 1\n    primitive: True\n  - index: 4\n    conductor: 7\n"
+                "    parity: 0\n    primitive: True\n  - index: 5\n    conductor: 7\n    parity: 1\n"
+                "    primitive: True\n",
             ),
             (
                 ["constant", "--format", "text"],
-                "c_exact: 2.3500677761184425\nc_quadrature: 2.3500677761186131\n"
-                "kappa_bound: 0.34273525489104484\nparams:\n  P:\n    0\n    1\n  Q:\n    1\n    -1\n  R: 1.3\n"
-                "  theta: 0.5\npublished_claim:\n  c: 2.3500000000000001\n  kappa: 0.34999999999999998\n",
+                "c_exact: 2.3500677761184425\nc_quadrature: 2.3500677761186131\nkappa_bound: 0.34273525489104484\n"
+                "params:\n  P:\n    - 0\n    - 1\n  Q:\n    - 1\n    - -1\n  R: 1.3\n  theta: 0.5\n"
+                "published_claim:\n  c: 2.3500000000000001\n  kappa: 0.34999999999999998\n",
             ),
             (["psi", "--x", "-0", "--format", "text"], "x: -0\npsi: 0\nratio: 0\n"),
         ],
@@ -429,3 +436,21 @@ class TestCommands:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == expected
+
+
+def test_kappa_commands_load_no_zeta_code():
+    """constant and optimize run on levinson and the optimizer alone: in a
+    fresh interpreter, importing critline.optimizer and running both loads
+    none of the zeta, character, mollifier or moment modules, nor scipy."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.cli.__file__)))
+    absent = ["critline.zeta", "critline.dirichlet", "critline.mollifier", "critline.moment", "scipy"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import critline.optimizer\n"
+        "from critline import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['constant']), cli.main(['optimize', '--p-degree', '3', '--q-degree', '3'])]\n"
+        f"print(json.dumps([codes, sorted(m for m in {absent!r} if m in sys.modules)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert json.loads(proc.stdout) == [[0, 0], []]

@@ -2,6 +2,7 @@
 application, and the published-tuple registry."""
 
 import math
+import re
 from itertools import zip_longest
 
 import mpmath as mp
@@ -11,12 +12,14 @@ from scipy import integrate
 
 from critline.errors import AccuracyError, ConstraintError, DomainError
 from critline.levinson import (
+    NODES,
     THETA_MAX,
     LevinsonParams,
     Polynomial,
     ShiftedParams,
     c_constant_exact,
     c_constant_quadrature,
+    c_forms,
     kappa_lower_bound,
     published_tuples,
     shifted_c,
@@ -212,7 +215,7 @@ class TestExpMonomialIntegral:
         # c of constant --R 400 is about 2.8e343, past the double range; the
         # refusal writes no numpy warning
         params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, -1.0)), 400.0, 0.5)
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match=re.escape("c at R = 400.0 overflows a double")):
             c_constant_exact(params)
 
 
@@ -261,7 +264,7 @@ class TestCConstant:
         # e^{2Rv} at R = 354 is finite on the nodes, but c with Q(1) = 6 is
         # not; the refusal comes without a numpy overflow warning
         params = LevinsonParams(Polynomial((0.0, 1.0)), Polynomial((1.0, 5.0)), 354.0, 0.5)
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match=re.escape("c at R = 354.0 overflows a double")):
             c_constant_exact(params)
 
     def test_baseline_value_and_kappa_window(self):
@@ -272,8 +275,9 @@ class TestCConstant:
 
     def test_weights_against_quadrature(self, rng):
         # alpha, beta, gamma, the e^{2Rv}-weighted integrals of F^2, FQ and
-        # Q^2 with F = R theta Q + theta Q', by adaptive quadrature, with the
-        # convolution oracle's P integrals give c_constant_exact
+        # Q^2 with F = R theta Q + theta Q', by adaptive quadrature, are
+        # c_forms at the one row Q, and with the convolution oracle's P
+        # integrals they give c_constant_exact
         for _ in range(5):
             params = random_params(rng)
             q, r, theta = params.q_poly, params.r_shift, params.theta
@@ -286,6 +290,9 @@ class TestCConstant:
                 integrate.quad(lambda v: math.exp(2 * r * v) * g(v), 0.0, 1.0, epsabs=1e-14)[0]
                 for g in (lambda v: f(v) ** 2, lambda v: f(v) * q(v), lambda v: q(v) ** 2)
             )
+            forms = c_forms(q(NODES)[None], dq(NODES)[None], r, theta)
+            assert forms.shape == (3, 1, 1)
+            assert forms.ravel() == pytest.approx([alpha, beta, gamma], rel=1e-12)
             pp, ppd, pdpd = p_integrals_by_products(params.p_poly)
             want = 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / theta
             assert c_constant_exact(params) == pytest.approx(want, rel=1e-12)

@@ -19,7 +19,6 @@ from critline.mollifier import (
     mollifier_coefficients,
     mollifier_line,
     _q_operator,
-    psi_mollifier,
     wu_coefficient_table,
 )
 from critline.zeta import _dirichlet_jets, _zeta_jet, zeta, zeta_line
@@ -90,30 +89,30 @@ class TestPsiMollifier:
         spec = MollifierSpec(10000.0, 0.5, 1.3, Polynomial((0.0, 1.0)))
         for _ in range(50):
             s = complex(rng.uniform(0, 1), rng.uniform(-50, 50))
-            got = psi_mollifier(s, spec)
+            got = mollifier_line(s.real, np.array([s.imag]), spec)[0]
             assert got == pytest.approx(psi_brute(s, spec), abs=1e-12)
 
     def test_single_term_degenerate(self):
         spec = MollifierSpec(4.0, 0.2, 0.5, Polynomial((0.0, 1.0)))  # M < 2
-        assert psi_mollifier(0.5, spec) == pytest.approx(1.0)
+        assert mollifier_line(0.5, np.array([0.0]), spec)[0] == pytest.approx(1.0)
 
     def test_conjugation_symmetry(self):
         spec = MollifierSpec(5000.0, 0.4, 1.0, Polynomial((0.0, 1.0)))
-        s = 0.45 + 12.0j
-        assert psi_mollifier(np.conj(s), spec) == pytest.approx(np.conj(psi_mollifier(s, spec)))
+        up, down = mollifier_line(0.45, np.array([12.0, -12.0]), spec)
+        assert down == pytest.approx(np.conj(up))
 
     def test_sieve_range(self):
         # M = 1e8 is past the sieve limit: refused before any table is built
         spec = MollifierSpec(1e16, 0.5, 1.3, Polynomial((0.0, 1.0)))
         with pytest.raises(SieveRangeError):
-            psi_mollifier(0.5, spec)
+            mollifier_line(0.5, np.array([0.0]), spec)
 
     def test_line_matches_pointwise(self, rng):
         spec = MollifierSpec(1e6, 0.5, 1.3, Polynomial((0.0, 1.2, -0.2)))
         t = rng.uniform(-3000, 3000, 20)
         line = mollifier_line(0.43, t, spec)
         for k, tk in enumerate(t):
-            assert line[k] == pytest.approx(psi_mollifier(0.43 + 1j * tk, spec), rel=1e-12)
+            assert line[k] == pytest.approx(mollifier_line(0.43, np.array([tk]), spec)[0], rel=1e-12)
 
     def test_line_on_moment_grid_against_mpmath(self):
         """The T=2000 moment grid is uniform, so mollifier_line reuses one
@@ -253,7 +252,7 @@ class TestWuCoefficients:
         assert np.max(np.abs(a_n - expected)) <= 1e-14
 
     def test_table_without_sieve_builds_no_default_sieve(self):
-        """Both tables and psi_mollifier, each from a Moebius table sized to
+        """Both tables and psi at one point, each from a Moebius table sized to
         its own length, against the trial-division oracle."""
         wspec = self.make_spec(100.0)
         mspec = MollifierSpec(1e4, 0.5, 1.3, Polynomial((0.0, 1.2, -0.2)))
@@ -265,8 +264,8 @@ class TestWuCoefficients:
         assert h.tolist() == [k for k in range(1, 101) if mobius(k)]
         expected = [mobius(int(k)) * mspec.p_poly(1.0 - math.log(k) / math.log(100.0)) for k in h]
         assert np.max(np.abs(c - expected)) <= 1e-14
-        s = 0.6 + 17.0j
-        assert psi_mollifier(s, mspec) == pytest.approx(psi_brute(s, mspec), abs=1e-12)
+        want = psi_brute(0.6 + 17.0j, mspec)
+        assert mollifier_line(0.6, np.array([17.0]), mspec)[0] == pytest.approx(want, abs=1e-12)
 
 
 def direct_b(s, chi, table):
@@ -296,7 +295,7 @@ class TestBPolynomial:
         chi = enumerate_characters(1)[0]
         s = 0.7 + 9.0j
         b_val = b_polynomial(s + (0.5 - mspec.sigma0), chi, wu_coefficient_table(wspec))
-        assert b_val == pytest.approx(psi_mollifier(s, mspec), abs=1e-12)
+        assert b_val == pytest.approx(mollifier_line(s.real, np.array([s.imag]), mspec)[0], abs=1e-12)
 
     def test_even_in_t_for_real_character(self):
         chi = enumerate_characters(4)[1]  # real character

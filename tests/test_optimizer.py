@@ -9,7 +9,7 @@ import pytest
 
 from critline.errors import ConfigError
 import critline.optimizer as optimizer_module
-from critline.levinson import THETA_MAX, LevinsonParams, Polynomial, c_constant_exact, kappa_lower_bound
+from critline.levinson import THETA_MAX, LevinsonParams, Polynomial, c_constant_exact, c_forms, kappa_lower_bound
 from critline.optimizer import SearchSpace, _Objective, grid_scan_r, optimize_kappa
 
 BASELINE_KAPPA = kappa_lower_bound(
@@ -18,6 +18,12 @@ BASELINE_KAPPA = kappa_lower_bound(
     ),
     1.3,
 )
+
+
+def forms_at(objective, r):
+    """levinson.c_forms over the objective's Q basis at R, as the sweeps build them."""
+    return c_forms(objective.q_values, objective.q_slopes, r, objective.space.theta)
+
 
 # kappa from the 8-restart Nelder-Mead search this one replaced, on r_range
 # (0.5, 2.5): row deg P - 1, column deg Q - 1 (an even deg Q adds no term)
@@ -144,7 +150,7 @@ class TestOptimizer:
         # least as good as P = x
         space = SearchSpace(3, 3, (0.5, 2.5), 0.5)
         objective = _Objective(space)
-        y, c = objective.solve(objective.start, objective.forms(1.3))
+        y, c = objective.solve(objective.start, forms_at(objective, 1.3))
         params = objective.params(objective.start, y, 1.3)
         assert params.q_poly.coefficients == (1.0, -1.0)
         assert c == pytest.approx(c_constant_exact(params), rel=1e-13)
@@ -156,7 +162,7 @@ class TestOptimizer:
         space = SearchSpace(4, 3, (0.5, 2.5), 0.5)
         objective = _Objective(space)
         b = np.array([0.4, 0.2])
-        y, c = objective.solve(b, objective.forms(1.1))
+        y, c = objective.solve(b, forms_at(objective, 1.1))
         params = objective.params(b, y, 1.1)
         p_poly, q_poly, r = params.p_poly, params.q_poly, params.r_shift
         for _ in range(20):
@@ -177,7 +183,7 @@ class TestOptimizer:
             r = float(rng.uniform(0.5, 2.5))
             y = rng.uniform(0.1, 1.0, p_degree)
             p_poly = Polynomial((0.0, *(y / y.sum())))
-            b = objective.solve_q(y, objective.forms(r))
+            b = objective.solve_q(y, forms_at(objective, r))
             best = c_constant_exact(LevinsonParams(p_poly, objective.params(b, y, r).q_poly, r, theta))
             for _ in range(10):
                 other = objective.params(b + rng.uniform(-0.05, 0.05, space.q_terms), y, r).q_poly
@@ -188,7 +194,7 @@ class TestOptimizer:
         for p_degree, q_degree in ((2, 1), (3, 5), (6, 6)):
             space = SearchSpace(p_degree, q_degree, (0.5, 2.5), THETA_MAX)
             objective = _Objective(space)
-            forms = objective.forms(float(rng.uniform(0.5, 2.5)))
+            forms = forms_at(objective, float(rng.uniform(0.5, 2.5)))
             y, c = objective.solve(objective.start, forms)
             for _ in range(12):
                 y, c_next = objective.solve(objective.solve_q(y, forms), forms)
@@ -204,7 +210,7 @@ class TestOptimizer:
             for _ in range(60):
                 r = float(rng.uniform(0.5, 2.5))
                 b = rng.uniform(-1.0, 1.5, space.q_terms)
-                p_poly = objective.params(b, objective.solve(b, objective.forms(r))[0], r).p_poly
+                p_poly = objective.params(b, objective.solve(b, forms_at(objective, r))[0], r).p_poly
                 assert p_poly.coefficients[0] == 0.0
                 assert math.fsum(p_poly.coefficients) == 1.0
 
@@ -215,7 +221,7 @@ class TestOptimizer:
             space = SearchSpace(3, q_degree, (0.5, 2.5), 0.5)
             objective = _Objective(space)
             r, y = float(rng.uniform(0.5, 2.5)), rng.uniform(0.1, 1.0, 3)
-            q_poly = objective.params(objective.solve_q(y, objective.forms(r)), y, r).q_poly
+            q_poly = objective.params(objective.solve_q(y, forms_at(objective, r)), y, r).q_poly
             assert q_poly.coefficients[0] == 1.0
             assert q_poly.degree <= q_degree
             total = q_poly(x) + q_poly(1.0 - x)
@@ -253,7 +259,7 @@ class TestOptimizer:
                 objective = _Objective(space)
                 r = float(rng.uniform(0.5, 2.5))
                 b = rng.uniform(-1.0, 1.5, space.q_terms)
-                y, solved = objective.solve(b, objective.forms(r))
+                y, solved = objective.solve(b, forms_at(objective, r))
                 exact = c_constant_exact(objective.params(b, y, r))
                 assert exact == pytest.approx(solved, rel=1e-12)
 
