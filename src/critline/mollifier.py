@@ -6,8 +6,10 @@ of length M = T^theta has a_n = mu(n) P(x_n), and Wu's two-piece one adds
 a second shape carried by the small prime divisors of n.  mollifier_line
 sums the classical table on an ordinate grid, one point included, and
 b_polynomial a table twisted by a character at one point, each as one
-zeta grid-kernel call that keeps every term.  _q_operator applies
-Q(-(1/L) d/ds) to zeta jets, the smoothed V zeta the moment multiplies by psi.
+zeta grid-kernel call that keeps every term.  v_line is the smoothed
+V zeta = Q(-(1/L) d/ds) zeta that the moment multiplies by psi: its head is
+one Dirichlet series with coefficients Q(log n / L), and _q_operator applies
+Q to the jets of the Euler-Maclaurin tail alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .arithmetic import mobius_table, primes_upto
 from .errors import ConstraintError, DomainError
 from .levinson import Polynomial
-from .zeta import _dirichlet_jets
+from .zeta import _dirichlet_jets, _em_head, _em_tail
 
 
 def _require(cond: bool, message: str):
@@ -143,7 +145,7 @@ def mollifier_line(sigma: float, t: np.ndarray, spec: MollifierSpec) -> np.ndarr
 
 
 def _q_operator(jets: np.ndarray, q_poly: Polynomial, log_scale: float) -> np.ndarray:
-    """Q(-(1/L) d/ds) applied to zeta jets: sum_j q_j (-1/L)^j j! jets[j]."""
+    """Q(-(1/L) d/ds) applied to jets: sum_j q_j (-1/L)^j j! jets[j]."""
     out = np.zeros(jets.shape[1:], dtype=complex)
     fact = 1.0
     for j, q_j in enumerate(q_poly.coefficients):
@@ -151,3 +153,16 @@ def _q_operator(jets: np.ndarray, q_poly: Polynomial, log_scale: float) -> np.nd
             fact *= j
         out += q_j * (-1.0 / log_scale) ** j * fact * jets[j]
     return out
+
+
+def v_line(sigma: float, t: np.ndarray, q_poly: Polynomial, log_scale: float) -> np.ndarray:
+    """V zeta(sigma + i t) = Q(-(1/L) d/ds) zeta(s) over an ordinate grid, L = log_scale.
+
+    Q(-(1/L) d/ds) n^{-s} = Q(log n / L) n^{-s}, so the head is one
+    Dirichlet series with coefficients Q(log n / L) over zeta_line's terms
+    and cuts, summed by the grid kernel at order 0; _q_operator applies Q
+    to the Euler-Maclaurin tail's jets alone.
+    """
+    t = np.asarray(t, dtype=float)
+    head, cuts = _em_head(sigma, t, lambda n: q_poly(np.log(n) / log_scale), 0)
+    return head[0] + _q_operator(_em_tail(sigma + 1j * t, cuts, q_poly.degree), q_poly, log_scale)

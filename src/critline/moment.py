@@ -1,9 +1,10 @@
 """Direct numerical verification of the smoothed mollified second moment.
 
 The integral of w(t) |V psi(sigma0 + i t)|^2 over a smooth plateau
-weight is compared against c(P,Q,R,theta) times the weight mass.  Bulk
-zeta derivatives come from the vectorized Euler-Maclaurin jet evaluator,
-which is the only path fast enough for the ~1e5 grid points involved.
+weight is compared against c(P,Q,R,theta) times the weight mass.  V zeta
+and psi are each one Dirichlet series summed by the zeta grid kernel, V's
+with coefficients Q(log n / L) and zeta's Euler-Maclaurin tail, which is
+the only path fast enough for the ~1e5 grid points involved.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 from .levinson import LevinsonParams, c_constant_exact
-from .mollifier import MollifierSpec, _q_operator, mollifier_line
-from .zeta import GRID_MAX, _em_cut, _em_tail_bound, zeta_line
+from .mollifier import MollifierSpec, mollifier_line, v_line
+from .zeta import GRID_MAX, _em_cut, _em_tail_bound
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,9 @@ class MomentReport:
 
 
 def _v_psi_squared(t: np.ndarray, params: LevinsonParams, spec: MollifierSpec) -> np.ndarray:
-    """|V psi(sigma0 + i t)|^2 on a grid, via jet evaluation of the zeta
-    derivatives and a blocked mollifier sum."""
-    jets = zeta_line(spec.sigma0, t, order=params.q_poly.degree)
-    v = _q_operator(jets, params.q_poly, spec.log_scale)
+    """|V psi(sigma0 + i t)|^2 on a grid: V zeta and psi each one Dirichlet
+    series on the grid kernel, V's with zeta's Euler-Maclaurin tail."""
+    v = v_line(spec.sigma0, t, params.q_poly, spec.log_scale)
     psi = mollifier_line(spec.sigma0, t, spec)
     return np.abs(v * psi) ** 2
 

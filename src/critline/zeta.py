@@ -9,9 +9,10 @@ every zeta, zeta^(k) and Hurwitz zeta value adds the same remainder jet
 (_em_tail) to a head sum cut at _em_cut, N = max(20, ceil(|Im s|/2)), where
 Backlund's bound on the remainder is at most 4.2e-12 for Re(s) >= 0;
 Re(s) < 0 is reached by applying the functional equation to the jets.  Every
-finite Dirichlet sum, zeta's heads and the mollifier's psi and B(s, chi),
-is one _dirichlet_jets call, real or complex coefficients alike: per block
-of n, one phase table and one product per fixed group of chunks.
+finite Dirichlet sum, zeta's heads, the moment's V zeta and the mollifier's
+psi and B(s, chi), is one _dirichlet_jets call, real or complex coefficients
+alike: per block of n, one phase table and one product per fixed group of
+chunks, added in place into the |t|-sorted jets.
 Complex log Gamma and psi are scipy.special's, imported on first use
 (_special): only the reflection, xi, Hardy's Z and the AFE load scipy.
 """
@@ -188,30 +189,43 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     sharing chunks go in fixed groups whose W_c, each zero past its chunk's
     cut, fill at most _STACK_BYTES side by side and no more columns than D
     has rows; each group is one product D @ [W_c1 | W_c2 | ...], so memory
-    stays flat however long the grid is.  Any other chunk (irregular or
-    crossing t = 0) goes through _direct_jets, and a call of one chunk
-    returns from there before any of the sharing set-up is built.
+    stays flat however long the grid is.  The group's product takes its e_k
+    correction in place, from the group's own ordinates, and is added into
+    the jets, held in |t|-sorted order, by one add for the whole group; when
+    that order is t's own (an ascending grid with t >= 0, as in the moment
+    and the zero scan) those jets are returned as they are, otherwise they
+    are scattered back once.  Any other chunk (irregular or crossing t = 0)
+    goes through _direct_jets, and a call of one chunk returns from there
+    before any of the sharing set-up is built.
     """
     t = np.asarray(t, dtype=float)
     idx = np.argsort(np.abs(t), kind="stable")
-    chunks = [idx[c0 : c0 + chunk] for c0 in range(0, t.size, chunk)]
-    tops = np.array([np.abs(t[sel]).max() for sel in chunks])  # max|t| per chunk
+    count = -(-t.size // chunk)
+    # the |t|-sorted ordinates, one row per chunk, the last row padded with nan
+    ts = np.full(count * chunk, np.nan)
+    ts[: t.size] = t[idx]
+    ts = ts.reshape(count, chunk)
+    tops = np.fmax.reduce(np.abs(ts), axis=1)  # max|t| per chunk; fmax skips the padding
+    chunk_cuts = np.array([cut(top) for top in tops], dtype=float)
     cuts = np.empty(t.size)
-    cuts[idx] = np.array([cut(top) for top in tops], dtype=float)[np.arange(t.size) // chunk]
-    terms, base_t = np.searchsorted(n, cuts[idx[::chunk]]), t[idx[::chunk]]  # per chunk
+    cuts[idx] = np.repeat(chunk_cuts, chunk)[: t.size]
+    terms, base_t = np.searchsorted(n, chunk_cuts), ts[:, 0]
     w0 = n**-sigma if coeff is None else coeff * n**-sigma
-    jets = np.zeros((order + 1, t.size), dtype=complex)
-    if len(chunks) == 1:  # nothing to share
-        jets[:, idx] = _direct_jets(t[idx], n, w0, order, int(terms[0]))
+    if count <= 1:  # nothing to share
+        jets = np.zeros((order + 1, t.size), dtype=complex)
+        if count:
+            jets[:, idx] = _direct_jets(ts[0, : t.size], n, w0, order, int(terms[0]))
         return jets, cuts
     side, cols = math.isqrt(chunk - 1) + 1, order + 2
-    delta = t[idx[:chunk]] - base_t[:1]
+    delta = ts[0] - base_t[0]
     coarse, fine = delta[::side], delta[:side]
-    ref = (coarse[:, None] + fine).ravel()
-    err = np.array([np.abs(t[sel] - t[sel[0]] - ref[: sel.size]).max() for sel in chunks])
-    share = err <= 4.0 * np.spacing(tops)
+    ref = (coarse[:, None] + fine).ravel()[:chunk]
+    share = np.fmax.reduce(np.abs(ts - base_t[:, None] - ref), axis=1) <= 4.0 * np.spacing(tops)
+    # the jets in |t|-sorted order, one row of `chunk` columns per chunk
+    out = np.zeros((order + 1, count, chunk), dtype=complex)
     for c in np.flatnonzero(~share):
-        jets[:, chunks[c]] = _direct_jets(t[chunks[c]], n, w0, order, int(terms[c]))
+        tc = ts[c, : t.size - c * chunk]
+        out[:, c, : tc.size] = _direct_jets(tc, n, w0, order, int(terms[c]))
     width = min(_NBLOCK, terms[share].max(initial=0))
     table = np.empty((coarse.size * fine.size, width), dtype=complex)
     per = max(1, min(chunk, _STACK_BYTES // (16 * max(width, 1))) // cols)  # chunks per group
@@ -226,22 +240,42 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
             np.exp(-1j * np.outer(fine, lnb[:m])),
             out=table.reshape(coarse.size, fine.size, width)[:, :, :m],
         )
-        # one group's phases and stacked W_c, reused by every group
-        phases, stacks = np.empty(m * per, complex), np.empty(m * per * cols, complex)
+        stacks = np.empty(m * per * cols, complex)  # one group's stacked W_c, reused by every group
         for g0 in range(0, live.size, per):
             group = live[g0 : g0 + per]
             m = ms[group].max()
-            phase = np.multiply.outer(lnb[:m], -1j * base_t[group], out=phases[: m * group.size].reshape(m, -1))
-            np.exp(phase, out=phase)  # n^{-i t_c}
+            stack = stacks[: m * group.size * cols].reshape(m, -1, cols)
+            phase = np.multiply.outer(lnb[:m], -1j * base_t[group], out=stack[:, :, 0])
+            np.exp(phase, out=phase)  # n^{-i t_c}, in W_c's first column until the last product
             phase[np.arange(m)[:, None] >= ms[group]] = 0.0  # past each chunk's cut
-            stack = stacks[: phase.size * cols].reshape(m, -1, cols)
-            np.multiply(w[:m, None, :], phase[:, :, None], out=stack)
-            prod = (table[: delta.size, :m] @ stack.reshape(m, -1)).reshape(delta.size, group.size, cols)
-            for c, sums in zip(group, prod.transpose(1, 0, 2)):
-                sel = chunks[c]
-                shift = (t[sel] - t[sel[0]] - ref[: sel.size])[:, None]  # e_k
-                jets[:, sel] += (sums[: sel.size, :-1] + 1j * shift * np.arange(1, cols) * sums[: sel.size, 1:]).T
-    return jets, cuts
+            for j in range(cols - 1, -1, -1):
+                np.multiply(w[:m, None, j], phase, out=stack[:, :, j])
+            prod = (table[:chunk, :m] @ stack.reshape(m, -1)).reshape(chunk, group.size, cols)
+            shift = ts[group].T - base_t[group] - ref[:, None]  # e_k, column by chunk
+            for j in range(order + 1):  # in place: row j reads row j+1 before it changes
+                prod[:, :, j] += 1j * (j + 1) * shift * prod[:, :, j + 1]
+            rows = slice(group[0], group[-1] + 1) if group[-1] - group[0] < group.size else group
+            out[:, rows] += prod[:, :, :-1].transpose(2, 1, 0)
+    jets = out.reshape(order + 1, -1)[:, : t.size]
+    if np.array_equal(idx, np.arange(t.size)):  # t ascending in |t|: already in place
+        return jets, cuts
+    unsorted = np.empty_like(jets)
+    unsorted[:, idx] = jets
+    return unsorted, cuts
+
+
+def _em_head(sigma, t, weight, order: int, factor: float = _EM_FACTOR, chunk: int = _CHUNK):
+    """Euler-Maclaurin head sums along a line: the jets of
+    sum_{n < N} weight(n) n^{-sigma-it} (-log n)^j / j! (weight None for
+    all ones), each chunk cut at N = _em_cut(its max|t|, factor), and every
+    point's N.  |t| above Z_T_MAX is refused before any term is built."""
+    t = np.asarray(t, dtype=float)
+    t_top = np.abs(t).max(initial=0.0)
+    if not t_top <= Z_T_MAX:  # refuses nan too, before the terms are built
+        raise DomainError(f"zeta certified only for |t| <= {Z_T_MAX:g}")
+    n = np.arange(1.0, _em_cut(t_top, factor))
+    coeff = None if weight is None else weight(n)
+    return _dirichlet_jets(sigma, t, n, coeff, order, lambda top: _em_cut(top, factor), chunk)
 
 
 def zeta_line(
@@ -266,9 +300,10 @@ def zeta_line(
     The head sums are one _dirichlet_jets call.  On a uniform grid every
     chunk shares one phase table per block of n, built from the first
     chunk's offsets, and the chunks go in fixed groups, as many as
-    _STACK_BYTES holds, of one matrix product each; irregular and
-    sign-crossing chunks, and a call of one chunk such as one point, build
-    their own tables, at most _STACK_BYTES at a time.
+    _STACK_BYTES holds, of one matrix product each, added in place into
+    the |t|-sorted jets; irregular and sign-crossing chunks, and a call of
+    one chunk such as one point, build their own tables, at most
+    _STACK_BYTES at a time.
 
     |t| above Z_T_MAX is refused before any term is built.  Near the cap,
     against mpmath at 93 points (31 evenly spaced t in [99000, 1e5] at each
@@ -276,11 +311,7 @@ def zeta_line(
     relative error at most 1.0e-9 where |zeta| >= 0.1 (6.0e-9 over all 93).
     """
     t = np.asarray(t, dtype=float)
-    t_top = np.abs(t).max(initial=0.0)
-    if not t_top <= Z_T_MAX:  # refuses nan too, before the terms are built
-        raise DomainError(f"zeta certified only for |t| <= {Z_T_MAX:g}")
-    n = np.arange(1.0, _em_cut(t_top, factor))
-    jets, cuts = _dirichlet_jets(sigma, t, n, None, order, lambda top: _em_cut(top, factor), chunk)
+    jets, cuts = _em_head(sigma, t, None, order, factor, chunk)
     return jets + _em_tail(sigma + 1j * t, cuts, order)
 
 

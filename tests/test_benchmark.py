@@ -3,7 +3,8 @@ zeros included although BENCHMARK.json does not run it, so that a change to
 src/ that breaks what perfbench/ reads of it (a name, a default such as
 zeta_line's chunk, an output key, or mollifier.Polynomial), or a value its
 mpmath checks compare (an L-value, a character, a Gauss sum, the AFE pair,
-a zero count or a sign change of Z), fails here and not only in a benchmark run."""
+a zero count or a sign change of Z), fails here and not only in a benchmark run;
+and one short run of tools/bench.py, the driver that writes BENCH_<workload>.json."""
 
 import json
 import subprocess
@@ -26,3 +27,24 @@ def test_workload_runs_and_checks_out(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0, proc.stdout[-2000:]
+
+
+def test_bench_driver_writes_its_keys(tmp_path):
+    """tools/bench.py over one short kappa seed: BENCH_kappa.json holds the
+    run's end-to-end metrics, their summary, and the machine and revision."""
+    argv = ["--workload", "kappa", "--seeds", "1", "--seconds", "1", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench.py"), *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads((tmp_path / "BENCH_kappa.json").read_text())
+    assert {"workload", "command", "seeds", "python", "numpy", "nproc", "tree"} <= doc.keys()
+    assert doc["seeds"] == [1] and "against" not in doc
+    tree = doc["tree"]
+    assert {"rev", "dirty", "runs", "summary", "correct", "failed"} <= tree.keys()
+    assert tree["correct"] is True and tree["failed"] == 0
+    (run,) = tree["runs"]
+    assert {"seed", "setup_s", "peak_rss_mb", "pass_s", "passes", "attempted", "correct", "failed"} <= run.keys()
+    for name in ("setup_s", "peak_rss_mb", "pass_s"):
+        assert tree["summary"][name] == {"median": run[name], "q1": run[name], "q3": run[name]}

@@ -19,6 +19,7 @@ from critline.mollifier import (
     mollifier_coefficients,
     mollifier_line,
     _q_operator,
+    v_line,
     wu_coefficient_table,
 )
 from critline.zeta import _dirichlet_jets, _zeta_jet, zeta, zeta_line
@@ -164,16 +165,28 @@ class TestVSmoothedZeta:
         assert a == b
 
     def test_published_linear_q_on_shifted_line(self):
-        # the moment's path: Q applied to the jets of zeta_line on sigma0
+        # the moment's path: V as one Dirichlet series plus Q on the tail's jets
         log_t = math.log(1e6)
         sigma0 = 0.5 - 1.116 / log_t
         q_poly = Polynomial((1.0, -1.032))
         t = np.array([20.0, 55.0, 90.0])
-        line = _q_operator(zeta_line(sigma0, t, order=q_poly.degree), q_poly, log_t)
+        line = v_line(sigma0, t, q_poly, log_t)
         assert np.all(np.isfinite(line))
         for k, tk in enumerate(t):
             assert line[k] == pytest.approx(v_zeta(complex(sigma0, tk), q_poly, log_t), rel=1e-12)
 
+
+    @pytest.mark.parametrize("q_poly", [Polynomial((1.0, -1.0)), Polynomial((1.0, -1.1, 0.2, -0.3))])
+    def test_one_series_matches_q_on_zeta_jets(self, q_poly):
+        """On the T = 2000 moment grid, V summed as one series with
+        coefficients Q(log n / L) agrees with Q applied to zeta_line's jets."""
+        log_t = math.log(2000.0)
+        sigma0 = 0.5 - 1.3 / log_t
+        lo, hi = SmoothWeight(2000.0).support
+        t = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.05)) + 1)
+        got = v_line(sigma0, t, q_poly, log_t)
+        want = _q_operator(zeta_line(sigma0, t, order=q_poly.degree), q_poly, log_t)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 def wu_oracle(n, spec, mode):
     """a(n) = mu(n) (P1(x_n) + P2(x_n) sum over p | n, p <= y^{3/4} of P(.)),

@@ -114,6 +114,10 @@ class TestMoment:
         assert 0.0 < report.tail_bound < 1e-13
         assert mollified_moment_numeric(BASELINE, 600.0) == report
 
+    @pytest.mark.parametrize("t_scale, moment", [(1000.0, 1245.1930864310552), (2000.0, 2460.2407729179754)])
+    def test_baseline_moment_is_pinned(self, t_scale, moment):
+        assert mollified_moment_numeric(BASELINE, t_scale).numeric_moment == pytest.approx(moment, rel=1e-13, abs=0)
+
     def test_peak_memory(self):
         """At T = 2000 the grid kernel's shared phase table is 256 x N
         complex, N = 1132 (4.6 MB); the run's peak is 10.4 MB, and was

@@ -362,6 +362,12 @@ class TestZetaLineGrid:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_reversed_grid_is_bit_identical(self, moment_grid):
+        """An ascending grid is summed in place and its reverse is scattered
+        back from |t|-sorted order: the two give the same bits."""
+        sigma, t = moment_grid
+        assert np.array_equal(zeta_line(sigma, t[::-1], 3), zeta_line(sigma, t, 3)[:, ::-1])
+
     def test_reordered_and_perturbed_grids(self, moment_grid):
         sigma, t = moment_grid
         jets = zeta_line(sigma, t, 3)
