@@ -98,7 +98,10 @@ def main() -> int:
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
     }
-    tree_rev, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
+    try:
+        tree_rev, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
+    except subprocess.CalledProcessError:  # an exported tree: no revision to record
+        tree_rev, dirty = None, None
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         checkouts = {"tree": ROOT}
         if args.against:
