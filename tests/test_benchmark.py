@@ -4,7 +4,7 @@ src/ that breaks what perfbench/ reads of it (a name, a default such as
 zeta_line's chunk, an output key, or mollifier.Polynomial), or a value its
 mpmath checks compare (an L-value, a character, a Gauss sum, the AFE pair,
 a zero count or a sign change of Z), fails here and not only in a benchmark run;
-and one short run of tools/bench.py, the driver that writes BENCH_<workload>.json."""
+and one short run of tools/bench.py, the script that writes BENCH_<workload>.json."""
 
 import json
 import subprocess
@@ -29,7 +29,7 @@ def test_workload_runs_and_checks_out(workload):
     assert result["failed"] == 0, proc.stdout[-2000:]
 
 
-def test_bench_driver_writes_its_keys(tmp_path):
+def test_bench_tool_writes_its_keys(tmp_path):
     """tools/bench.py over one short kappa seed: BENCH_kappa.json holds the
     run's end-to-end metrics, their summary, and the machine and revision."""
     argv = ["--workload", "kappa", "--seeds", "1", "--seconds", "1", "--out", str(tmp_path)]
