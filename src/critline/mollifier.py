@@ -164,5 +164,5 @@ def v_line(sigma: float, t: np.ndarray, q_poly: Polynomial, log_scale: float) ->
     to the Euler-Maclaurin tail's jets alone.
     """
     t = np.asarray(t, dtype=float)
-    head, cuts = _em_head(sigma, t, lambda n: q_poly(np.log(n) / log_scale), 0)
-    return head[0] + _q_operator(_em_tail(sigma + 1j * t, cuts, q_poly.degree), q_poly, log_scale)
+    head, cuts, lead = _em_head(sigma, t, lambda n: q_poly(np.log(n) / log_scale), 0)
+    return head[0] + _q_operator(_em_tail(sigma + 1j * t, cuts, q_poly.degree, lead), q_poly, log_scale)

@@ -59,13 +59,19 @@ def _ramp(x: np.ndarray, delta: float) -> np.ndarray:
 
 
 def smooth_weight(t, spec: SmoothWeight):
-    """w(t); accepts scalars or arrays."""
+    """w(t), the product of the rising and the falling ramp; accepts scalars or arrays."""
     t_arr = np.asarray(t, dtype=float)
     lo, hi = spec.plateau
     d = spec.delta
-    # each ramp is exactly 1 past its width and 0 at or below 0
-    out = _ramp(t_arr - (lo - d), d) * _ramp((hi + d) - t_arr, d)
-    return float(out) if np.ndim(t) == 0 else out
+    flat = np.atleast_1d(t_arr)
+    rise, fall = flat - (lo - d), (hi + d) - flat
+    # each ramp is exactly 1 past its width and 0 at or below 0, so it is
+    # evaluated only inside its width, where the other ramp is exactly 1
+    out = ((rise > 0.0) & (fall > 0.0)).astype(float)
+    for x in (rise, fall):
+        inside = (x > 0.0) & (x < d)
+        out[inside] = _ramp(x[inside], d)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def w_hat_zero(spec: SmoothWeight) -> float:

@@ -8,7 +8,15 @@ rationals.  Values and derivatives are truncated-Taylor jets in a shift x:
 every zeta, zeta^(k) and Hurwitz zeta value adds the same remainder jet
 (_em_tail) to a head sum cut at _em_cut, N = max(20, ceil(|Im s|/2)), where
 Backlund's bound on the remainder is at most 4.2e-12 for Re(s) >= 0;
-Re(s) < 0 is reached by applying the functional equation to the jets.  Every
+Re(s) < 0 is reached by applying the functional equation to the jets.  The
+remainder's bracket of Bernoulli corrections is one polynomial of degree 27
+in s + x for each N, so the points of a chunk that shares the grid's phase
+table share it too: its Taylor coefficients are built once at the chunk's
+middle point (the anchor) and shifted to each point by one Horner step per
+kept term in eps = s - s_anchor, keeping the first M >= the jet order whose
+dropped terms are bounded below 2^-60 of the bracket (M = 4-8 on the moment
+grids).  Any other point is its own anchor, with eps = 0 and the bits of the
+bracket built at it; the cut, and so Backlund's bound, are unchanged.  Every
 finite Dirichlet sum, zeta's heads, the moment's V zeta and the mollifier's
 psi and B(s, chi), is one _dirichlet_jets call, real or complex coefficients
 alike: per block of n, one phase table and one product per fixed group of
@@ -48,6 +56,8 @@ def _special():
 _EM_TERMS = 14
 # B_2k/(2k)! of the _EM_TERMS corrections, and B_30/30! of the first omitted one
 _EM_COEFF, (_EM_OMITTED,) = np.split(_em_coefficients(_EM_TERMS + 1), [_EM_TERMS])
+_EM_DEGREE = 2 * _EM_TERMS - 1  # of the tail's bracket, a polynomial in s + x (_em_bracket)
+_EM_DROP = 2.0**-60  # the bracket's terms a shared expansion may drop, relative to it (_em_kept)
 _EM_FACTOR = 0.5  # head terms per unit of max|t| (_em_cut)
 # grid kernel: ordinates per |t|-sorted chunk, most terms per block of a phase table,
 # and the byte budget of a group's stacked base weights, a direct table or a Hurwitz block
@@ -92,32 +102,97 @@ def _jet_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _em_tail(s, base, order: int) -> np.ndarray:
-    """Euler-Maclaurin remainder of sum (m+a)^{-s-x} cut at base b = N + a.
-
-    Jets in x of b^{1-s-x}/(s+x-1) + b^{-s-x}/2 plus the _EM_TERMS
-    Bernoulli corrections B_2k/(2k)! (s+x)_{2k-1} b^{-s-x-2k+1}, with
-    shape (order+1,) + the broadcast shape of s and b.
-    """
-    s, base = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(base))
-    log_b = np.log(base)
-    b_pow = np.exp(-s * log_b)
-    pow_jet = np.empty((order + 1,) + s.shape, dtype=complex)  # b^{-s-x}
-    coeff = np.ones_like(log_b)
-    for j in range(order + 1):
-        pow_jet[j] = b_pow * coeff
-        coeff = coeff * (-log_b / (j + 1))
-    # the factor of b^{-s-x}: 1/2, the pole term b/(s+x-1), and the
-    # Bernoulli sum b^{-1} sum_k B_2k/(2k)! (s+x)_{2k-1} b^{2-2k}, in
-    # Horner form in b^{-2} with (s+x)_{2k+1} = (s+x)_{2k-1} (s+x+2k-1)(s+x+2k)
+def _em_bracket(s, base, order: int) -> np.ndarray:
+    """Jets in x of the bracket 1/2 + sum_k B_2k/(2k)! (s+x)_{2k-1} b^{1-2k},
+    in Horner form in b^{-2} with (s+x)_{2k+1} = (s+x)_{2k-1} (s+x+2k-1)(s+x+2k).
+    It is a polynomial of degree _EM_DEGREE in s + x, so its rows past that
+    are 0, and row j reads no row above j: the rows up to j do not depend on
+    the order asked for."""
     inv_b2 = 1.0 / (base * base)
-    rest = np.zeros_like(pow_jet)
+    rest = np.zeros((order + 1,) + s.shape, dtype=complex)
     rest[0] = _EM_COEFF[-1]
     for k in range(_EM_TERMS - 1, 0, -1):
         rest = _jet_mul_linear(_jet_mul_linear(rest, s, 2.0 * k - 1.0), s, 2.0 * k) * inv_b2
         rest[0] += _EM_COEFF[k - 1]
     rest = _jet_mul_linear(rest, s, 0.0) / base
     rest[0] += 0.5
+    return rest
+
+
+def _em_kept(coeff: np.ndarray, reach: np.ndarray, order: int) -> np.ndarray:
+    """For each anchor (a column of coeff, the bracket's Taylor coefficients
+    c_m), the first M >= order at which the c_m past M change no jet row
+    j <= order by more than 2^-60 of the bracket at offsets |eps| <= reach:
+    sum_{m > M} C(m, j) |c_m| reach^{m-j} <= 2^-60 |c_0|.  At reach 0 that
+    is M = order."""
+    top = coeff.shape[0]
+    comb = np.array([[math.comb(m, j) for j in range(order + 1)] for m in range(top)], dtype=float)
+    power = np.maximum(np.arange(top)[:, None] - np.arange(order + 1), 0)  # m - j, 0 where C(m, j) = 0
+    size = np.abs(coeff)
+    terms = comb[:, :, None] * (reach ** np.arange(top)[:, None])[power] * size[:, None, :]
+    dropped = np.cumsum(terms[::-1], axis=0)[::-1]  # row M: the sum over m >= M
+    ok = np.all(dropped[order + 1 :] <= _EM_DROP * size[0], axis=1)  # dropping m > M, M = order .. top-2
+    return order + np.argmax(np.vstack([ok, np.ones_like(ok[:1])]), axis=0)
+
+
+def _em_shifted(s, base, order: int, lead, heads) -> np.ndarray:
+    """The bracket's jets at the points of a line s, expanded once per anchor
+    (heads, the points with lead[i] = i) and shifted to each point of its
+    group by one Horner step per kept term (_em_tail)."""
+    anchors = np.flatnonzero(heads)
+    coeff = _em_bracket(s[anchors], base[anchors], max(order, _EM_DEGREE))
+    group = (np.cumsum(heads) - 1)[lead]
+    eps = s - s[lead]
+    reach = np.zeros(anchors.size)
+    np.maximum.at(reach, group, np.abs(eps))
+    kept = _em_kept(coeff, reach, order)
+    coeff[np.arange(coeff.shape[0])[:, None] > kept] = 0.0  # each group's dropped terms
+    rest = np.zeros((order + 1, s.size), dtype=complex)
+    coeff[kept.max()].take(group, out=rest[0])
+    step, c_m = np.empty_like(rest), np.empty_like(eps)
+    for m in range(kept.max() - 1, -1, -1):  # rest <- rest (eps + x) + c_m
+        np.multiply(rest, eps, out=step)
+        step[1:] += rest[:-1]
+        step[0] += coeff[m].take(group, out=c_m)
+        rest, step = step, rest
+    return rest
+
+
+def _em_tail(s, base, order: int, lead=None) -> np.ndarray:
+    """Euler-Maclaurin remainder of sum (m+a)^{-s-x} cut at base b = N + a.
+
+    Jets in x of b^{1-s-x}/(s+x-1) + b^{-s-x}/2 plus the _EM_TERMS
+    Bernoulli corrections B_2k/(2k)! (s+x)_{2k-1} b^{-s-x-2k+1}, with
+    shape (order+1,) + the broadcast shape of s and b.
+
+    The bracket (_em_bracket) is one polynomial in s + x for each b, so the
+    points of a group that shares b share it: for a line of points s,
+    lead[i] is the anchor s_c of point i's group, and a point with
+    lead[i] = i (every point, when lead is None) is an anchor.  The
+    bracket's Taylor coefficients c_m are built once per anchor, to
+    _EM_DEGREE when some group has more than its anchor, and each point
+    takes its jets sum_m c_m (eps + x)^m, eps = s - s_c, by one Horner step
+    per kept term (_em_shifted): c_0 .. c_M, for the first M >= order whose
+    dropped terms are bounded below 2^-60 of the bracket at the group's
+    largest |eps| (_em_kept).  At eps = 0 those steps only move rows, so an
+    anchor's jets are the bracket's own rows, to the bit; a point alone in
+    its group keeps M = order, and a call of lone points takes those rows
+    without the steps.  b^{-s-x}, the pole term b/(s+x-1) and their product
+    with the bracket stay per point.
+    """
+    s, base = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(base))
+    heads = None if lead is None else lead == np.arange(s.size)
+    if heads is None or heads.all():  # eps = 0 and M = order everywhere
+        rest = _em_bracket(s, base, order)
+    else:
+        rest = _em_shifted(s, base, order, lead, heads)
+    log_b = np.log(base)
+    b_pow = np.exp(-s * log_b)
+    pow_jet = np.empty((order + 1,) + s.shape, dtype=complex)  # b^{-s-x}
+    scale = np.ones_like(log_b)
+    for j in range(order + 1):
+        pow_jet[j] = b_pow * scale
+        scale = scale * (-log_b / (j + 1))
     recip = 1.0 / (s - 1.0)
     pole = base * recip
     for j in range(order + 1):
@@ -173,7 +248,9 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     ones).  The ordinates are taken in |t|-sorted chunks of the given size,
     and a chunk sums the terms n < cut(max|t| of the chunk); cut must not
     decrease with max|t|.  Returns the jets, of shape (order+1, len(t)),
-    and every point's cut.
+    every point's cut, and every point's anchor for _em_tail (lead): the
+    middle point of its chunk if the chunk shares the phase table below,
+    the point itself otherwise (None for a call of one chunk: every point).
 
     The sum of a chunk with base ordinate t_c and offsets d_k = t_k - t_c
     is the phase table D[k, n] = n^{-i d_k} times the base weights
@@ -215,7 +292,7 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
         jets = np.zeros((order + 1, t.size), dtype=complex)
         if count:
             jets[:, idx] = _direct_jets(ts[0, : t.size], n, w0, order, int(terms[0]))
-        return jets, cuts
+        return jets, cuts, None
     side, cols = math.isqrt(chunk - 1) + 1, order + 2
     delta = ts[0] - base_t[0]
     coarse, fine = delta[::side], delta[:side]
@@ -257,18 +334,23 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
             rows = slice(group[0], group[-1] + 1) if group[-1] - group[0] < group.size else group
             out[:, rows] += prod[:, :, :-1].transpose(2, 1, 0)
     jets = out.reshape(order + 1, -1)[:, : t.size]
+    # a sharing chunk's points take its middle point as their anchor, any other point itself
+    middle = np.minimum(np.arange(count) * chunk + chunk // 2, t.size - 1)
+    lead = np.empty(t.size, dtype=np.intp)
+    lead[idx] = idx[np.where(np.repeat(share, chunk), np.repeat(middle, chunk), np.arange(count * chunk))[: t.size]]
     if np.array_equal(idx, np.arange(t.size)):  # t ascending in |t|: already in place
-        return jets, cuts
+        return jets, cuts, lead
     unsorted = np.empty_like(jets)
     unsorted[:, idx] = jets
-    return unsorted, cuts
+    return unsorted, cuts, lead
 
 
 def _em_head(sigma, t, weight, order: int, factor: float = _EM_FACTOR, chunk: int = _CHUNK):
     """Euler-Maclaurin head sums along a line: the jets of
     sum_{n < N} weight(n) n^{-sigma-it} (-log n)^j / j! (weight None for
-    all ones), each chunk cut at N = _em_cut(its max|t|, factor), and every
-    point's N.  |t| above Z_T_MAX is refused before any term is built."""
+    all ones), each chunk cut at N = _em_cut(its max|t|, factor), every
+    point's N, and its anchor for _em_tail (lead, from _dirichlet_jets).
+    |t| above Z_T_MAX is refused before any term is built."""
     t = np.asarray(t, dtype=float)
     t_top = np.abs(t).max(initial=0.0)
     if not t_top <= Z_T_MAX:  # refuses nan too, before the terms are built
@@ -293,7 +375,9 @@ def zeta_line(
     N = max(20, ceil(factor * max|t|)) of the chunk and adds the
     Euler-Maclaurin remainder at N, whose 14 Bernoulli corrections leave
     at most 4.2e-12 by Backlund's bound at the default factor 1/2 (_em_cut),
-    below the head's own rounding.  Every caller in the package uses the
+    below the head's own rounding; a chunk that shares the phase table
+    below builds their bracket once, at its middle point (_em_tail).
+    Every caller in the package uses the
     defaults; `factor` and `chunk` remain settable because the perfbench
     harness passes and reads them.
 
@@ -311,8 +395,8 @@ def zeta_line(
     relative error at most 1.0e-9 where |zeta| >= 0.1 (6.0e-9 over all 93).
     """
     t = np.asarray(t, dtype=float)
-    jets, cuts = _em_head(sigma, t, None, order, factor, chunk)
-    return jets + _em_tail(sigma + 1j * t, cuts, order)
+    jets, cuts, lead = _em_head(sigma, t, None, order, factor, chunk)
+    return jets + _em_tail(sigma + 1j * t, cuts, order, lead)
 
 
 def hurwitz_zeta(s: complex, a) -> np.ndarray:

@@ -14,6 +14,7 @@ from critline.errors import DomainError
 from critline.levinson import LevinsonParams
 from critline.moment import (
     SmoothWeight,
+    _ramp,
     mollified_moment_numeric,
     smooth_weight,
     w_hat_zero,
@@ -80,6 +81,30 @@ class TestSmoothWeight:
             est = abs(sum(weights[k] * smooth_weight(t + grid[k], w) for k in range(9)))
             worst = max(worst, est * d**order)
         assert worst < DERIVATIVE_BOUNDS[order]
+
+    @pytest.mark.parametrize("t_scale", [1e3, 2e3, 2e4])
+    def test_ramps_only_inside_their_width(self, t_scale):
+        """The weight evaluates each ramp only where 0 < x < delta; everywhere
+        else the product of the two ramps is exactly 0 or 1, so the weight is
+        that product to the bit, on the moment grid, at the knots and on scalars."""
+        w = SmoothWeight(t_scale)
+        lo, hi = w.plateau
+        d = w.delta
+
+        def product(t):
+            t = np.asarray(t, dtype=float)
+            return _ramp(t - (lo - d), d) * _ramp((hi + d) - t, d)
+
+        a, b = w.support
+        grid = np.linspace(a, b, int(math.ceil((b - a) / 0.05)) + 1)
+        assert np.array_equal(smooth_weight(grid, w), product(grid))
+        knots = np.array([lo - d, lo, hi, hi + d])
+        near = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), knots + 1e-3])
+        assert np.array_equal(smooth_weight(near, w), product(near))
+        assert np.array_equal(smooth_weight(near.reshape(4, 4), w), product(near).reshape(4, 4))
+        for t in (*near, 0.0, 3.0 * t_scale):
+            got = smooth_weight(float(t), w)
+            assert type(got) is float and got == float(product(t))
 
 
 class TestWHatZero:

@@ -19,11 +19,19 @@ import critline.zeta as zeta_module
 from critline.errors import ConditioningError, DomainError, PoleError
 from critline.moment import SmoothWeight
 from critline.zeta import (
+    _EM_COEFF,
+    _EM_DEGREE,
+    _EM_TERMS,
     AfeParams,
     _afe_v_table,
+    _dirichlet_jets,
+    _em_bracket,
     _em_cut,
+    _em_kept,
     _em_tail,
     _em_tail_bound,
+    _jet_mul,
+    _jet_mul_linear,
     afe_pair,
     afe_x_factor,
     count_critical_zeros,
@@ -386,6 +394,128 @@ class TestZetaLineGrid:
         both = zeta_line(sigma, np.concatenate((-half[800:0:-1], half)), 3)
         assert _rows_close(both[:, 800:], ref, 1e-12)
         assert _rows_close(both[:, :800], np.conj(ref[:, 800:0:-1]), 1e-12)
+
+
+def _tail_oracle(s, base, order):
+    """The Euler-Maclaurin tail built at every point on its own: the Horner
+    loop in b^{-2} over the Bernoulli corrections at each s, the pole term,
+    and the product with b^{-s-x}."""
+    s, base = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(base))
+    log_b = np.log(base)
+    b_pow = np.exp(-s * log_b)
+    pow_jet = np.empty((order + 1,) + s.shape, dtype=complex)
+    coeff = np.ones_like(log_b)
+    for j in range(order + 1):
+        pow_jet[j] = b_pow * coeff
+        coeff = coeff * (-log_b / (j + 1))
+    inv_b2 = 1.0 / (base * base)
+    rest = np.zeros_like(pow_jet)
+    rest[0] = _EM_COEFF[-1]
+    for k in range(_EM_TERMS - 1, 0, -1):
+        rest = _jet_mul_linear(_jet_mul_linear(rest, s, 2.0 * k - 1.0), s, 2.0 * k) * inv_b2
+        rest[0] += _EM_COEFF[k - 1]
+    rest = _jet_mul_linear(rest, s, 0.0) / base
+    rest[0] += 0.5
+    recip = 1.0 / (s - 1.0)
+    pole = base * recip
+    for j in range(order + 1):
+        rest[j] += pole
+        pole = -pole * recip
+    return _jet_mul(pow_jet, rest)
+
+
+def _tail_grouping(sigma, t):
+    """The cuts and anchors that zeta_line passes to _em_tail.  Both depend
+    on the ordinates alone, so the grid kernel runs over the one term n = 1."""
+    _, cuts, lead = _dirichlet_jets(sigma, t, np.ones(1), None, 0, _em_cut)
+    return cuts, lead
+
+
+def _assert_tail_close(sigma, t, orders=range(4)):
+    """_em_tail with zeta_line's grouping within 2e-15 relative of the oracle
+    at every point and jet row; the oracle runs in blocks of 2^15 points."""
+    cuts, lead = _tail_grouping(sigma, t)
+    s = sigma + 1j * t
+    for order in orders:
+        got = _em_tail(s, cuts, order, lead)
+        for b0 in range(0, t.size, 1 << 15):
+            want = _tail_oracle(s[b0 : b0 + (1 << 15)], cuts[b0 : b0 + (1 << 15)], order)
+            assert np.all(np.abs(got[:, b0 : b0 + (1 << 15)] - want) <= 2e-15 * np.abs(want))
+    return lead
+
+
+class TestEulerMaclaurinTail:
+    """_em_tail builds the bracket's Taylor coefficients once per anchor and
+    shifts them to each point of its group; the oracle builds the bracket at
+    every point.  The bound, 2e-15 relative at every point, was fixed before
+    measuring."""
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_lone_points_are_bit_identical(self, order):
+        for sigma in (-0.3, 0.5, 2.0):
+            for tv in (0.0, 14.13, 1e3, 9.9e4):
+                s, base = np.array([complex(sigma, tv)]), np.array([float(_em_cut(abs(tv)))])
+                want = _tail_oracle(s, base, order)
+                assert np.array_equal(_em_tail(s, base, order), want)
+                assert np.array_equal(_em_tail(s, base, order, np.zeros(1, dtype=int)), want)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_anchors_and_lone_points_in_a_grid_are_bit_identical(self, order):
+        """257 points: one chunk of 256 that shares its anchor, and a point
+        alone, whose expansion keeps M = order terms at eps = 0."""
+        sigma, t = 0.4, 1000.0 + 0.05 * np.arange(257)
+        cuts, lead = _tail_grouping(sigma, t)
+        heads = lead == np.arange(t.size)
+        assert np.flatnonzero(heads).tolist() == [128, 256]
+        s = sigma + 1j * t
+        got = _em_tail(s, cuts, order, lead)
+        assert np.array_equal(got[:, heads], _tail_oracle(s[heads], cuts[heads], order))
+
+    def test_hurwitz_offsets_are_bit_identical(self):
+        a = np.linspace(0.025, 1.0, 40)
+        for s in (0.5 + 14.13j, 2.0 - 300.0j, -0.3 + 1e3j):
+            base = _em_cut(abs(s.imag)) + a
+            assert np.array_equal(_em_tail(s, base, 0), _tail_oracle(s, base, 0))
+
+    @pytest.mark.parametrize("t_scale", [1e3, 2e3, 5e3, 2e4])
+    def test_moment_grids(self, t_scale):
+        lo, hi = SmoothWeight(t_scale).support
+        t = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.05)) + 1)
+        lead = _assert_tail_close(0.5 - 1.3 / math.log(t_scale), t)
+        assert np.count_nonzero(lead == np.arange(t.size)) == -(-t.size // 256)  # one anchor per chunk
+
+    def test_other_grids(self, moment_grid):
+        """A low grid, a grid through t = 0 (whose chunks build their own
+        tables, so each point is its own anchor), a shuffled moment grid, and
+        256 scattered points near the height cap."""
+        _assert_tail_close(0.5, np.linspace(0.1, 60.0, 600))
+        _assert_tail_close(0.25, np.linspace(-40.0, 40.0, 801))
+        sigma, t = moment_grid
+        _assert_tail_close(sigma, t[np.random.default_rng(7).permutation(t.size)])
+        _assert_tail_close(0.5, np.sort(np.random.default_rng(11).uniform(99000.0, 99050.0, 256)))
+
+    @pytest.mark.parametrize("t_scale", [1e3, 2e4])
+    def test_kept_terms_are_the_first_below_the_bound(self, t_scale):
+        """Per anchor, M is the first M >= order at which
+        sum_{m > M} C(m, j) |c_m| r^{m-j} <= 2^-60 |c_0| for every j <= order."""
+        lo, hi = SmoothWeight(t_scale).support
+        t = np.linspace(lo, hi, 12)
+        s = 0.5 - 1.3 / math.log(t_scale) + 1j * t
+        base = np.array([float(_em_cut(v)) for v in t])
+        coeff = _em_bracket(s, base, _EM_DEGREE)
+        reach = np.array([0.0, 0.05, 1.0, 6.4, 12.8, 40.0, 6.4, 6.4, 3.2, 0.5, 100.0, 6.4])
+        for order in range(4):
+            kept = _em_kept(coeff, reach, order)
+            for g in range(t.size):
+                size = np.abs(coeff[:, g])
+
+                def dropped(top):
+                    return max(sum(math.comb(m, j) * size[m] * reach[g] ** (m - j)
+                                   for m in range(top + 1, _EM_DEGREE + 1)) for j in range(order + 1))
+
+                assert dropped(kept[g]) <= 2.0**-60 * size[0]
+                assert kept[g] == order or dropped(kept[g] - 1) > 2.0**-60 * size[0]
+            assert kept[0] == order  # reach 0: a lone point
 
 
 class TestHurwitzZeta:
