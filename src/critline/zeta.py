@@ -9,14 +9,9 @@ every zeta, zeta^(k) and Hurwitz zeta value adds the same remainder jet
 (_em_tail) to a head sum cut at _em_cut, N = max(20, ceil(|Im s|/2)), where
 Backlund's bound on the remainder is at most 4.2e-12 for Re(s) >= 0;
 Re(s) < 0 is reached by applying the functional equation to the jets.  The
-remainder's bracket of Bernoulli corrections is one polynomial of degree 27
-in s + x for each N, so the points of a chunk that shares the grid's phase
-table share it too: its Taylor coefficients are built once at the chunk's
-middle point (the anchor) and shifted to each point by one Horner step per
-kept term in eps = s - s_anchor, keeping the first M >= the jet order whose
-dropped terms are bounded below 2^-60 of the bracket (M = 4-8 on the moment
-grids).  Any other point is its own anchor, with eps = 0 and the bits of the
-bracket built at it; the cut, and so Backlund's bound, are unchanged.  Every
+remainder's bracket of Bernoulli corrections is a polynomial in s for each
+N, so a chunk that shares the grid's phase table expands it once, at its
+middle point, and shifts it to each of its points (_em_tail).  Every
 finite Dirichlet sum, zeta's heads, the moment's V zeta and the mollifier's
 psi and B(s, chi), is one _dirichlet_jets call, real or complex coefficients
 alike: per block of n, one phase table and one product per fixed group of
@@ -104,10 +99,8 @@ def _jet_exp(a: np.ndarray) -> np.ndarray:
 
 def _em_bracket(s, base, order: int) -> np.ndarray:
     """Jets in x of the bracket 1/2 + sum_k B_2k/(2k)! (s+x)_{2k-1} b^{1-2k},
-    in Horner form in b^{-2} with (s+x)_{2k+1} = (s+x)_{2k-1} (s+x+2k-1)(s+x+2k).
-    It is a polynomial of degree _EM_DEGREE in s + x, so its rows past that
-    are 0, and row j reads no row above j: the rows up to j do not depend on
-    the order asked for."""
+    in Horner form in b^{-2} with (s+x)_{2k+1} = (s+x)_{2k-1} (s+x+2k-1)(s+x+2k):
+    a polynomial of degree _EM_DEGREE in s + x, whose row j reads no higher row."""
     inv_b2 = 1.0 / (base * base)
     rest = np.zeros((order + 1,) + s.shape, dtype=complex)
     rest[0] = _EM_COEFF[-1]
@@ -120,11 +113,9 @@ def _em_bracket(s, base, order: int) -> np.ndarray:
 
 
 def _em_kept(coeff: np.ndarray, reach: np.ndarray, order: int) -> np.ndarray:
-    """For each anchor (a column of coeff, the bracket's Taylor coefficients
-    c_m), the first M >= order at which the c_m past M change no jet row
-    j <= order by more than 2^-60 of the bracket at offsets |eps| <= reach:
-    sum_{m > M} C(m, j) |c_m| reach^{m-j} <= 2^-60 |c_0|.  At reach 0 that
-    is M = order."""
+    """Per anchor (a column c_m of the bracket's Taylor coefficients), the
+    first M >= order with sum_{m > M} C(m, j) |c_m| reach^{m-j} <= 2^-60 |c_0|
+    for every jet row j <= order: M = order at reach 0."""
     top = coeff.shape[0]
     comb = np.array([[math.comb(m, j) for j in range(order + 1)] for m in range(top)], dtype=float)
     power = np.maximum(np.arange(top)[:, None] - np.arange(order + 1), 0)  # m - j, 0 where C(m, j) = 0
@@ -136,9 +127,8 @@ def _em_kept(coeff: np.ndarray, reach: np.ndarray, order: int) -> np.ndarray:
 
 
 def _em_shifted(s, base, order: int, lead, heads) -> np.ndarray:
-    """The bracket's jets at the points of a line s, expanded once per anchor
-    (heads, the points with lead[i] = i) and shifted to each point of its
-    group by one Horner step per kept term (_em_tail)."""
+    """The bracket's jets at the points of a line s, expanded at each anchor
+    (heads: lead[i] = i) to _EM_DEGREE and shifted to its group (_em_tail)."""
     anchors = np.flatnonzero(heads)
     coeff = _em_bracket(s[anchors], base[anchors], max(order, _EM_DEGREE))
     group = (np.cumsum(heads) - 1)[lead]
@@ -165,20 +155,17 @@ def _em_tail(s, base, order: int, lead=None) -> np.ndarray:
     Bernoulli corrections B_2k/(2k)! (s+x)_{2k-1} b^{-s-x-2k+1}, with
     shape (order+1,) + the broadcast shape of s and b.
 
-    The bracket (_em_bracket) is one polynomial in s + x for each b, so the
-    points of a group that shares b share it: for a line of points s,
-    lead[i] is the anchor s_c of point i's group, and a point with
-    lead[i] = i (every point, when lead is None) is an anchor.  The
-    bracket's Taylor coefficients c_m are built once per anchor, to
-    _EM_DEGREE when some group has more than its anchor, and each point
-    takes its jets sum_m c_m (eps + x)^m, eps = s - s_c, by one Horner step
-    per kept term (_em_shifted): c_0 .. c_M, for the first M >= order whose
-    dropped terms are bounded below 2^-60 of the bracket at the group's
-    largest |eps| (_em_kept).  At eps = 0 those steps only move rows, so an
-    anchor's jets are the bracket's own rows, to the bit; a point alone in
-    its group keeps M = order, and a call of lone points takes those rows
-    without the steps.  b^{-s-x}, the pole term b/(s+x-1) and their product
-    with the bracket stay per point.
+    The bracket (_em_bracket) is a polynomial in s + x for each b.  For a
+    line of points s, lead[i] is the anchor s_c of point i's group, which
+    shares b; a point with lead[i] = i (every point, when lead is None) is
+    an anchor.  The bracket's Taylor coefficients c_m are built once per
+    anchor, and each point takes its jets sum_m c_m (eps + x)^m,
+    eps = s - s_c, by one Horner step per kept term (_em_shifted), keeping
+    c_0 .. c_M for the first M >= order whose dropped terms are bounded
+    below 2^-60 of the bracket (_em_kept).  At eps = 0 the steps only move
+    rows, so an anchor and a lone point (M = order) get the bracket's own
+    rows, to the bit; a call of lone points skips the steps.  b^{-s-x}, the
+    pole term b/(s+x-1) and their product with the bracket stay per point.
     """
     s, base = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(base))
     heads = None if lead is None else lead == np.arange(s.size)
@@ -189,10 +176,10 @@ def _em_tail(s, base, order: int, lead=None) -> np.ndarray:
     log_b = np.log(base)
     b_pow = np.exp(-s * log_b)
     pow_jet = np.empty((order + 1,) + s.shape, dtype=complex)  # b^{-s-x}
-    scale = np.ones_like(log_b)
+    coeff = np.ones_like(log_b)
     for j in range(order + 1):
-        pow_jet[j] = b_pow * scale
-        scale = scale * (-log_b / (j + 1))
+        pow_jet[j] = b_pow * coeff
+        coeff = coeff * (-log_b / (j + 1))
     recip = 1.0 / (s - 1.0)
     pole = base * recip
     for j in range(order + 1):
