@@ -123,7 +123,7 @@ def _em_kept(coeff: np.ndarray, reach: np.ndarray, order: int) -> np.ndarray:
     terms = comb[:, :, None] * (reach ** np.arange(top)[:, None])[power] * size[:, None, :]
     dropped = np.cumsum(terms[::-1], axis=0)[::-1]  # row M: the sum over m >= M
     ok = np.all(dropped[order + 1 :] <= _EM_DROP * size[0], axis=1)  # dropping m > M, M = order .. top-2
-    return order + np.argmax(np.vstack([ok, np.ones_like(ok[:1])]), axis=0)
+    return order + np.argmax(np.vstack([ok, np.ones(size.shape[1], dtype=bool)]), axis=0)  # M = top-1 drops none
 
 
 def _em_shifted(s, base, order: int, lead, heads) -> np.ndarray:

@@ -494,6 +494,10 @@ class TestEulerMaclaurinTail:
         _assert_tail_close(sigma, t[np.random.default_rng(7).permutation(t.size)])
         _assert_tail_close(0.5, np.sort(np.random.default_rng(11).uniform(99000.0, 99050.0, 256)))
 
+    def test_orders_past_the_bracket_degree(self):
+        """At order >= 27 every Taylor coefficient of the bracket is kept."""
+        _assert_tail_close(0.3, 500.0 + 0.05 * np.arange(600), orders=(_EM_DEGREE, _EM_DEGREE + 2))
+
     @pytest.mark.parametrize("t_scale", [1e3, 2e4])
     def test_kept_terms_are_the_first_below_the_bound(self, t_scale):
         """Per anchor, M is the first M >= order at which
