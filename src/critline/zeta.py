@@ -363,10 +363,9 @@ def zeta_line(
     Euler-Maclaurin remainder at N, whose 14 Bernoulli corrections leave
     at most 4.2e-12 by Backlund's bound at the default factor 1/2 (_em_cut),
     below the head's own rounding; a chunk that shares the phase table
-    below builds their bracket once, at its middle point (_em_tail).
-    Every caller in the package uses the
-    defaults; `factor` and `chunk` remain settable because the perfbench
-    harness passes and reads them.
+    below builds their bracket once, at its middle point (_em_tail).  Every
+    caller in the package uses the defaults; `factor` and `chunk` remain
+    settable because the perfbench harness passes and reads them.
 
     The head sums are one _dirichlet_jets call.  On a uniform grid every
     chunk shares one phase table per block of n, built from the first
