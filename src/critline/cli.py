@@ -150,19 +150,10 @@ def parse_config(argv: list[str]) -> RunConfig:
     raw: dict[str, str] = {}
     if known.config:
         raw.update(_read_config_file(known.config))
-    key = None
-    for tok in rest:
-        if tok.startswith("--"):
-            if key is not None:
-                raise ConfigError(f"flag --{key} is missing a value")
-            key = tok[2:]
-        elif key is not None:
-            raw[key] = tok
-            key = None
-        else:
-            raise ConfigError(f"unexpected token {tok!r}")
-    if key is not None:
-        raise ConfigError(f"flag --{key} is missing a value")
+    keys, values = rest[::2], rest[1::2]  # what argparse left, in order: --key value pairs
+    if len(keys) != len(values) or not all(k.startswith("--") for k in keys) or any(v.startswith("--") for v in values):
+        raise ConfigError(f"expected --key value pairs, got {' '.join(rest)!r}")
+    raw.update(zip((k[2:] for k in keys), values))
 
     unknown = set(raw) - set(schema)
     if unknown:

@@ -150,16 +150,10 @@ class DirichletCharacter:
         return self.conductor == self.modulus
 
     def conjugate(self) -> "DirichletCharacter":
-        """The conjugate character: negated phases, and the index whose
-        mixed-radix digits are the negated digits of this one's."""
+        """The conjugate character: negated phases, at the row the table's
+        conjugates column names (index -1 stays -1)."""
         conj = np.where(self.phases > 0, self.order_lcm - self.phases, self.phases)
-        index = self.index
-        if index >= 0:
-            rest, index, stride = index, 0, 1
-            for order in reversed(character_table(self.modulus).orders):
-                rest, digit = divmod(rest, order)
-                index += -digit % order * stride
-                stride *= order
+        index = int(character_table(self.modulus).conjugates[self.index]) if self.index >= 0 else -1
         return DirichletCharacter(self.modulus, self.order_lcm, conj, index, self.conductor)
 
 
@@ -167,9 +161,9 @@ class DirichletCharacter:
 class CharacterTable:
     """Every character mod q at once.
 
-    Row i of phases is character i: its component exponents are the
-    mixed-radix digits of i over orders, the last component varying
-    fastest.  phases and conductors are read-only.
+    Row i of phases is character i, whose exponents are the mixed-radix
+    digits of i over orders (the last varying fastest); conjugates[i] is
+    the row of the negated digits.  Every array is read-only.
     """
 
     modulus: int
@@ -177,6 +171,7 @@ class CharacterTable:
     order_lcm: int
     phases: np.ndarray = field(repr=False)
     conductors: np.ndarray = field(repr=False)
+    conjugates: np.ndarray = field(repr=False)
 
     @property
     def parities(self) -> np.ndarray:
@@ -199,7 +194,8 @@ def character_table(q: int) -> CharacterTable:
     orders, tables = _component_dlogs(q)
     lcm, count = math.lcm(*orders), math.prod(orders)
     radix = np.array(orders, dtype=np.int64)
-    digits = np.arange(count)[:, None] // (count // np.cumprod(radix)) % radix
+    strides = count // np.cumprod(radix)
+    digits = np.arange(count)[:, None] // strides % radix
     n = np.arange(q)
     units = np.gcd(n, q) == 1
     dlogs = np.array(tables, dtype=np.int64).reshape(len(orders), q)[:, units]
@@ -210,7 +206,8 @@ def character_table(q: int) -> CharacterTable:
     conductors = np.empty(count, dtype=np.int64)
     for d in (d for d in range(q, 0, -1) if q % d == 0):
         conductors[np.all(phases[:, units & (n % d == 1 % d)] == 0, axis=1)] = d
-    return CharacterTable(q, tuple(orders), lcm, _frozen(phases), _frozen(conductors))
+    conjugates = (-digits % radix) @ strides
+    return CharacterTable(q, tuple(orders), lcm, _frozen(phases), _frozen(conductors), _frozen(conjugates))
 
 
 def character(q: int, index: int) -> DirichletCharacter:

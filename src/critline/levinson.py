@@ -93,7 +93,7 @@ def _weight_shift(r: float) -> float:
 
 
 def c_forms(q_values: np.ndarray, q_slopes: np.ndarray, r: float, theta: float) -> np.ndarray:
-    """Conrey's node forms (A, B, G), stacked, over the rows of Q's node values and slopes.
+    """Conrey's node forms (A, B, G), stacked over the rows of Q's node values and slopes, or at one 1-D row.
 
     The inner x-derivative at x=0, R theta P(u)Q(v) + P'(u)Q(v) + theta P(u)Q'(v),
     is P(u)F(v) + P'(u)Q(v) with F = theta (R Q + Q'); A, B and G are the node
@@ -112,7 +112,7 @@ def c_constant_exact(params: LevinsonParams) -> float:
     p, q, r, theta = params.p_poly, params.q_poly, params.r_shift, params.theta
     pp, ppd, pdpd = _p_integrals(p)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        a, b, g = c_forms(q(NODES)[None], q.derivative()(NODES)[None], r, theta).ravel()
+        a, b, g = c_forms(q(NODES), q.derivative()(NODES), r, theta)
         c = 1.0 + float(np.exp(_weight_shift(r))) * (float(pp * a + 2.0 * ppd * b + pdpd * g) / theta)
     return finite(c, f"c at R = {r}")
 

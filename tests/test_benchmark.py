@@ -29,10 +29,12 @@ def test_workload_runs_and_checks_out(workload):
     assert result["failed"] == 0, proc.stdout[-2000:]
 
 
-def test_bench_tool_writes_its_keys(tmp_path):
+@pytest.mark.parametrize("against", [[], ["--against", "HEAD"]], ids=["tree", "against-head"])
+def test_bench_tool_writes_its_keys(tmp_path, against):
     """tools/bench.py over one short kappa seed: BENCH_kappa.json holds the
-    run's end-to-end metrics, their summary, and the machine and revision."""
-    argv = ["--workload", "kappa", "--seeds", "1", "--seconds", "1", "--out", str(tmp_path)]
+    run's end-to-end metrics, their summary, and the machine and revision;
+    with --against, also REV's side, run first on the odd seed, and the pairs."""
+    argv = ["--workload", "kappa", "--seeds", "1", "--seconds", "1", "--out", str(tmp_path), *against]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench.py"), *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -40,7 +42,7 @@ def test_bench_tool_writes_its_keys(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads((tmp_path / "BENCH_kappa.json").read_text())
     assert {"workload", "command", "seeds", "python", "numpy", "nproc", "tree"} <= doc.keys()
-    assert doc["seeds"] == [1] and "against" not in doc
+    assert doc["seeds"] == [1] and ("against" in doc) == bool(against)
     tree = doc["tree"]
     assert {"rev", "dirty", "runs", "summary", "correct", "failed"} <= tree.keys()
     assert tree["correct"] is True and tree["failed"] == 0
@@ -48,3 +50,11 @@ def test_bench_tool_writes_its_keys(tmp_path):
     assert {"seed", "setup_s", "peak_rss_mb", "pass_s", "passes", "attempted", "correct", "failed"} <= run.keys()
     for name in ("setup_s", "peak_rss_mb", "pass_s"):
         assert tree["summary"][name] == {"median": run[name], "q1": run[name], "q3": run[name]}
+    if against:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True)
+        assert doc["against"]["rev"] == head.stdout.strip()
+        assert doc["against"]["correct"] is True and doc["against"]["failed"] == 0
+        for name in ("setup_s", "peak_rss_mb", "pass_s"):
+            assert {"lower", "of", "median_change"} <= doc["pairs"][name].keys()
+            assert doc["pairs"][name]["of"] == 1
+        assert proc.stderr.index("against seed 1") < proc.stderr.index("tree seed 1")

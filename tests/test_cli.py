@@ -112,6 +112,30 @@ class TestParsing:
         assert os.listdir(tmp_path) == []
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeros", "--tmax"),
+            ("zeros", "--tmax", "5", "--step"),
+            ("zeros", "--tmax", "--step", "0.1"),
+            ("zeros", "5"),
+            ("zeros", "--tmax", "5", "6"),
+        ],
+        ids=["flag-without-value", "last-flag-without-value", "flag-for-value", "bare-value", "extra-value"],
+    )
+    def test_malformed_flags_refused(self, capsys, argv):
+        # what follows the command must alternate --key and value
+        with pytest.raises(ConfigError):
+            parse_config(list(argv))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "error [config]" in err
+
+    def test_malformed_flags_named(self):
+        with pytest.raises(ConfigError, match="'--tmax --step 0.1'"):
+            parse_config(["zeros", "--tmax", "--step", "0.1"])
+
+
 class TestExitCodes:
     def test_empty_argv_usage(self, capsys):
         code, _, err = run_cli(capsys)

@@ -150,6 +150,30 @@ class TestEnumeration:
                 assert cc.conductor == c.conductor
                 assert cc.conjugate().index == c.index
 
+    def test_table_conjugates(self):
+        def negated_digits(index, orders):
+            # the index whose mixed-radix digits over orders, the last
+            # varying fastest, are the negated digits of index
+            rest, out, stride = index, 0, 1
+            for order in reversed(orders):
+                rest, digit = divmod(rest, order)
+                out += -digit % order * stride
+                stride *= order
+            return out
+
+        for q in range(1, 201):
+            table = character_table(q)
+            conj = table.conjugates
+            assert conj.tolist() == [negated_digits(i, table.orders) for i in range(len(conj))]
+            assert np.array_equal(conj[conj], np.arange(len(conj)))
+            negated = np.where(table.phases >= 0, -table.phases % table.order_lcm, -1)
+            assert np.array_equal(table.phases[conj], negated)
+        with pytest.raises(ValueError):
+            conj[0] = conj[0]
+        # a character outside the table, such as an induced primitive one, keeps index -1
+        prim = induced_primitive(next(c for c in enumerate_characters(12) if 1 < c.conductor < 12))
+        assert prim.index == prim.conjugate().index == -1
+
     def test_induced_primitive(self):
         for c in enumerate_characters(12):
             prim = induced_primitive(c)

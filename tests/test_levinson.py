@@ -297,6 +297,19 @@ class TestCConstant:
             want = 1.0 + (alpha * pp + 2.0 * beta * ppd + gamma * pdpd) / theta
             assert c_constant_exact(params) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.5, THETA_MAX])
+    def test_forms_at_one_row_match_the_stacked_call(self, theta):
+        # c_constant_exact passes Q's one node row as it is; the forms are
+        # those of the same row stacked, bit for bit
+        for t in published_tuples():
+            q = t.q_poly
+            for r in (0.1, 1.3, 10.0, 100.0, 300.0, 354.9):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    row = c_forms(q(NODES), q.derivative()(NODES), r, theta)
+                    stacked = c_forms(q(NODES)[None], q.derivative()(NODES)[None], r, theta)
+                assert row.shape == (3,)
+                np.testing.assert_array_equal(row, stacked.ravel())
+
     def test_cross_path_agreement(self, rng):
         for _ in range(25):
             params = random_params(rng)
