@@ -111,7 +111,6 @@ class TestParsing:
         assert out == "" and "error [config]" in err and target in err
         assert os.listdir(tmp_path) == []
 
-
     @pytest.mark.parametrize(
         "argv",
         [
