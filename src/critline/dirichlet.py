@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, finite
-from .zeta import _reflect, _special, hurwitz_zeta
+from .zeta import _digamma, _loggamma, _reflect, hurwitz_zeta
 
 _CACHE_SIZE = 16
 _TABLE_ENTRIES = 1 << 22  # the largest phi(q) * q character table
@@ -272,7 +272,7 @@ def xi_completed_l(s: complex, chi: DirichletCharacter) -> complex:
     a = (s + chi.parity) / 2.0
     if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
         return epsilon_factor(chi) * xi_completed_l(1.0 - s, chi.conjugate())
-    log_factor = a * math.log(chi.modulus / math.pi) + complex(_special().loggamma(a))
+    log_factor = a * math.log(chi.modulus / math.pi) + complex(_loggamma(a))
     if s.real < 0.0:
         reflected = epsilon_factor(chi) * l_function(1.0 - s, chi.conjugate())
         return complex(_reflect(s, chi.parity, np.array([reflected]), math.log(chi.modulus), log_factor)[0])
@@ -310,7 +310,7 @@ def l_function(s: complex, chi: DirichletCharacter) -> complex:
         return complex(_reflect(s, prim.parity, np.array([reflected]), math.log(prim.modulus), log_euler)[0])
     if s == 1.0 and not chi.is_principal:
         residues = np.flatnonzero(chi.phases >= 0)  # q >= 3 here: no unit is q itself
-        return complex(-np.sum(chi(residues) * _special().psi(residues / q)) / q)
+        return complex(-np.sum(chi(residues) * _digamma(residues / q)) / q)
     residues, row = _hurwitz_row(q, s)
     return cmath.exp(-s * math.log(q)) * complex(np.sum(chi(residues) * row))
 

@@ -16,8 +16,9 @@ finite Dirichlet sum, zeta's heads, the moment's V zeta and the mollifier's
 psi and B(s, chi), is one _dirichlet_jets call, real or complex coefficients
 alike: per block of n, one phase table and one product per fixed group of
 chunks, added in place into the |t|-sorted jets.
-Complex log Gamma and psi are scipy.special's, imported on first use
-(_special): only the reflection, xi, Hardy's Z and the AFE load scipy.
+Complex log Gamma and psi (_loggamma, _digamma), for the reflection, xi,
+Hardy's Z and the AFE, are numpy's own: Stirling's series with the same exact
+Bernoulli numbers, one vectorized path for a point or a line.
 """
 
 from __future__ import annotations
@@ -32,25 +33,20 @@ import numpy as np
 from .errors import ConditioningError, DomainError, PoleError, finite
 
 
-def _em_coefficients(terms: int) -> np.ndarray:
-    """B_2k/(2k)! for k = 1 .. terms, each rounded once from the exact
-    Bernoulli numbers of sum_{k <= m} C(m+1, k) B_k = 0 (m >= 1, B_0 = 1)."""
+def _bernoulli(terms: int) -> list[Fraction]:
+    """The exact Bernoulli numbers B_2k for k = 1 .. terms, from
+    sum_{k <= m} C(m+1, k) B_k = 0 (m >= 1, B_0 = 1)."""
     b = [Fraction(1)]
     for m in range(1, 2 * terms + 1):
         b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
-    return np.array([float(b[2 * k] / math.factorial(2 * k)) for k in range(1, terms + 1)])
-
-
-def _special():
-    """scipy.special, imported on the first complex log Gamma or psi rather
-    than at load: the import takes about 0.3 s, which most commands never need."""
-    from scipy import special
-    return special
+    return b[2::2]
 
 
 _EM_TERMS = 14
-# B_2k/(2k)! of the _EM_TERMS corrections, and B_30/30! of the first omitted one
-_EM_COEFF, (_EM_OMITTED,) = np.split(_em_coefficients(_EM_TERMS + 1), [_EM_TERMS])
+_B2K = _bernoulli(_EM_TERMS + 1)
+# B_2k/(2k)!, each rounded once, of the _EM_TERMS corrections and of the first omitted one (B_30/30!)
+_EM_COEFF, (_EM_OMITTED,) = np.split(
+    np.array([float(b / math.factorial(2 * k)) for k, b in enumerate(_B2K, 1)]), [_EM_TERMS])
 _EM_DEGREE = 2 * _EM_TERMS - 1  # of the tail's bracket, a polynomial in s + x (_em_bracket)
 _EM_DROP = 2.0**-60  # the bracket's terms a shared expansion may drop, relative to it (_em_kept)
 _EM_FACTOR = 0.5  # head terms per unit of max|t| (_em_cut)
@@ -65,6 +61,77 @@ Z_T_MAX = 1e5
 # most points in one zero scan or moment grid: a scan of [0, Z_T_MAX] at the
 # default step 0.05 has 2,000,001
 GRID_MAX = 2_000_001
+# log Gamma and psi move a point w with |w| < _GAMMA_SHIFT up by whole steps to
+# Re w >= _GAMMA_SHIFT, then take Stirling's series in 1/w^2: rows B_2k/(2k(2k-1))
+# (log Gamma) and B_2k/(2k) (psi) for k = 8 down to 1, as np.polyval reads them;
+# at |w| = 7 the first omitted terms are below 1e-15 of the value
+_GAMMA_SHIFT = 7.0
+_STIRLING = np.array([[float(_B2K[k - 1] / (2 * k * (2 * k - 1))) for k in range(8, 0, -1)],
+                      [float(_B2K[k - 1] / (2 * k)) for k in range(8, 0, -1)]])
+_HALF_LOG_2PI = 0.918938533204672742  # log(2 pi)/2 rounded once; math.log(2.0 * math.pi) / 2 is 1 ulp above
+
+
+# ---------------------------------------------------------------------------
+# log Gamma and psi, vectorized over any array of points
+
+
+def _stirling_point(z: np.ndarray):
+    """Where log Gamma and psi take Stirling's series, for z flattened:
+    whether Re z < 0 (left, reflected to 1 - z), the point w = 1 - z there
+    and z elsewhere, moved up by n whole steps as _GAMMA_SHIFT asks, and for
+    the moved points (idx) their steps w + k, k < n (on marks k < n)."""
+    left = z.real < 0.0
+    w = np.where(left, 1.0 - z, z)
+    n = np.where(np.abs(w) < _GAMMA_SHIFT, np.ceil(_GAMMA_SHIFT - w.real), 0.0)  # 0 for nan
+    idx = np.flatnonzero(n)
+    k = np.arange(n.max(initial=0.0))
+    return left, w + n, idx, w[idx, None] + k, k < n[idx, None]
+
+
+def _loggamma(z) -> np.ndarray:
+    """log Gamma(z) over an array of complex z, in scipy.special.loggamma's
+    branch: the analytic continuation from the positive axis, cut on the
+    negative real axis, Im z = +0 and -0 taking the limits from above and
+    below.  As log Gamma(conj z) = conj log Gamma(z), Im z < 0 is folded up.
+    Stirling's series at the point w + n of _stirling_point, less
+    log w(w+1)...(w+n-1) taken as half the log of the product of the squared
+    moduli plus i times the sum of the arguments (no branch to track), is
+    log Gamma(w); for Re z < 0, where w = 1 - z,
+    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z) with
+    log sin(pi z) = pi y - i pi x + log(1 - e^{2 pi i z}) - log 2 + i pi/2,
+    the logarithm analytic on Im z > 0 that is 0 at z = 1/2, so no multiple
+    of 2 pi i is added; e^{2 pi i z} takes x mod 1, so that a point near a
+    negative integer keeps its digits.  Poles give inf or nan."""
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.reshape(-1)
+    lower = np.signbit(z.imag)
+    z = np.where(lower, z.conj(), z)
+    left, w, idx, steps, on = _stirling_point(z)
+    inv = 1.0 / w
+    out = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + inv * np.polyval(_STIRLING[0], inv / w)
+    x, y = steps.real, steps.imag
+    log_moduli = 0.5 * np.log(np.where(on, x * x + y * y, 1.0).prod(axis=1))
+    out[idx] -= log_moduli + 1j * np.where(on, np.arctan2(y, x), 0.0).sum(axis=1)
+    r = z[left]
+    e = 2j * math.pi * (r.real - np.round(r.real)) - 2.0 * math.pi * r.imag
+    log_sin = math.pi * r.imag - 1j * math.pi * r.real + np.log(-np.expm1(e)) + complex(-math.log(2.0), 0.5 * math.pi)
+    out[left] = math.log(math.pi) - log_sin - out[left]
+    return np.where(lower, out.conj(), out).reshape(shape)
+
+
+def _digamma(z) -> np.ndarray:
+    """psi(z) = Gamma'(z)/Gamma(z) over an array of z, real for real z: the
+    derivative of _loggamma's series, less 1/z + ... + 1/(z+n-1) for a moved
+    point, and psi(1 - z) - pi cot(pi z) for Re z < 0."""
+    z = np.asarray(z)
+    shape, z = z.shape, z.reshape(-1)
+    left, w, idx, steps, on = _stirling_point(z)
+    inv = 1.0 / w
+    out = np.log(w) - 0.5 * inv - inv * inv * np.polyval(_STIRLING[1], inv * inv)
+    out[idx] -= (1.0 / np.where(on, steps, np.inf)).sum(axis=1)
+    r = z[left]
+    out[left] -= math.pi / np.tan(math.pi * (r - np.round(r.real)))
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +492,16 @@ def _reflect(s: complex, kappa: int, reflected: np.ndarray, log_q: float, log_sc
     factors before one exponential.  Trivial zeros (s real, s + kappa even) give
     an exact 0; a value past the double range is a DomainError.
     """
-    sps = _special()
     order = reflected.shape[0] - 1
     z = 0.5 * math.pi * (s + kappa)
     h = abs(z.imag)
     # log of q^{1/2-w} 2^w pi^{w-1} Gamma(1-w), w = s + x; the x^k coefficient of
     # log Gamma(1-s-x) is zeta(k, 1-s)/k for k >= 2
     log_jet = np.zeros(order + 1, dtype=complex)
-    log_jet[0] = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + sps.loggamma(1.0 - s)
+    log_jet[0] = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + _loggamma(1.0 - s)
     log_jet[0] += (0.5 - s) * log_q + log_scale + h
     if order >= 1:
-        log_jet[1] = math.log(2.0 * math.pi) - log_q - sps.psi(1.0 - s)
+        log_jet[1] = math.log(2.0 * math.pi) - log_q - _digamma(1.0 - s)
     for k in range(2, order + 1):
         log_jet[k] = hurwitz_zeta(k, 1.0 - s) / k
     up, down = cmath.exp(1j * z - h), cmath.exp(-1j * z - h)
@@ -504,7 +570,7 @@ def xi_completed(s: complex) -> complex:
     if s.imag == 0.0 and (s.real == 1.0 or (s.real <= -2.0 and s.real % 2.0 == 0.0)):
         return xi_completed(1.0 - s)
     # s Gamma(s/2)/2 = Gamma(s/2 + 1) absorbs the s=0 pole
-    log_factor = complex(_special().loggamma(s / 2.0 + 1.0)) - s / 2.0 * math.log(math.pi)
+    log_factor = complex(_loggamma(s / 2.0 + 1.0)) - s / 2.0 * math.log(math.pi)
     if s.real < 0.0:
         return complex(_reflect(s, 0, _zeta_jet(1.0 - s, 0), 0.0, log_factor + cmath.log(s - 1.0))[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -514,13 +580,14 @@ def xi_completed(s: complex) -> complex:
 def _hardy_phase(t: np.ndarray) -> np.ndarray:
     """e^{i theta(t)}, the phase of pi^{-s/2} Gamma(s/2) at s = 1/2+it."""
     s = 0.5 + 1j * np.asarray(t, dtype=float)
-    return np.exp(1j * np.imag(_special().loggamma(s / 2.0) - s / 2.0 * math.log(math.pi)))
+    return np.exp(1j * np.imag(_loggamma(s / 2.0) - s / 2.0 * math.log(math.pi)))
 
 
 def hardy_z_line(t: np.ndarray) -> np.ndarray:
     """Hardy's Z(t) = e^{i theta(t)} zeta(1/2+it) over an ordinate grid: real, with zeta(1/2)'s sign at 0."""
     t = np.asarray(t, dtype=float)
-    vals = _hardy_phase(t) * zeta_line(0.5, t, 0)[0]
+    line = zeta_line(0.5, t, 0)[0]  # refuses a height past Z_T_MAX or nan before the phase is built
+    vals = _hardy_phase(t) * line
     residual = np.abs(vals.imag).max(initial=0.0)
     if residual >= 1e-6:
         raise ConditioningError(f"Z(t) imaginary residual {residual:.3e} signals accuracy loss")
@@ -615,13 +682,12 @@ class AfeParams:
 
 
 def _gamma_ratio_weight(s, a: complex, b: complex, t: float):
-    sps = _special()
     return np.exp(
         -s * math.log(math.pi)
-        + sps.loggamma((0.5 + a + s + 1j * t) / 2.0)
-        + sps.loggamma((0.5 + b + s - 1j * t) / 2.0)
-        - sps.loggamma((0.5 + a + 1j * t) / 2.0)
-        - sps.loggamma((0.5 + b - 1j * t) / 2.0)
+        + _loggamma((0.5 + a + s + 1j * t) / 2.0)
+        + _loggamma((0.5 + b + s - 1j * t) / 2.0)
+        - _loggamma((0.5 + a + 1j * t) / 2.0)
+        - _loggamma((0.5 + b - 1j * t) / 2.0)
     )
 
 

@@ -107,10 +107,11 @@ class TestFactorSieve:
 
 
 def test_import_leaves_scipy_out():
-    """Each command imports only what it runs, and scipy.special loads on the
-    first complex log Gamma or psi: in a fresh interpreter, no scipy module is
-    loaded by the sieve module or by the CLI commands below, which never
-    evaluate either; the reflected zeta then loads it, with the value pinned
+    """scipy is a test-only oracle: in a fresh interpreter no scipy module is
+    loaded by the sieve module, by the CLI or by any command below, among
+    them every path through log Gamma and psi (the reflected zeta and L, L at
+    s = 1, the zero scan's Hardy phase, the AFE).  The same run with scipy
+    made unimportable prints the same.  The reflected zeta's value is pinned
     in test_zeta.py::TestZetaLineGrid::test_one_chunk_calls_are_pinned."""
     import critline
     import critline.levinson
@@ -126,12 +127,16 @@ def test_import_leaves_scipy_out():
         ["chars", "--q", "12"],
         ["registry"],
         ["lfun", "--q", "5", "--index", "1", "--s", "0.5+10j"],
+        ["lfun", "--q", "5", "--index", "1", "--s", "-2.5+3j"],
+        ["lfun", "--q", "5", "--index", "1", "--s", "1"],
+        ["zeros", "--tmax", "30"],
         ["zeta", "--s", "-3.5+20j"],
     ]
     code = (
         "import contextlib, io, json, sys\n"
+        "{block}"
         "def scipy_loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    return sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None)\n"
         "import critline.arithmetic\n"
         "print(json.dumps(['import', 0, scipy_loaded(), '']))\n"
         "import critline.cli\n"
@@ -140,12 +145,18 @@ def test_import_leaves_scipy_out():
         "    with contextlib.redirect_stdout(out):\n"
         "        status = critline.cli.main(argv)\n"
         "    print(json.dumps([argv[0], status, scipy_loaded(), out.getvalue()]))\n"
+        "from critline.zeta import AfeParams, afe_pair\n"
+        "value = afe_pair(AfeParams(1e-3, 1e-3, 50.0, 2000))\n"
+        "print(json.dumps(['afe_pair', 0, scipy_loaded(), repr(value)]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    runs = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [name for name, *_ in runs] == ["import"] + [argv[0] for argv in commands]
-    for name, status, loaded, _ in runs[:-1]:
-        assert (status, loaded) == (0, []), name
-    name, status, loaded, out = runs[-1]
-    assert status == 0 and "scipy.special" in loaded
-    assert json.loads(out)["zeta"] == {"re": -37.456719829206691, "im": -98.992307129261675}
+    printed = []
+    for block in ("", "sys.modules['scipy'] = None  # any scipy import now fails\n"):
+        proc = subprocess.run([sys.executable, "-c", code.format(block=block)],
+                              capture_output=True, text=True, check=True, env=env)
+        runs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [name for name, *_ in runs] == ["import"] + [argv[0] for argv in commands] + ["afe_pair"]
+        for name, status, loaded, _ in runs:
+            assert (status, loaded) == (0, []), name
+        assert json.loads(runs[-2][3])["zeta"] == {"re": -37.456719829206691, "im": -98.992307129261675}
+        printed.append([out for *_, out in runs])
+    assert printed[0] == printed[1]

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import loggamma
+from scipy.special import loggamma, psi
 
 import critline.zeta as zeta_module
 from critline.errors import ConditioningError, DomainError, PoleError
@@ -24,14 +24,17 @@ from critline.zeta import (
     _EM_TERMS,
     AfeParams,
     _afe_v_table,
+    _digamma,
     _dirichlet_jets,
     _em_bracket,
     _em_cut,
     _em_kept,
     _em_tail,
     _em_tail_bound,
+    _hardy_phase,
     _jet_mul,
     _jet_mul_linear,
+    _loggamma,
     afe_pair,
     afe_x_factor,
     count_critical_zeros,
@@ -120,19 +123,19 @@ class TestZeta:
             (
                 -3.2 + 0.5j,
                 [
-                    "(0.008025080788725592+0.004358738497103342j)",
-                    "(0.010843609379017089-0.0038155806617366224j)",
-                    "(-0.005757225726254183-0.012624769174681541j)",
-                    "(-0.02396070725079525-0.010996196314100544j)",
+                    "(0.008025080788725577+0.004358738497103333j)",
+                    "(0.010843609379017067-0.003815580661736626j)",
+                    "(-0.005757225726254202-0.012624769174681532j)",
+                    "(-0.02396070725079523-0.010996196314100476j)",
                 ],
             ),
             (
                 -7.5 - 20.0j,
                 [
                     "(8899.575240699742+9367.112526573177j)",
-                    "(-14508.059082371947-8165.921576489423j)",
-                    "(21532.005243591702+4331.347815295347j)",
-                    "(-29381.946603268007+3787.8560687653526j)",
+                    "(-14508.059082371945-8165.921576489427j)",
+                    "(21532.005243591706+4331.34781529535j)",
+                    "(-29381.946603267985+3787.8560687653417j)",
                 ],
             ),
             (
@@ -141,7 +144,7 @@ class TestZeta:
                     "(491.54651671749104+19.851597070133998j)",
                     "(-1327.0166530199508-55.12242655629181j)",
                     "(3606.6880705828667+162.12638362983296j)",
-                    "(-9834.93881288034-501.5426839458869j)",
+                    "(-9834.93881288034-501.54268394588996j)",
                 ],
             ),
         ],
@@ -149,8 +152,12 @@ class TestZeta:
     def test_reflection_pinned(self, s, expected):
         # zeta and its first three derivatives left of the strip, pinned to
         # the bit: the reflection that also serves L(s, chi) keeps zeta's
-        # sum order (q = 1 adds only zeros to the exponent)
-        assert [repr(zeta(s))] + [repr(zeta_derivative(s, k)) for k in (1, 2, 3)] == expected
+        # sum order (q = 1 adds only zeros to the exponent); each is also
+        # within 1e-13 of mpmath
+        got = [zeta(s)] + [zeta_derivative(s, k) for k in (1, 2, 3)]
+        assert [repr(v) for v in got] == expected
+        for k, v in enumerate(got):
+            assert v == pytest.approx(complex(mp.zeta(mp.mpc(s), derivative=k)), rel=1e-13)
 
     def test_height_cap_refused_before_the_terms(self):
         # a height past Z_T_MAX would ask np.arange for ~|t| terms
@@ -170,6 +177,65 @@ class TestZeta:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert np.isfinite(zeta(0.5 + 1e5j))
+
+
+class TestLogGammaAndPsi:
+    """The numpy log Gamma and psi against scipy.special and mpmath, both
+    test-only oracles."""
+
+    @staticmethod
+    def points(rng):
+        """Boxes out to |Im z| = 1e6 and Re z in [-300, 300], and points
+        within 1e-3 of the negative integers, on the cut (Im z = +0, -0) and
+        just off it."""
+        boxes = [(-300.0, 300.0, 1e6), (-300.0, 300.0, 50.0), (-20.0, 20.0, 20.0), (-3.0, 3.0, 3.0)]
+        z = [rng.uniform(lo, hi, 4000) + 1j * rng.uniform(-h, h, 4000) for lo, hi, h in boxes]
+        near = (-rng.integers(1, 301, 2000) + rng.uniform(-1e-3, 1e-3, 2000)).astype(complex)
+        near.imag = rng.choice([0.0, -0.0, 1e-8, -1e-8, 1e-3, -1e-3], 2000)  # keeps the sign of a zero
+        return np.concatenate(z + [near])
+
+    def test_loggamma_against_scipy_and_mpmath(self, rng):
+        z = self.points(rng)
+        ref = loggamma(z)
+        assert np.all(np.abs(_loggamma(z) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        # mpmath reads no sign of zero, so its sample stays off the cut
+        some = z[rng.choice(np.flatnonzero(z.imag != 0.0), 300)]
+        exact = np.array([complex(mp.loggamma(mp.mpc(v))) for v in some])
+        assert np.all(np.abs(_loggamma(some) - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact)))
+        assert _loggamma(1.0) == _loggamma(2.0) == 0.0 and _loggamma(0.5 + 0j) == pytest.approx(0.5 * math.log(math.pi))
+
+    def test_loggamma_branch_is_scipys(self):
+        # across Im z = 0, on both sides of the cut and at its signed zeros,
+        # and left of the origin: no multiple of 2 pi i apart from scipy
+        x = np.arange(-300.75, 20.0, 0.5)
+        for y in (0.0, -0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 30.0, -30.0):
+            z = x.astype(complex)
+            z.imag = y
+            ref = loggamma(z)
+            assert np.all(np.abs(_loggamma(z) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), y
+        assert _loggamma(complex(-3.5, 0.0)).imag == pytest.approx(-4.0 * math.pi)
+        assert _loggamma(complex(-3.5, -0.0)).imag == pytest.approx(4.0 * math.pi)
+
+    def test_digamma(self, rng):
+        # within 1e-13 of scipy relative to max(1, |psi|), the absolute error
+        # where psi passes through a zero, at every point of the boxes and
+        # every real point at least 0.01 from a pole, where a real result is real
+        z = self.points(rng)
+        ref = psi(z)
+        assert np.all(np.abs(_digamma(z) - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        x = rng.uniform(-30.0, 30.0, 20000)
+        x = np.concatenate([x[np.abs(x - np.round(x)) >= 0.01], np.arange(1, 200) / 200])
+        got = _digamma(x)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - psi(x)) <= 1e-13 * np.maximum(1.0, np.abs(psi(x))))
+        # within 1e-4 of a pole the reflection keeps its digits (scipy's real
+        # psi there is up to 5e-13 off)
+        x = -rng.integers(0, 31, 100) + rng.uniform(-1e-4, 1e-4, 100)
+        exact = np.array([float(mp.digamma(v)) for v in x])
+        assert np.all(np.abs(_digamma(x) - exact) <= 1e-13 * np.abs(exact))
+        some = z[rng.choice(z.size, 300)]
+        exact = np.array([complex(mp.digamma(mp.mpc(v))) for v in some])
+        assert np.all(np.abs(_digamma(some) - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact)))
 
 
 class TestZetaLine:
@@ -641,6 +707,16 @@ class TestHardyZ:
         for i, tv in enumerate(t):
             assert z[i] == pytest.approx(float(mp.siegelz(tv)), rel=1e-10, abs=1e-10)
         assert z[0] == pytest.approx(zeta(0.5).real, rel=1e-12)
+
+    def test_phase_against_siegeltheta(self):
+        # e^{i theta(t)} up to t = 1e5 is no further from mpmath's than the
+        # phase from scipy's loggamma (about 1e-10 at the top: theta's rounding)
+        t = np.concatenate([np.linspace(0.0, 50.0, 51), np.geomspace(50.0, 1e5, 150)])
+        exact = np.array([complex(mp.expj(mp.siegeltheta(v))) for v in t])
+        s = 0.5 + 1j * t
+        scipy_phase = np.exp(1j * np.imag(loggamma(s / 2.0) - s / 2.0 * math.log(math.pi)))
+        mine, theirs = np.abs(_hardy_phase(t) - exact), np.abs(scipy_phase - exact)
+        assert mine.max() <= theirs.max() and np.all(mine <= theirs + 1e-14)
 
     def test_height_cap(self):
         for t in (2e5, math.nan):
