@@ -64,7 +64,7 @@ GRID_MAX = 2_000_001
 # log Gamma and psi move a point w with |w| < _GAMMA_SHIFT up by whole steps to
 # Re w >= _GAMMA_SHIFT, then take Stirling's series in 1/w^2: rows B_2k/(2k(2k-1))
 # (log Gamma) and B_2k/(2k) (psi) for k = 8 down to 1, as np.polyval reads them;
-# at |w| = 7 the first omitted terms are below 1e-15 of the value
+# at |w| = 7 they leave at most 4e-16 of log Gamma and 1.1e-15 of psi
 _GAMMA_SHIFT = 7.0
 _STIRLING = np.array([[float(_B2K[k - 1] / (2 * k * (2 * k - 1))) for k in range(8, 0, -1)],
                       [float(_B2K[k - 1] / (2 * k)) for k in range(8, 0, -1)]])
@@ -121,7 +121,7 @@ def _loggamma(z) -> np.ndarray:
 
 def _digamma(z) -> np.ndarray:
     """psi(z) = Gamma'(z)/Gamma(z) over an array of z, real for real z: the
-    derivative of _loggamma's series, less 1/z + ... + 1/(z+n-1) for a moved
+    derivative of _loggamma's series, less 1/w + ... + 1/(w+n-1) for a moved
     point, and psi(1 - z) - pi cot(pi z) for Re z < 0."""
     z = np.asarray(z)
     shape, z = z.shape, z.reshape(-1)
