@@ -6,12 +6,14 @@ P = sum p_i x^i (i <= p_degree) and Q = 1 + sum b_j ((1-2x)^{2j+1} - 1)
 Their values on levinson's Gauss-Legendre nodes are built once per space;
 c_forms turns Q's into three small forms in Q's coordinates (1, b) per R.
 At fixed R, c is a quadratic form in P for fixed Q and in Q for fixed P,
-so one small linear solve gives each exactly; from Q = 1 - x they
-alternate until c stops falling.  kappa at the best (P, Q) is then a
-function of R alone, taken on a fixed grid and refined by golden section
-around the best node.  R = 1.3, clamped into the range, is always
-evaluated, so the result is never below P = x, Q = 1 - x there.  Nothing
-is random.
+so each is solved exactly: Q by one small linear solve, P by a division
+in the common eigenbasis of P's two Gram matrices, found once per space.
+The two solves alternate until c stops falling, from Q = 1 - x at the
+first R and from the Q of the nearest R already solved at every later
+one.  kappa at the best (P, Q) is then a function of R alone, taken on a
+fixed grid and refined by golden section around the best node.  R = 1.3,
+clamped into the range, is evaluated first, so the result is never below
+P = x, Q = 1 - x there.  Nothing is random.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ class _Objective:
         self.start = 0.5 * np.eye(space.q_terms)[0]  # Q = 1 - x, the baseline's
         k = np.arange(1.0, space.p_degree + 1.0)[:, None]  # P(0) = 0: int x^i x^j, int (x^i)'(x^j)'
         self.gram = np.array([v @ (WEIGHTS * v).T for v in (NODES**k, k * NODES ** (k - 1.0))])
+        # the pair's common eigenbasis: M' A M = I and M' B M = diag(lambda), with g = M' 1
+        lower_inv = np.linalg.inv(np.linalg.cholesky(self.gram[0]))
+        self.eigenvalues, vectors = np.linalg.eigh(lower_inv @ self.gram[1] @ lower_inv.T)
+        self.eigenbasis = lower_inv.T @ vectors
+        self.ones_in_basis = self.eigenbasis.sum(axis=0)
         odd, line = 2.0 * np.arange(space.q_terms)[:, None] + 1.0, 1.0 - 2.0 * NODES
         self.q_values = np.vstack([np.ones_like(NODES), line**odd - 1.0])  # Q's coordinates (1, b)
         self.q_slopes = np.vstack([np.zeros_like(NODES), -2.0 * odd * line ** (odd - 1.0)])
@@ -95,13 +102,14 @@ class _Objective:
         With P(1) = 1, int P P' = 1/2, so c - 1 is (p'(alpha A + gamma B)p
         + beta) / theta for the forms (alpha, beta, gamma) at (1, b) and the
         Gram matrices (A, B): the best P is y / sum y, y = (alpha A + gamma
-        B)^{-1} 1, and the minimal c is 1 + (1/sum y + beta) / theta.
+        B)^{-1} 1, and the minimal c is 1 + (1/sum y + beta) / theta.  In
+        the pair's eigenbasis M, y = M (g / (alpha + gamma lambda)) and
+        sum y = sum g^2 / (alpha + gamma lambda), with no linear solve.
         """
         u = np.concatenate(([1.0], b))
         alpha, beta, gamma = forms @ u @ u
-        gram_a, gram_b = self.gram
-        y = np.linalg.solve(alpha * gram_a + gamma * gram_b, np.ones(len(gram_a)))
-        return y, 1.0 + (1.0 / float(y.sum()) + beta) / self.space.theta
+        scaled = self.ones_in_basis / (alpha + gamma * self.eigenvalues)
+        return self.eigenbasis @ scaled, 1.0 + (1.0 / float(self.ones_in_basis @ scaled) + beta) / self.space.theta
 
     def solve_q(self, y: np.ndarray, forms: np.ndarray) -> np.ndarray:
         """The best admissible Q's weights b for P = y / sum y, with the c_forms of R.
@@ -115,11 +123,12 @@ class _Objective:
         return np.linalg.solve(form[1:, 1:], -form[1:, 0])
 
     def kappa(self, r: float) -> float:
-        """kappa at the best (P, Q) for R: P and Q solves alternate from
-        Q = 1 - x until c stops falling."""
+        """kappa at the best (P, Q) for R: P and Q solves alternate until c
+        stops falling, from the Q of the nearest R already solved, or from
+        Q = 1 - x at the first."""
         if r not in self.found:
             forms = c_forms(self.q_values, self.q_slopes, r, self.space.theta)
-            b = self.start
+            b = self.found[min(self.found, key=lambda known: abs(known - r))][1] if self.found else self.start
             y, c = self.solve(b, forms)
             converged = False
             for _ in range(MAX_SWEEPS):

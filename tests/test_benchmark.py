@@ -32,7 +32,8 @@ def test_workload_runs_and_checks_out(workload):
 @pytest.mark.parametrize("against", [[], ["--against", "HEAD"]], ids=["tree", "against-head"])
 def test_bench_tool_writes_its_keys(tmp_path, against):
     """tools/bench.py over one short kappa seed: BENCH_kappa.json holds the
-    run's end-to-end metrics, their summary, and the machine and revision;
+    run's end-to-end metrics, their summary, the fit of peak RSS against
+    passes (empty here), and the machine and revision;
     with --against, also REV's side, run first on the odd seed, and the pairs."""
     argv = ["--workload", "kappa", "--seeds", "1", "--seconds", "1", "--out", str(tmp_path), *against]
     proc = subprocess.run(
@@ -46,6 +47,8 @@ def test_bench_tool_writes_its_keys(tmp_path, against):
     tree = doc["tree"]
     assert {"rev", "dirty", "runs", "summary", "correct", "failed"} <= tree.keys()
     assert tree["correct"] is True and tree["failed"] == 0
+    # one run has one pass count, so there is no line of peak RSS against passes
+    assert tree["rss_per_pass_mb"] is None and tree["rss_at_zero_passes_mb"] is None
     (run,) = tree["runs"]
     assert {"seed", "setup_s", "peak_rss_mb", "pass_s", "passes", "attempted", "correct", "failed"} <= run.keys()
     for name in ("setup_s", "peak_rss_mb", "pass_s"):

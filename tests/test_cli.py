@@ -448,7 +448,7 @@ class TestCommands:
             ),
             (
                 ["constant", "--format", "text"],
-                "c_exact: 2.3500677761184425\nc_quadrature: 2.3500677761186131\nkappa_bound: 0.34273525489104484\n"
+                "c_exact: 2.3500677761184412\nc_quadrature: 2.3500677761186077\nkappa_bound: 0.34273525489104539\n"
                 "params:\n  P:\n    - 0\n    - 1\n  Q:\n    - 1\n    - -1\n  R: 1.3\n  theta: 0.5\n"
                 "published_claim:\n  c: 2.3500000000000001\n  kappa: 0.34999999999999998\n",
             ),
@@ -464,7 +464,9 @@ class TestCommands:
 def test_kappa_commands_load_no_zeta_code():
     """constant and optimize run on levinson and the optimizer alone: in a
     fresh interpreter, importing critline.optimizer and running both loads
-    none of the zeta, character, mollifier or moment modules, nor scipy."""
+    none of the zeta, character, mollifier or moment modules, nor scipy.
+    Nor does any of them, or moment after them, load numpy.polynomial: the
+    node rules are levinson's own."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(critline.cli.__file__)))
     absent = ["critline.zeta", "critline.dirichlet", "critline.mollifier", "critline.moment", "scipy"]
     code = (
@@ -473,7 +475,9 @@ def test_kappa_commands_load_no_zeta_code():
         "from critline import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['constant']), cli.main(['optimize', '--p-degree', '3', '--q-degree', '3'])]\n"
-        f"print(json.dumps([codes, sorted(m for m in {absent!r} if m in sys.modules)]))\n"
+        f"    loaded = sorted(m for m in {absent!r} if m in sys.modules)\n"
+        "    codes.append(cli.main(['moment', '--T', '1000']))\n"
+        "print(json.dumps([codes, loaded, 'numpy.polynomial' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert json.loads(proc.stdout) == [[0, 0], []]
+    assert json.loads(proc.stdout) == [[0, 0, 0], [], False]

@@ -4,6 +4,7 @@ oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -200,6 +201,51 @@ class TestOptimizer:
                 y, c_next = objective.solve(objective.solve_q(y, forms), forms)
                 assert c_next <= c * (1.0 + 1e-13)
                 c = c_next
+
+    @pytest.mark.parametrize("theta", [0.5, THETA_MAX])
+    def test_eigenbasis_solve_matches_a_linear_solve(self, rng, theta):
+        # the solve in the Gram pair's eigenbasis against a 30-digit solve of
+        # (alpha A + gamma B) y = 1 on the same doubles: np.linalg.solve
+        # itself misses that by 2e-13 at degree 6 and R = 2.5.  Past the
+        # searched R the matrix's condition reaches 1.6e8 (degree 6,
+        # R = 300), so there the bound is cond * eps where that is larger
+        with mpmath.workdps(30):
+            for p_degree in range(1, 7):
+                for q_degree in range(1, 7):
+                    objective = _Objective(SearchSpace(p_degree, q_degree, (0.5, 2.5), theta))
+                    gram_a, gram_b = objective.gram
+                    for r in (0.5, 1.3, 2.5, 50.0, 300.0):
+                        b = rng.uniform(-1.0, 1.5, objective.space.q_terms)
+                        forms = forms_at(objective, r)
+                        u = np.concatenate(([1.0], b))
+                        alpha, beta, gamma = forms @ u @ u
+                        matrix = alpha * gram_a + gamma * gram_b
+                        y = mpmath.lu_solve(mpmath.matrix(matrix.tolist()), mpmath.matrix([1.0] * p_degree))
+                        oracle = float(1 + (1 / sum(y) + beta) / theta)
+                        rel = 1e-13 if r <= 2.5 else max(1e-13, np.linalg.cond(matrix) * np.finfo(float).eps)
+                        assert objective.solve(b, forms)[1] == pytest.approx(oracle, rel=rel)
+
+    @pytest.mark.parametrize("theta", [0.5, THETA_MAX])
+    def test_warm_starts_find_the_cold_optimum(self, monkeypatch, theta):
+        # every R after the first starts from its nearest solved neighbour's
+        # Q, and lands where a cold start from Q = 1 - x does
+        searched = []
+
+        class Recorded(_Objective):
+            def __init__(self, space):
+                super().__init__(space)
+                searched.append(self)
+
+        monkeypatch.setattr(optimizer_module, "_Objective", Recorded)
+        for degree in (1, 2, 3, 4):
+            space = SearchSpace(degree, degree, (0.5, 2.5), theta)
+            optimize_kappa(space)
+            for r, (kappa, *_) in searched[-1].found.items():
+                assert abs(kappa - _Objective(space).kappa(r)) <= 1e-14
+
+    def test_warm_starts_cut_the_sweeps(self):
+        # the cold-started search made 354 sweeps at (3,3), theta = 1/2
+        assert optimize_kappa(SearchSpace(3, 3, (0.5, 2.5), 0.5)).evaluations < 300
 
     def test_solved_p_sums_to_one_exactly(self, rng):
         # without the 2^-40 grid, 1 - sum(higher p) misses P(1) = 1 by an ulp

@@ -12,7 +12,10 @@ odd seeds, so both sample the machine's drift alike.  The file holds each
 side's per-seed values, the median and quartiles of the end-to-end metrics,
 the passes per run, ``correct`` and ``failed``, the git revision with a
 dirty flag, and the Python and numpy versions and CPU count; with
-``--against``, also how many pairs the tree was lower in.
+``--against``, also how many pairs the tree was lower in.  run.py keeps
+every pass's outputs, so a faster program also reads a higher peak RSS;
+each side therefore also holds the least-squares line of ``peak_rss_mb``
+against passes, as ``rss_per_pass_mb`` and ``rss_at_zero_passes_mb``.
 """
 
 from __future__ import annotations
@@ -64,8 +67,19 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def rss_fit(runs: list[dict]) -> dict:
+    """The least-squares line of peak_rss_mb against passes: what each pass
+    keeps (run.py retains every pass's outputs) and the program's own peak,
+    at zero passes; both None with fewer than two distinct pass counts."""
+    passes = [r["passes"] for r in runs]
+    if len(set(passes)) < 2:
+        return {"rss_per_pass_mb": None, "rss_at_zero_passes_mb": None}
+    slope, intercept = statistics.linear_regression(passes, [r["peak_rss_mb"] for r in runs])
+    return {"rss_per_pass_mb": slope, "rss_at_zero_passes_mb": intercept}
+
+
 def side(rev: str, dirty: bool, runs: list[dict]) -> dict:
-    return {"rev": rev, "dirty": dirty, "runs": runs, "summary": summary(runs),
+    return {"rev": rev, "dirty": dirty, "runs": runs, "summary": summary(runs), **rss_fit(runs),
             "correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
 
 
