@@ -26,29 +26,21 @@ THETA_MAX = 4.0 / 7.0
 QUADRATURE_BOUND = 1e-8  # see c_constant_quadrature
 
 
-def _legendre(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(t) and P_n'(t), from P_n and P_{n-1} by Bonnet's recurrence."""
-    below, p = np.ones_like(t), t
-    for j in range(1, n):
-        below, p = p, ((2.0 * j + 1.0) * t * p - j * below) / (j + 1.0)
-    return p, n * (t * p - below) / (t * t - 1.0)
-
-
 @cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [0, 1], n even: nodes ascending, and weights.
-
-    The nodes are t = 2x - 1 at the roots t > 0 of P_n, mirrored: four
-    Newton steps from Tricomi's initial nodes, which are within 2e-5, reach
-    rounding.  The weights 2 / ((1 - t^2) P_n'(t)^2), halved, are taken at
-    the nodes; for n = 80 they are within 1.4e-14 relative of 40-digit ones.
-    """
+    """The n-node Gauss-Legendre rule on [0, 1], n even: nodes (1 + t)/2 at the
+    roots t of P_n, by four Newton steps from Tricomi's initial roots t > 0,
+    mirrored; weights 1/((1 - t^2) P_n'(t)^2), within 1.4e-14 of 40-digit
+    ones for n = 80."""
     k = np.arange(1.0, n // 2 + 1.0)
     t = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
-    for _ in range(4):
-        p, slope = _legendre(n, t)
-        t = t - p / slope
-    weights = 1.0 / ((1.0 - t * t) * _legendre(n, t)[1] ** 2)
+    for step in range(5):  # the fifth takes P_n' at the final roots
+        below, p = np.ones_like(t), t
+        for j in range(1, n):  # Bonnet's recurrence
+            below, p = p, ((2.0 * j + 1.0) * t * p - j * below) / (j + 1.0)
+        slope = n * (t * p - below) / (t * t - 1.0)
+        t = t - p / slope if step < 4 else t
+    weights = 1.0 / ((1.0 - t * t) * slope**2)
     return 0.5 * (np.concatenate((-t, t[::-1])) + 1.0), np.concatenate((weights, weights[::-1]))
 
 

@@ -6,14 +6,13 @@ P = sum p_i x^i (i <= p_degree) and Q = 1 + sum b_j ((1-2x)^{2j+1} - 1)
 Their values on levinson's Gauss-Legendre nodes are built once per space;
 c_forms turns Q's into three small forms in Q's coordinates (1, b) per R.
 At fixed R, c is a quadratic form in P for fixed Q and in Q for fixed P,
-so each is solved exactly: Q by one small linear solve, P by a division
-in the common eigenbasis of P's two Gram matrices, found once per space.
-The two solves alternate until c stops falling, from Q = 1 - x at the
-first R and from the Q of the nearest R already solved at every later
-one.  kappa at the best (P, Q) is then a function of R alone, taken on a
-fixed grid and refined by golden section around the best node.  R = 1.3,
-clamped into the range, is evaluated first, so the result is never below
-P = x, Q = 1 - x there.  Nothing is random.
+so each is solved exactly: Q by one small linear solve, P in the common
+eigenbasis of P's two Gram matrices.  They alternate until c stops falling,
+from Q = 1 - x at the first R and from the nearest solved R's Q after it.
+kappa at the best (P, Q) is then a function of R alone, taken on a fixed
+grid and refined by golden section around the best node.  R = 1.3, clamped
+into the range, is evaluated first, so the result is never below P = x,
+Q = 1 - x there.  Nothing is random.
 """
 
 from __future__ import annotations
