@@ -1,6 +1,9 @@
 """Prime sieve tables: the primes, the Moebius function and Chebyshev psi.
 
-Each call sieves afresh up to its own argument, and an argument past
+The primes come from one segmented sieve of Eratosthenes over the odd
+numbers: the base primes p <= sqrt(n) cross off their multiples in one
+window of _SEGMENT odd numbers at a time, so a call works in O(sqrt(n))
+memory plus one window, and psi keeps no more than that.  An argument past
 DEFAULT_SIEVE_LIMIT is refused before anything is allocated.  Everything
 here is exact integer arithmetic except for the logarithms of psi.
 """
@@ -15,8 +18,9 @@ import numpy as np
 from .errors import DomainError, SieveRangeError
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
-# logs handed to fsum per piece, so that only one piece at a time is a list
-_PSI_PIECE = 65_536
+# odd numbers per sieve window (128 KB of marks): each window costs one slice per base prime
+# p^2 <= its end, so much smaller windows pay more in Python than they save in memory
+_SEGMENT = 1 << 17
 
 
 def _check_range(x: float):
@@ -24,20 +28,36 @@ def _check_range(x: float):
         raise SieveRangeError(f"{x} beyond sieve limit {DEFAULT_SIEVE_LIMIT}")
 
 
+def _prime_segments(n: int):
+    """The primes p <= n, ascending, in pieces: [2], then the primes of each
+    window of _SEGMENT odd numbers, crossed off by the odd primes p <= sqrt(n)."""
+    if n < 2:
+        return
+    yield np.array([2], dtype=np.intp)
+    base = primes_upto(math.isqrt(n))[1:].tolist()
+    for lo in range(3, n + 1, 2 * _SEGMENT):
+        mark = np.ones(min(_SEGMENT, (n - lo) // 2 + 1), dtype=bool)  # mark[i] is lo + 2i
+        hi = lo + 2 * (mark.size - 1)
+        for p in base:
+            if p * p > hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            start += p * (start % 2 == 0)  # the first odd multiple
+            mark[(start - lo) // 2 :: p] = False
+        yield lo + 2 * np.flatnonzero(mark)
+
+
 def primes_upto(n: int) -> np.ndarray:
-    """The primes p <= n, ascending, by a boolean sieve of Eratosthenes."""
+    """The primes p <= n, ascending; empty for n < 2."""
     _check_range(n)
-    mark = np.ones(n + 1, dtype=bool)
-    mark[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mark[p]:
-            mark[p * p :: p] = False
-    return np.flatnonzero(mark)
+    return np.concatenate([np.empty(0, dtype=np.intp), *_prime_segments(n)])
 
 
 def mobius_table(n: int) -> np.ndarray:
     """mu(h), h = 1..n: each prime p <= sqrt(n) flips its multiples, zeroes p^2's and multiplies
     into rad[h]; a squarefree h with rad[h] != h has one more prime factor, flipped at the end."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
     _check_range(n)
     mu = np.ones(n, dtype=np.int8)
     rad = np.ones(n, dtype=np.int32)
@@ -52,16 +72,14 @@ def mobius_table(n: int) -> np.ndarray:
 
 def chebyshev_psi(x: float) -> float:
     """Sum of Lambda(n) over n <= x, accumulated with exact (fsum) summation;
-    fsum is correctly rounded in any grouping, so it takes the logs in pieces."""
-    if x < 0:
+    fsum is correctly rounded in any grouping, so it takes the logs one sieve window at a time."""
+    if not x >= 0:
         raise DomainError("x must be nonnegative")
     _check_range(x)
     xi = int(math.floor(x))
-    primes = primes_upto(xi)
-    pieces = (primes[i : i + _PSI_PIECE].astype(np.float64) for i in range(0, primes.size, _PSI_PIECE))
-    parts = [math.fsum(itertools.chain.from_iterable(np.log(piece).tolist() for piece in pieces))]
+    parts = [math.fsum(itertools.chain.from_iterable(np.log(seg).tolist() for seg in _prime_segments(xi)))]
     # prime powers p^j <= x contribute one extra log p per power
-    for p in primes[primes <= math.isqrt(xi)].tolist():
+    for p in primes_upto(math.isqrt(xi)).tolist():
         pk = p * p
         while pk <= xi:
             parts.append(math.log(p))

@@ -5,16 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from critline.arithmetic import DEFAULT_SIEVE_LIMIT, chebyshev_psi, mobius_table, primes_upto
-from critline.errors import SieveRangeError
+from critline.arithmetic import _SEGMENT, DEFAULT_SIEVE_LIMIT, chebyshev_psi, mobius_table, primes_upto
+from critline.errors import DomainError, SieveRangeError
 
 from conftest import factorize, mobius
 
 N = 20000
+# either side of the first sieve windows' edges, and many windows
+SIEVE_NS = (0, 1, 2, 3, 2 * _SEGMENT - 1, 2 * _SEGMENT, 2 * _SEGMENT + 1, 4 * _SEGMENT + 1, 10**6)
 
 
 def von_mangoldt(n):
@@ -22,18 +25,41 @@ def von_mangoldt(n):
     return math.log(f[0][0]) if len(f) == 1 else 0.0
 
 
+def one_array_sieve(n):
+    """The primes p <= n from one boolean array over 0..n."""
+    mark = np.ones(n + 1, dtype=bool)
+    mark[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mark[p]:
+            mark[p * p :: p] = False
+    return np.flatnonzero(mark)
+
+
 class TestFactorSieve:
     """primes_upto, mobius_table and chebyshev_psi, each sieving up to its argument."""
 
     def test_limit_validation(self):
-        with pytest.raises(ValueError):
-            chebyshev_psi(-1.0)
+        for x in (-1.0, -1e300, math.nan):
+            with pytest.raises(DomainError):
+                chebyshev_psi(x)
+        with pytest.raises(DomainError):
+            mobius_table(-5)
+
+    def test_primes_below_two_are_empty(self):
+        for n in (-5, -1, 0, 1):
+            primes = primes_upto(n)
+            assert primes.dtype == np.intp and primes.size == 0, n
 
     def test_primes(self):
         assert primes_upto(N).tolist() == [n for n in range(2, N + 1) if factorize(n) == [(n, 1)]]
         assert primes_upto(0).tolist() == primes_upto(1).tolist() == []
         assert primes_upto(2).tolist() == [2]
         assert primes_upto(25).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+    def test_primes_match_one_array_sieve(self):
+        for n in SIEVE_NS:
+            primes, oracle = primes_upto(n), one_array_sieve(n)
+            assert primes.dtype == oracle.dtype and np.array_equal(primes, oracle), n
 
     def test_out_of_range(self):
         # refused before any table is allocated, even where numpy could not allocate one
@@ -85,11 +111,11 @@ class TestFactorSieve:
 
     def test_chebyshev_psi_is_the_one_list_sum(self):
         # fsum is correctly rounded in any grouping, so feeding it the logs
-        # in pieces gives the sum of one list of every log, bit for bit;
-        # 1e6 has 78,498 primes, more than one piece
+        # one sieve window at a time gives the sum of one list of every log,
+        # bit for bit
         def one_list(x):
             xi = int(math.floor(x))
-            primes = primes_upto(xi)
+            primes = one_array_sieve(xi)
             parts = [math.fsum(np.log(primes.astype(np.float64)).tolist())]
             for p in primes[primes <= math.isqrt(xi)].tolist():
                 pk = p * p
@@ -98,8 +124,20 @@ class TestFactorSieve:
                     pk *= p
             return math.fsum(parts)
 
-        for x in (2, 1000, 65_537, 1e5, 1e6):
+        for x in (*SIEVE_NS, 1000, 65_537.5, 1e5, DEFAULT_SIEVE_LIMIT):
             assert chebyshev_psi(x) == one_list(x), x
+
+    def test_chebyshev_psi_memory(self):
+        # one sieve window and the base primes at a time (1.25 MB traced),
+        # where one boolean array over 0..x and its primes take 15.3 MB
+        chebyshev_psi(1000)
+        tracemalloc.start()
+        try:
+            chebyshev_psi(DEFAULT_SIEVE_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     def test_chebyshev_psi_small(self):
         assert chebyshev_psi(0.0) == chebyshev_psi(1.9) == 0.0
