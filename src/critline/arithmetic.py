@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -26,6 +27,16 @@ _SEGMENT = 1 << 17
 def _check_range(x: float):
     if x > DEFAULT_SIEVE_LIMIT:
         raise SieveRangeError(f"{x} beyond sieve limit {DEFAULT_SIEVE_LIMIT}")
+
+
+def _table_size(n) -> int:
+    """n as an int, once it passes _check_range: any other n than an integer,
+    numpy's included, such as 1e6, 10.0 or nan, is a DomainError."""
+    _check_range(n)
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"n must be an integer, not {n!r}") from None
 
 
 def _prime_segments(n: int):
@@ -49,16 +60,15 @@ def _prime_segments(n: int):
 
 def primes_upto(n: int) -> np.ndarray:
     """The primes p <= n, ascending; empty for n < 2."""
-    _check_range(n)
-    return np.concatenate([np.empty(0, dtype=np.intp), *_prime_segments(n)])
+    return np.concatenate([np.empty(0, dtype=np.intp), *_prime_segments(_table_size(n))])
 
 
 def mobius_table(n: int) -> np.ndarray:
     """mu(h), h = 1..n: each prime p <= sqrt(n) flips its multiples, zeroes p^2's and multiplies
     into rad[h]; a squarefree h with rad[h] != h has one more prime factor, flipped at the end."""
+    n = _table_size(n)
     if n < 0:
         raise DomainError("n must be nonnegative")
-    _check_range(n)
     mu = np.ones(n, dtype=np.int8)
     rad = np.ones(n, dtype=np.int32)
     for p in primes_upto(math.isqrt(n)).tolist():

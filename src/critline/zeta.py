@@ -11,11 +11,14 @@ Backlund's bound on the remainder is at most 4.2e-12 for Re(s) >= 0;
 Re(s) < 0 is reached by applying the functional equation to the jets.  The
 remainder's bracket of Bernoulli corrections is a polynomial in s for each
 N, so a chunk that shares the grid's phase table expands it once, at its
-middle point, and shifts it to each of its points (_em_tail).  Every
+middle point, and every chunk of one shape shifts it to its points by one
+product with a shared table of the offsets' powers (_em_tail).  Every
 finite Dirichlet sum, zeta's heads, the moment's V zeta and the mollifier's
 psi and B(s, chi), is one _dirichlet_jets call, real or complex coefficients
 alike: per block of n, one phase table and one product per fixed group of
-chunks, added in place into the |t|-sorted jets.
+chunks, added in place into the |t|-sorted jets.  On an exact grid, whose
+chunks all have the table's offsets to the bit (the moment's nodes lie on a
+dyadic lattice for this), the products carry no rounding-correction column.
 Complex log Gamma and psi (_loggamma, _digamma), for the reflection, xi,
 Hardy's Z and the AFE, are numpy's own: Stirling's series with the same exact
 Bernoulli numbers, one vectorized path for a point or a line.
@@ -179,40 +182,60 @@ def _em_bracket(s, base, order: int) -> np.ndarray:
     return rest
 
 
+def _shift_table(x: np.ndarray, rows: int, order: int) -> np.ndarray:
+    """C(m, j) x^{m-j}, shape (rows, order+1, x.size), 0 for j > m: what the
+    Taylor coefficient c_m of a polynomial adds to its jet row j <= order at
+    the shift x, with x's powers as repeated products (1, then 0, at x = 0)."""
+    comb = np.array([[math.comb(m, j) for j in range(order + 1)] for m in range(rows)], dtype=float)
+    power = np.maximum(np.arange(rows)[:, None] - np.arange(order + 1), 0)  # m - j, 0 where C(m, j) = 0
+    return comb[:, :, None] * np.vander(x, rows, increasing=True).T[power]
+
+
 def _em_kept(coeff: np.ndarray, reach: np.ndarray, order: int) -> np.ndarray:
     """Per anchor (a column c_m of the bracket's Taylor coefficients), the
     first M >= order with sum_{m > M} C(m, j) |c_m| reach^{m-j} <= 2^-60 |c_0|
     for every jet row j <= order: M = order at reach 0."""
-    top = coeff.shape[0]
-    comb = np.array([[math.comb(m, j) for j in range(order + 1)] for m in range(top)], dtype=float)
-    power = np.maximum(np.arange(top)[:, None] - np.arange(order + 1), 0)  # m - j, 0 where C(m, j) = 0
     size = np.abs(coeff)
-    terms = comb[:, :, None] * (reach ** np.arange(top)[:, None])[power] * size[:, None, :]
+    terms = _shift_table(reach, coeff.shape[0], order) * size[:, None, :]
     dropped = np.cumsum(terms[::-1], axis=0)[::-1]  # row M: the sum over m >= M
-    ok = np.all(dropped[order + 1 :] <= _EM_DROP * size[0], axis=1)  # dropping m > M, M = order .. top-2
-    return order + np.argmax(np.vstack([ok, np.ones(size.shape[1], dtype=bool)]), axis=0)  # M = top-1 drops none
+    ok = np.all(dropped[order + 1 :] <= _EM_DROP * size[0], axis=1)  # dropping m > M, M = order .. rows-2
+    return order + np.argmax(np.vstack([ok, np.ones(size.shape[1], dtype=bool)]), axis=0)  # M = rows-1 drops none
 
 
-def _em_shifted(s, base, order: int, lead, heads) -> np.ndarray:
+def _em_shifted(s, base, order: int, lead) -> np.ndarray:
     """The bracket's jets at the points of a line s, expanded at each anchor
-    (heads: lead[i] = i) to _EM_DEGREE and shifted to its group (_em_tail)."""
-    anchors = np.flatnonzero(heads)
+    lead[i] to _EM_DEGREE and shifted to its group (_em_tail).
+
+    In the |t|-sorted order of _dirichlet_jets each group is a run of points,
+    and the runs of one length whose anchor sits at one place take their
+    offsets eps_k = s - s_c from the first such run: on an exact grid these
+    are every such run's own, to the bit, and otherwise they differ by the
+    rounding of t.  Per run shape, one product of the anchors' coefficients
+    c_m with one table C(m, j) eps_k^{m-j} gives every point's jets
+    sum_m c_m (eps_k + x)^m.  At eps_k = 0, at an anchor or a lone point,
+    every term but c_j is 0, so it keeps the bracket's own bits."""
+    idx = np.argsort(np.abs(s.imag), kind="stable")  # _dirichlet_jets' order
+    pos = np.empty_like(idx)
+    pos[idx] = np.arange(s.size)
+    starts = np.flatnonzero(np.diff(lead[idx], prepend=-1))  # each run's first place in that order
+    anchors = lead[idx[starts]]
+    sizes, at = np.diff(starts, append=s.size), pos[anchors] - starts  # each run's length, its anchor's place
+    _, first, kind = np.unique(sizes * s.size + at, return_index=True, return_inverse=True)
+    tables = [s[idx[starts[r] : starts[r] + sizes[r]]] - s[anchors[r]] for r in first]  # eps per run shape
     coeff = _em_bracket(s[anchors], base[anchors], max(order, _EM_DEGREE))
-    group = (np.cumsum(heads) - 1)[lead]
-    eps = s - s[lead]
-    reach = np.zeros(anchors.size)
-    np.maximum.at(reach, group, np.abs(eps))
-    kept = _em_kept(coeff, reach, order)
+    kept = _em_kept(coeff, np.array([np.abs(eps).max() for eps in tables])[kind], order)
+    top = kept.max()
     coeff[np.arange(coeff.shape[0])[:, None] > kept] = 0.0  # each group's dropped terms
-    rest = np.zeros((order + 1, s.size), dtype=complex)
-    coeff[kept.max()].take(group, out=rest[0])
-    step, c_m = np.empty_like(rest), np.empty_like(eps)
-    for m in range(kept.max() - 1, -1, -1):  # rest <- rest (eps + x) + c_m
-        np.multiply(rest, eps, out=step)
-        step[1:] += rest[:-1]
-        step[0] += coeff[m].take(group, out=c_m)
-        rest, step = step, rest
-    return rest
+    pieces, where = [], []
+    for k, eps in enumerate(tables):
+        runs = np.flatnonzero(kind == k)
+        table = _shift_table(eps, top + 1, order).reshape(top + 1, -1)
+        jets = (coeff[: top + 1, runs].T @ table).reshape(runs.size, order + 1, -1)
+        pieces.append(jets.transpose(1, 0, 2).reshape(order + 1, -1))
+        where.append((starts[runs, None] + np.arange(eps.size)).ravel())
+    col = np.empty_like(idx)
+    col[np.concatenate(where)] = np.arange(s.size)  # each sorted point's column in the pieces
+    return np.concatenate(pieces, axis=1).take(col[pos], axis=1)
 
 
 def _em_tail(s, base, order: int, lead=None) -> np.ndarray:
@@ -224,22 +247,22 @@ def _em_tail(s, base, order: int, lead=None) -> np.ndarray:
 
     The bracket (_em_bracket) is a polynomial in s + x for each b.  For a
     line of points s, lead[i] is the anchor s_c of point i's group, which
-    shares b; a point with lead[i] = i (every point, when lead is None) is
-    an anchor.  The bracket's Taylor coefficients c_m are built once per
-    anchor, and each point takes its jets sum_m c_m (eps + x)^m,
-    eps = s - s_c, by one Horner step per kept term (_em_shifted), keeping
-    c_0 .. c_M for the first M >= order whose dropped terms are bounded
-    below 2^-60 of the bracket (_em_kept).  At eps = 0 the steps only move
-    rows, so an anchor and a lone point (M = order) get the bracket's own
-    rows, to the bit; a call of lone points skips the steps.  b^{-s-x}, the
-    pole term b/(s+x-1) and their product with the bracket stay per point.
+    shares b, as _dirichlet_jets returns it; a point with lead[i] = i
+    (every point, when lead is None) is an anchor.  The bracket's Taylor
+    coefficients c_m are built once per anchor, and each point takes its
+    jets sum_m c_m (eps + x)^m, eps = s - s_c, keeping c_0 .. c_M for the
+    first M >= order whose dropped terms are bounded below 2^-60 of the
+    bracket (_em_kept): one product per shape of group, of the anchors'
+    c_m with one shared table of eps's powers (_em_shifted).  An anchor and
+    a lone point (M = order) get the bracket's own rows, to the bit; a call
+    of lone points builds no table.  b^{-s-x}, the pole term b/(s+x-1) and
+    their product with the bracket stay per point.
     """
     s, base = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(base))
-    heads = None if lead is None else lead == np.arange(s.size)
-    if heads is None or heads.all():  # eps = 0 and M = order everywhere
+    if lead is None or np.array_equal(lead, np.arange(s.size)):  # eps = 0 and M = order everywhere
         rest = _em_bracket(s, base, order)
     else:
-        rest = _em_shifted(s, base, order, lead, heads)
+        rest = _em_shifted(s, base, order, lead)
     log_b = np.log(base)
     b_pow = np.exp(-s * log_b)
     pow_jet = np.empty((order + 1,) + s.shape, dtype=complex)  # b^{-s-x}
@@ -303,8 +326,9 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     and a chunk sums the terms n < cut(max|t| of the chunk); cut must not
     decrease with max|t|.  Returns the jets, of shape (order+1, len(t)),
     every point's cut, and every point's anchor for _em_tail (lead): the
-    middle point of its chunk if the chunk shares the phase table below,
-    the point itself otherwise (None for a call of one chunk: every point).
+    middle point of its chunk (the last, for a last chunk shorter than half)
+    if the chunk shares the phase table below, the point itself otherwise
+    (None for a call of one chunk: every point).
 
     The sum of a chunk with base ordinate t_c and offsets d_k = t_k - t_c
     is the phase table D[k, n] = n^{-i d_k} times the base weights
@@ -314,14 +338,17 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
     It is built once per block of _NBLOCK terms, row r a + b
     (r = ceil(sqrt(chunk))) as n^{-i d_{ra}} n^{-i d_b}: 2r exponentials per
     term instead of one per row.  A chunk shares D when its offsets are
-    within 4 ulp of its max|t| of D's, and their difference e_k is corrected
-    to first order, n^{-i e_k} = 1 - i e_k log n, by adding i (j+1) e_k times
-    the order-(j+1) sum to the order-j one (to about 1e-14 relative).  The
-    sharing chunks go in fixed groups whose W_c, each zero past its chunk's
-    cut, fill at most _STACK_BYTES side by side and no more columns than D
-    has rows; each group is one product D @ [W_c1 | W_c2 | ...], so memory
-    stays flat however long the grid is.  The group's product takes its e_k
-    correction in place, from the group's own ordinates, and is added into
+    within 4 ulp of its max|t| of D's.  On an exact grid, such as the
+    moment's lattice, every sharing chunk's offsets are D's to the bit, and
+    W_c has the order+1 columns of the jets.  Otherwise the differences e_k
+    are corrected to first order, n^{-i e_k} = 1 - i e_k log n: W_c carries
+    one more column, and i (j+1) e_k times the order-(j+1) sum is added to
+    the order-j one (to about 1e-14 relative).  The sharing chunks go in
+    fixed groups whose W_c, each zero past its chunk's cut, fill at most
+    _STACK_BYTES side by side and no more columns than D has rows; each
+    group is one product D @ [W_c1 | W_c2 | ...], so memory stays flat
+    however long the grid is.  The group's product takes its e_k correction,
+    if any, in place, from the group's own ordinates, and is added into
     the jets, held in |t|-sorted order, by one add for the whole group; when
     that order is t's own (an ascending grid with t >= 0, as in the moment
     and the zero scan) those jets are returned as they are, otherwise they
@@ -347,11 +374,14 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
         if count:
             jets[:, idx] = _direct_jets(ts[0, : t.size], n, w0, order, int(terms[0]))
         return jets, cuts, None
-    side, cols = math.isqrt(chunk - 1) + 1, order + 2
+    side = math.isqrt(chunk - 1) + 1
     delta = ts[0] - base_t[0]
     coarse, fine = delta[::side], delta[:side]
     ref = (coarse[:, None] + fine).ravel()[:chunk]
-    share = np.fmax.reduce(np.abs(ts - base_t[:, None] - ref), axis=1) <= 4.0 * np.spacing(tops)
+    shift = ts - base_t[:, None] - ref  # e_k, nan in the last chunk's padding
+    share = np.fmax.reduce(np.abs(shift), axis=1) <= 4.0 * np.spacing(tops)
+    # the correction column only where a sharing chunk's offsets are not D's to the bit
+    cols = order + 1 + bool(np.fmax.reduce(np.abs(shift[share]), axis=None, initial=0.0))
     # the jets in |t|-sorted order, one row of `chunk` columns per chunk
     out = np.zeros((order + 1, count, chunk), dtype=complex)
     for c in np.flatnonzero(~share):
@@ -382,11 +412,11 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
             for j in range(cols - 1, -1, -1):
                 np.multiply(w[:m, None, j], phase, out=stack[:, :, j])
             prod = (table[:chunk, :m] @ stack.reshape(m, -1)).reshape(chunk, group.size, cols)
-            shift = ts[group].T - base_t[group] - ref[:, None]  # e_k, column by chunk
-            for j in range(order + 1):  # in place: row j reads row j+1 before it changes
-                prod[:, :, j] += 1j * (j + 1) * shift * prod[:, :, j + 1]
+            if cols > order + 1:  # in place: row j reads row j+1 before it changes
+                for j in range(order + 1):
+                    prod[:, :, j] += 1j * (j + 1) * shift[group].T * prod[:, :, j + 1]
             rows = slice(group[0], group[-1] + 1) if group[-1] - group[0] < group.size else group
-            out[:, rows] += prod[:, :, :-1].transpose(2, 1, 0)
+            out[:, rows] += prod[:, :, : order + 1].transpose(2, 1, 0)
     jets = out.reshape(order + 1, -1)[:, : t.size]
     # a sharing chunk's points take its middle point as their anchor, any other point itself
     middle = np.minimum(np.arange(count) * chunk + chunk // 2, t.size - 1)
@@ -430,7 +460,8 @@ def zeta_line(
     Euler-Maclaurin remainder at N, whose 14 Bernoulli corrections leave
     at most 4.2e-12 by Backlund's bound at the default factor 1/2 (_em_cut),
     below the head's own rounding; a chunk that shares the phase table
-    below builds their bracket once, at its middle point (_em_tail).  Every
+    below builds their bracket once, at its middle point, and shifts it to
+    its points by one product per chunk shape (_em_tail).  Every
     caller in the package uses the defaults; `factor` and `chunk` remain
     settable because the perfbench harness passes and reads them.
 
@@ -438,9 +469,12 @@ def zeta_line(
     chunk shares one phase table per block of n, built from the first
     chunk's offsets, and the chunks go in fixed groups, as many as
     _STACK_BYTES holds, of one matrix product each, added in place into
-    the |t|-sorted jets; irregular and sign-crossing chunks, and a call of
-    one chunk such as one point, build their own tables, at most
-    _STACK_BYTES at a time.
+    the |t|-sorted jets; a grid whose offsets repeat to the bit (nodes
+    k h on a dyadic lattice, as the moment's) needs no correction column
+    in those products, and any other uniform grid (np.linspace, np.arange)
+    carries one.  Irregular and sign-crossing chunks, and a call of one
+    chunk such as one point, build their own tables, at most _STACK_BYTES
+    at a time.
 
     |t| above Z_T_MAX is refused before any term is built.  Near the cap,
     against mpmath at 93 points (31 evenly spaced t in [99000, 1e5] at each

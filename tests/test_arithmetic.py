@@ -45,6 +45,18 @@ class TestFactorSieve:
         with pytest.raises(DomainError):
             mobius_table(-5)
 
+    def test_non_integers_are_refused(self):
+        """Any n but an integer is a DomainError, an integral float included;
+        numpy's integers are integers."""
+        for n in (1e6, 10.0, 2.5, math.nan, -1.0, np.float64(7.0)):
+            with pytest.raises(DomainError):
+                primes_upto(n)
+            with pytest.raises(DomainError):
+                mobius_table(n)
+        assert primes_upto(np.int64(25)).tolist() == primes_upto(25).tolist()
+        assert mobius_table(np.int32(30)).tolist() == mobius_table(30).tolist()
+        assert primes_upto(np.uint8(2)).tolist() == [2]
+
     def test_primes(self):
         assert primes_upto(N).tolist() == [n for n in range(2, N + 1) if factorize(n) == [(n, 1)]]
         for n in (-5, -1, 0, 1):

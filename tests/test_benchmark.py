@@ -34,7 +34,8 @@ def test_bench_tool_writes_its_keys(tmp_path, against):
     """tools/bench.py over one short kappa seed: BENCH_kappa.json holds the
     run's end-to-end metrics, their summary, the fit of peak RSS against
     passes (empty here), and the machine and revision;
-    with --against, also REV's side, run first on the odd seed, and the pairs."""
+    with --against, also REV's side, run first on the odd seed, and the pairs
+    with the claim rule and the bound of each metric."""
     argv = ["--workload", "kappa", "--seeds", "1", "--seconds", "1", "--out", str(tmp_path), *against]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench.py"), *argv],
@@ -57,7 +58,13 @@ def test_bench_tool_writes_its_keys(tmp_path, against):
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True)
         assert doc["against"]["rev"] == head.stdout.strip()
         assert doc["against"]["correct"] is True and doc["against"]["failed"] == 0
+        bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
         for name in ("setup_s", "peak_rss_mb", "pass_s"):
-            assert {"lower", "of", "median_change"} <= doc["pairs"][name].keys()
-            assert doc["pairs"][name]["of"] == 1
+            pair = doc["pairs"][name]
+            assert {"lower", "of", "median_change", "against_spread", "claim_holds", "within_bound"} <= pair.keys()
+            assert pair["of"] == 1
+            # one run a side: no spread, so a claim holds exactly when the tree is lower
+            assert pair["against_spread"] == 0.0
+            assert pair["claim_holds"] is (pair["lower"] == 1)
+            assert pair["within_bound"] is (pair["median_change"] <= bounds[name])
         assert proc.stderr.index("against seed 1") < proc.stderr.index("tree seed 1")

@@ -17,7 +17,7 @@ from scipy.special import loggamma, psi
 
 import critline.zeta as zeta_module
 from critline.errors import ConditioningError, DomainError, PoleError
-from critline.moment import SmoothWeight
+from critline.moment import SmoothWeight, _lattice
 from critline.zeta import (
     _EM_COEFF,
     _EM_DEGREE,
@@ -308,46 +308,61 @@ def _rows_close(a, b, tol):
     return np.all(np.abs(a - b).max(axis=1) <= tol * np.abs(b).max(axis=1))
 
 
+def _moment_nodes(t_scale):
+    """A moment grid at step 0.05 over the weight's support, both ways:
+    np.linspace, whose chunk offsets differ by the rounding of t, and the
+    moment's own dyadic lattice, whose offsets repeat to the bit."""
+    lo, hi = SmoothWeight(t_scale).support
+    n = int(math.ceil((hi - lo) / 0.05)) + 1
+    return np.linspace(lo, hi, n), _lattice(lo, hi, n)[0]
+
+
 @pytest.fixture(scope="module")
 def moment_grid():
     """The T=2000 moment grid: sigma0 = 1/2 - 1.3/log T, step 0.05 over the
-    weight's support."""
-    lo, hi = SmoothWeight(2000.0).support
-    t = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.05)) + 1)
-    return 0.5 - 1.3 / math.log(2000.0), t
+    weight's support, by np.linspace."""
+    return 0.5 - 1.3 / math.log(2000.0), _moment_nodes(2000.0)[0]
+
+
+@pytest.fixture(scope="module")
+def moment_grids(moment_grid):
+    """moment_grid, and the same nodes on the moment's lattice."""
+    sigma, t = moment_grid
+    return [(sigma, t), (sigma, _moment_nodes(2000.0)[1])]
 
 
 class TestZetaLineGrid:
     """Uniform grids reuse one phase table; a one-point call only meets its
     own (a row of ones), so it is an independent oracle."""
 
-    def test_matches_one_point_calls(self, moment_grid):
-        sigma, t = moment_grid
-        picks = np.random.default_rng(4).choice(t.size, 40, replace=False)
-        for order in range(4):
-            jets = zeta_line(sigma, t, order)
-            for i in picks:
-                one = zeta_line(sigma, t[[i]], order)[:, 0]
-                assert np.all(np.abs(jets[:, i] - one) <= 1e-10 * np.abs(one))
+    def test_matches_one_point_calls(self, moment_grids):
+        for sigma, t in moment_grids:
+            picks = np.random.default_rng(4).choice(t.size, 40, replace=False)
+            for order in range(4):
+                jets = zeta_line(sigma, t, order)
+                for i in picks:
+                    one = zeta_line(sigma, t[[i]], order)[:, 0]
+                    assert np.all(np.abs(jets[:, i] - one) <= 1e-10 * np.abs(one))
 
-    def test_matches_mpmath(self, moment_grid):
-        sigma, t = moment_grid
-        jets = zeta_line(sigma, t, 3)
-        for i in np.random.default_rng(5).choice(t.size, 5, replace=False):
-            for j in range(4):
-                ref = complex(mp.zeta(mp.mpc(sigma, t[i]), 1, j)) / math.factorial(j)
-                assert abs(jets[j, i] - ref) <= 1e-10 * abs(ref)
+    def test_matches_mpmath(self, moment_grids):
+        for sigma, t in moment_grids:
+            jets = zeta_line(sigma, t, 3)
+            for i in np.random.default_rng(5).choice(t.size, 5, replace=False):
+                for j in range(4):
+                    ref = complex(mp.zeta(mp.mpc(sigma, t[i]), 1, j)) / math.factorial(j)
+                    assert abs(jets[j, i] - ref) <= 1e-10 * abs(ref)
 
-    def test_reused_table_matches_own_table(self, moment_grid):
+    def test_reused_table_matches_own_table(self, moment_grids):
         """A chunk evaluated alone builds its own table, with the same N and
-        base row as inside the grid: only the reused table and its rounding
-        correction differ (3e-12 without the correction)."""
-        sigma, t = moment_grid
-        jets = zeta_line(sigma, t, 3)
-        chunk = 256  # zeta_line's default; t is sorted, so chunks are slices
-        for c0 in range(chunk, t.size, 17 * chunk):
-            own = zeta_line(sigma, t[c0 : c0 + chunk], 3)
-            assert _rows_close(jets[:, c0 : c0 + chunk], own, 2e-13)
+        base row as inside the grid: only the reused table and, on the
+        linspace grid, its rounding correction differ (3e-12 without the
+        correction).  On the lattice every chunk has the table's offsets."""
+        for sigma, t in moment_grids:
+            jets = zeta_line(sigma, t, 3)
+            chunk = 256  # zeta_line's default; t is sorted, so chunks are slices
+            for c0 in range(chunk, t.size, 17 * chunk):
+                own = zeta_line(sigma, t[c0 : c0 + chunk], 3)
+                assert _rows_close(jets[:, c0 : c0 + chunk], own, 2e-13)
 
     def test_stacked_groups_match_own_tables(self):
         """A slice of the T=2e4 moment grid at order 3 stacks three chunks
@@ -546,10 +561,11 @@ class TestEulerMaclaurinTail:
 
     @pytest.mark.parametrize("t_scale", [1e3, 2e3, 5e3, 2e4])
     def test_moment_grids(self, t_scale):
-        lo, hi = SmoothWeight(t_scale).support
-        t = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.05)) + 1)
-        lead = _assert_tail_close(0.5 - 1.3 / math.log(t_scale), t)
-        assert np.count_nonzero(lead == np.arange(t.size)) == -(-t.size // 256)  # one anchor per chunk
+        """np.linspace nodes and the moment's lattice: every chunk of one
+        length takes its offsets from the first such chunk."""
+        for t in _moment_nodes(t_scale):
+            lead = _assert_tail_close(0.5 - 1.3 / math.log(t_scale), t)
+            assert np.count_nonzero(lead == np.arange(t.size)) == -(-t.size // 256)  # one anchor per chunk
 
     def test_other_grids(self, moment_grid):
         """A low grid, a grid through t = 0 (whose chunks build their own

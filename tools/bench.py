@@ -12,7 +12,11 @@ odd seeds, so both sample the machine's drift alike.  The file holds each
 side's per-seed values, the median and quartiles of the end-to-end metrics,
 the passes per run, ``correct`` and ``failed``, the git revision with a
 dirty flag, and the Python and numpy versions and CPU count; with
-``--against``, also how many pairs the tree was lower in.  run.py keeps
+``--against``, also per metric how many pairs the tree was lower in, the
+REV side's quartile spread, whether a claimed gain holds (better in at
+least 9 of 10 pairs, and the medians further apart than that spread), and
+whether the change stays within the metric's bound in ``BENCHMARK.json``,
+which is read, never written.  run.py keeps
 every pass's outputs, so a faster program also reads a higher peak RSS;
 each side therefore also holds the least-squares line of ``peak_rss_mb``
 against passes, as ``rss_per_pass_mb`` and ``rss_at_zero_passes_mb``.
@@ -84,14 +88,24 @@ def side(rev: str, dirty: bool, runs: list[dict]) -> dict:
 
 
 def pairs(tree: list[dict], against: list[dict]) -> dict:
-    """Per metric: the pairs (same seed) in which the tree was lower, and
-    the relative change of the medians."""
+    """Per metric: the pairs (same seed) in which the tree was lower, the
+    relative change of the medians, the REV side's quartile spread, whether
+    the rule for claiming a gain holds (the tree lower in at least 9 of 10
+    pairs, and its median lower by more than that spread), and whether the
+    change is no worse than the metric's relative bound in BENCHMARK.json."""
+    rules = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    spread = {name: s["q3"] - s["q1"] for name, s in summary(against).items()}
     out = {}
     for name in METRICS:
         mine, theirs = [r[name] for r in tree], [r[name] for r in against]
-        base = statistics.median(theirs)
-        out[name] = {"lower": sum(a < b for a, b in zip(mine, theirs)), "of": len(mine),
-                     "median_change": (statistics.median(mine) - base) / base}
+        if rules[name]["better"] != "lower":
+            raise ValueError(f"{name}: the claim rule here reads lower as better")
+        base, median = statistics.median(theirs), statistics.median(mine)
+        lower = sum(a < b for a, b in zip(mine, theirs))
+        out[name] = {"lower": lower, "of": len(mine), "median_change": (median - base) / base,
+                     "against_spread": spread[name],
+                     "claim_holds": lower >= 0.9 * len(mine) and base - median > spread[name],
+                     "within_bound": (median - base) / base <= rules[name]["bound"]}
     return out
 
 
