@@ -122,12 +122,11 @@ def mollified_moment_numeric(
     points, is refused before the grid is built.
 
     The grid has ceil((hi - lo) / grid_step) + 1 nodes inside the support
-    [lo, hi], on a dyadic lattice (_lattice): the reported grid_step is
-    their exact spacing, which the quadrature weighs them by, and every
-    chunk of the grid kernel meets the same offsets, so its products need
-    no rounding-correction column.  That spacing is below
+    [lo, hi], on a dyadic lattice (_lattice), so the grid kernel's products
+    need no rounding-correction column.  The reported grid_step is their
+    exact spacing, which the quadrature weighs them by: below
     (hi - lo) / (nodes - 1) by less than three lattice units 2^-p (2^-37,
-    about 7e-12, at T = 2e4)."""
+    about 7.3e-12, at T = 2e4)."""
     if t_scale > 2e4:
         raise DomainError("t_scale capped at 2e4 for desk-scale runtime")
     if not 0.0 <= grid_step < math.inf:  # refuses nan too

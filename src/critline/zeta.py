@@ -413,8 +413,9 @@ def _dirichlet_jets(sigma, t, n, coeff, order: int, cut, chunk: int = _CHUNK):
                 np.multiply(w[:m, None, j], phase, out=stack[:, :, j])
             prod = (table[:chunk, :m] @ stack.reshape(m, -1)).reshape(chunk, group.size, cols)
             if cols > order + 1:  # in place: row j reads row j+1 before it changes
+                e_k = shift[group].T
                 for j in range(order + 1):
-                    prod[:, :, j] += 1j * (j + 1) * shift[group].T * prod[:, :, j + 1]
+                    prod[:, :, j] += 1j * (j + 1) * e_k * prod[:, :, j + 1]
             rows = slice(group[0], group[-1] + 1) if group[-1] - group[0] < group.size else group
             out[:, rows] += prod[:, :, : order + 1].transpose(2, 1, 0)
     jets = out.reshape(order + 1, -1)[:, : t.size]

@@ -142,10 +142,7 @@ class TestMoment:
     @pytest.mark.parametrize("t_scale, moment", [(1000.0, 1245.1930864306105), (2000.0, 2460.2407729167708)],
                              ids=["T=1000", "T=2000"])
     def test_baseline_moment_is_pinned(self, t_scale, moment):
-        """The nodes lie on a dyadic lattice, weighed by their exact spacing;
-        the values of linspace nodes weighed by t[1] - t[0], 1245.1930864310552
-        and 2460.2407729179754, carried that step's rounding (3.6e-13 and
-        4.9e-13 relative)."""
+        """On the dyadic lattice of nodes, weighed by their exact spacing."""
         assert mollified_moment_numeric(BASELINE, t_scale).numeric_moment == pytest.approx(moment, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("t_scale, step", [(600.0, 0.0), (1000.0, 0.0), (2e4, 0.5), (1000.0, 0.049), (55.0, 1.0)])
@@ -161,8 +158,9 @@ class TestMoment:
         monkeypatch.setattr("critline.moment.smooth_weight", weight)
         report = mollified_moment_numeric(BASELINE, t_scale, step)
         (t,) = seen
-        lo, hi = SmoothWeight(t_scale).support
-        assert t.size == report.grid_points == math.ceil((hi - lo) / (step or min(0.05, SmoothWeight(t_scale).delta / 20))) + 1
+        weight = SmoothWeight(t_scale)
+        lo, hi = weight.support
+        assert t.size == report.grid_points == math.ceil((hi - lo) / (step or min(0.05, weight.delta / 20))) + 1
         assert np.array_equal(t, t[0] + np.arange(t.size) * report.grid_step)
         assert lo <= t[0] and t[-1] <= hi
         assert report.grid_step <= (hi - lo) / (t.size - 1)

@@ -318,17 +318,16 @@ def _moment_nodes(t_scale):
 
 
 @pytest.fixture(scope="module")
-def moment_grid():
-    """The T=2000 moment grid: sigma0 = 1/2 - 1.3/log T, step 0.05 over the
-    weight's support, by np.linspace."""
-    return 0.5 - 1.3 / math.log(2000.0), _moment_nodes(2000.0)[0]
+def moment_grids():
+    """The T=2000 moment grid, sigma0 = 1/2 - 1.3/log T, by np.linspace and
+    on the moment's lattice."""
+    return [(0.5 - 1.3 / math.log(2000.0), t) for t in _moment_nodes(2000.0)]
 
 
 @pytest.fixture(scope="module")
-def moment_grids(moment_grid):
-    """moment_grid, and the same nodes on the moment's lattice."""
-    sigma, t = moment_grid
-    return [(sigma, t), (sigma, _moment_nodes(2000.0)[1])]
+def moment_grid(moment_grids):
+    """The T=2000 moment grid by np.linspace."""
+    return moment_grids[0]
 
 
 class TestZetaLineGrid:
